@@ -2,58 +2,15 @@
 
 Closed-form curves, two independent outage-exponent solvers (exact LP and
 greedy reduction), Monte Carlo outage simulation, and numerical checks of
-the supporting random-matrix lemmas.
+the supporting random-matrix lemmas.  The package namespace re-exports the
+exact routes (``dmt_core`` and ``exponent_solver``); the numerical modules,
+which need numpy, scipy and mpmath, are imported on their own.
 """
 
-from .dmt_core import (
-    ChannelTriple,
-    DmtCurve,
-    MaxDiversity,
-    OrderedTriple,
-    dmt_at,
-    dmt_curve,
-    dmt_point,
-    is_rayleigh_equivalent,
-    max_diversity,
-    order_triple,
-    rayleigh_dmt,
-)
-from .exponent_solver import (
-    CaseId,
-    ExponentProgram,
-    ReducedObjective,
-    build_program,
-    classify_case,
-    dmt_via_greedy,
-    dmt_via_lp,
-    greedy_reduce,
-    minimize_threshold,
-    solve_lp,
-)
+from . import dmt_core, exponent_solver
+from .dmt_core import *  # noqa: F403
+from .exponent_solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelTriple",
-    "OrderedTriple",
-    "DmtCurve",
-    "MaxDiversity",
-    "order_triple",
-    "dmt_point",
-    "dmt_curve",
-    "dmt_at",
-    "rayleigh_dmt",
-    "is_rayleigh_equivalent",
-    "max_diversity",
-    "CaseId",
-    "ExponentProgram",
-    "ReducedObjective",
-    "classify_case",
-    "build_program",
-    "solve_lp",
-    "greedy_reduce",
-    "minimize_threshold",
-    "dmt_via_lp",
-    "dmt_via_greedy",
-    "__version__",
-]
+__all__ = [*dmt_core.__all__, *exponent_solver.__all__, "__version__"]

@@ -43,6 +43,9 @@ MISMATCH_ERROR = 3
 INSUFFICIENT_DATA = 4
 VERIFICATION_FAILURE = 5
 
+# the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
+VERIFY_SUITES = ("lemma1", "lemma2", "lemma3", "lemma4", "prop1", "wishart")
+
 
 def _parse_triple(text: str) -> ChannelTriple:
     parts = text.split(",")
@@ -71,13 +74,6 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         grid.append(round(v, 9))
         v += step
     return tuple(grid)
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", default="dmt_sim")
 
     p_ver = sub.add_parser("verify", help="lemma / density verification suites")
-    p_ver.add_argument("--suite", default="all",
-                       choices=("lemma1", "lemma2", "lemma3", "lemma4", "prop1", "wishart", "all"))
+    p_ver.add_argument("--suite", default="all", choices=VERIFY_SUITES + ("all",))
     p_ver.add_argument("--trials", type=int, default=10000)
     p_ver.add_argument("--digits", type=int, default=60)
     p_ver.add_argument("--seed", type=int, default=None)
@@ -331,38 +326,18 @@ def cmd_sim(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    from . import lemma_verify, randmat
+    from . import lemma_verify
 
     started = _now()
-    suites = ("lemma1", "lemma2", "lemma3", "lemma4", "prop1", "wishart") \
-        if args.suite == "all" else (args.suite,)
+    if args.trials < 1:
+        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return USAGE_ERROR
+    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     report = {}
     failed = []
     for name in suites:
         try:
-            if name == "lemma1":
-                rep = lemma_verify.lemma1_suite(digits=args.digits)
-            elif name == "lemma2":
-                rep = lemma_verify.lemma2_suite(digits=args.digits)
-            elif name == "lemma3":
-                rep = lemma_verify.lemma3_suite(digits=args.digits)
-            elif name == "lemma4":
-                rep = lemma_verify.lemma4_suite(args.trials, 4, randmat.stream(args.seed, 40))
-            elif name == "prop1":
-                rep = lemma_verify.prop1_suite(args.trials, 3, 5, randmat.stream(args.seed, 41))
-            else:
-                rep = {
-                    "check": "wishart",
-                    "results": {
-                        f"{m}x{n}": randmat.density_gof_identity(
-                            m, n, args.trials, randmat.stream(args.seed, (50, m, n))
-                        )
-                        for m, n in ((1, 1), (2, 2), (1, 2))
-                    },
-                }
-                rep["violations"] = [
-                    k for k, v in rep["results"].items() if v["p_value"] <= 0.001
-                ]
+            rep = lemma_verify.SUITES[name](args.trials, args.digits, args.seed)
         except lemma_verify.PrecisionLossError as exc:
             rep = {"check": name, "precision_error": str(exc),
                    "violations": [f"precision loss at {args.digits} digits"]}

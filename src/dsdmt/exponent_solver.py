@@ -82,12 +82,7 @@ def classify_case(m: int, n: int, l: int) -> CaseId:
 
 @dataclass(frozen=True)
 class ExponentProgram:
-    """Exact encoding of the exponent minimization for one (m, n, l, r).
-
-    Index pairs in ``plus_pairs`` are 0-based: (i, j) contributes
-    (alpha_i - beta_j)^+ to the objective, and alpha_i >= beta_i is enforced
-    for i < couple_range.
-    """
+    """Exact encoding of the exponent minimization for one (m, n, l, r)."""
 
     m: int
     n: int
@@ -97,8 +92,6 @@ class ExponentProgram:
     beta_dim: int
     alpha_coeffs: tuple[int, ...]
     beta_coeffs: tuple[int, ...]
-    plus_pairs: frozenset[tuple[int, int]]
-    couple_range: int
     r: Fraction
 
     def __post_init__(self):
@@ -110,11 +103,16 @@ class ExponentProgram:
             raise ValueError("coefficient lengths do not match the declared dimensions")
         if any(b < 0 for b in self.beta_coeffs) or any(a <= 0 for a in self.alpha_coeffs):
             raise ValueError("coefficients out of range")
-        for i, j in self.plus_pairs:
-            if not (0 <= i < j < self.beta_dim and i < self.alpha_dim):
-                raise ValueError(f"bad plus pair ({i}, {j})")
-        if not 0 <= self.couple_range <= min(self.alpha_dim, self.beta_dim):
-            raise ValueError(f"bad couple_range {self.couple_range}")
+
+    @property
+    def plus_pairs(self) -> frozenset[tuple[int, int]]:
+        """0-based (i, j), i < j: each contributes (alpha_i - beta_j)^+ to the objective."""
+        return frozenset((i, j) for i in range(self.alpha_dim) for j in range(i + 1, self.beta_dim))
+
+    @property
+    def couple_range(self) -> int:
+        """alpha_i >= beta_i is enforced for i < couple_range."""
+        return self.alpha_dim
 
 
 def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
@@ -134,9 +132,6 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
         s - n - (j + 1) if (j + 1) <= n + 1 else s + 1 - 2 * (j + 1)
         for j in range(beta_dim)
     )
-    pairs = frozenset(
-        (i, j) for i in range(alpha_dim) for j in range(i + 1, beta_dim)
-    )
     return ExponentProgram(
         m=m,
         n=n,
@@ -146,8 +141,6 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
         beta_dim=beta_dim,
         alpha_coeffs=alpha_coeffs,
         beta_coeffs=beta_coeffs,
-        plus_pairs=pairs,
-        couple_range=alpha_dim,
         r=Fraction(r),
     )
 
@@ -226,7 +219,8 @@ def greedy_reduce(p: ExponentProgram) -> ReducedObjective:
     Starting from the interleaved chain 0 <= beta_1 = alpha_1 <= ... every
     beta_j walks left past alpha_{j-1}, alpha_{j-2}, ... while its running
     coefficient (initially b_j, down 1 per pass) is still positive and a
-    plus pair (i, j) exists; each pass adds 1 to that alpha's coefficient.
+    plus pair (i, j) exists (i < j, i < alpha_dim); each pass adds 1 to
+    that alpha's coefficient.
     A beta whose coefficient is still positive after all passes drops to 0;
     one whose coefficient hits 0 parks where it is.  The decrements are
     counted explicitly rather than taken from any closed-form final value.
@@ -234,7 +228,7 @@ def greedy_reduce(p: ExponentProgram) -> ReducedObjective:
     passes = [0] * p.alpha_dim
     for j in range(p.beta_dim):
         coeff = p.beta_coeffs[j]
-        for i in sorted((i for i, jj in p.plus_pairs if jj == j), reverse=True):
+        for i in reversed(range(min(j, p.alpha_dim))):
             if coeff <= 0:
                 break
             passes[i] += 1
@@ -262,25 +256,24 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     return value
 
 
-def _apply_reciprocity(m: int, n: int, l: int) -> tuple[int, int, int]:
+def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
+    """The program for any role order of (m, n, l): n <= m by reciprocity,
+    r checked against [0, min(m, n, l)]."""
     if min(m, n, l) < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
-    return (n, m, l) if n > m else (m, n, l)
+    m, n = max(m, n), min(m, n)
+    r = Fraction(r)
+    if not 0 <= r <= min(m, n, l):
+        raise ValueError(f"r must lie in [0, {min(m, n, l)}], got {r}")
+    return build_program(m, n, l, r)
 
 
 def dmt_via_lp(m: int, n: int, l: int, r) -> Fraction:
     """d(r) by the exact linear program, for any role order of (m, n, l)."""
-    m, n, l = _apply_reciprocity(m, n, l)
-    r = Fraction(r)
-    if not 0 <= r <= min(m, n, l):
-        raise ValueError(f"r must lie in [0, {min(m, n, l)}], got {r}")
-    return solve_lp(build_program(m, n, l, r)).value
+    return solve_lp(_reciprocal_program(m, n, l, r)).value
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:
     """d(r) by greedy beta elimination plus threshold minimization."""
-    m, n, l = _apply_reciprocity(m, n, l)
-    r = Fraction(r)
-    if not 0 <= r <= min(m, n, l):
-        raise ValueError(f"r must lie in [0, {min(m, n, l)}], got {r}")
-    return minimize_threshold(greedy_reduce(build_program(m, n, l, r)), r)
+    p = _reciprocal_program(m, n, l, r)
+    return minimize_threshold(greedy_reduce(p), p.r)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpf
 
-from .randmat import complex_gaussian, singular_values
+from . import randmat
+from .randmat import _log_vandermonde, complex_gaussian, singular_values, xi_matrix
 
 __all__ = [
     "PrecisionLossError",
@@ -42,6 +43,8 @@ __all__ = [
     "lemma1_suite",
     "lemma2_suite",
     "lemma3_suite",
+    "wishart_suite",
+    "SUITES",
 ]
 
 INEQ_SLACK = 1e-9
@@ -91,22 +94,11 @@ class CheckReport:
     cases: int
     violations: list = field(default_factory=list)
     worst_residual: float = 0.0
-    precision_digits: int | None = None
     skipped: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.skipped is None and not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "cases": self.cases,
-            "violations": self.violations,
-            "worst_residual": self.worst_residual,
-            "precision_digits": self.precision_digits,
-            "skipped": self.skipped,
-        }
 
 
 def _condition_number(mat) -> float:
@@ -172,13 +164,15 @@ def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK) -> CheckReport:
     return report
 
 
-def _fit_top_half(snrs, logvals) -> tuple[tuple[float, ...], float]:
-    """LS slope of log(value)/log(SNR) over the top half of the grid."""
+def _fit_top_half(snrs, logvals, predicted: float) -> AsymptoticFit:
+    """LS slope of log(value)/log(SNR) over the top half of the grid, as a fit
+    against the predicted exponent."""
     half = len(snrs) // 2
     xs = np.log10(np.asarray(snrs[half:], dtype=float))
     ys = np.array([float(v) / mp.log(10) for v in logvals[half:]], dtype=float)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return tuple(float(s) for s in snrs[half:]), float(slope)
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return AsymptoticFit(snr_points=tuple(float(s) for s in snrs[half:]), measured_exponent=slope,
+                         predicted_exponent=predicted, residual=abs(slope - predicted))
 
 
 def _guarded_logabsdet(mat, digits: int):
@@ -197,8 +191,7 @@ def _guarded_logabsdet(mat, digits: int):
     return mp.log(abs(det))
 
 
-def _default_snr_grid() -> tuple[float, ...]:
-    return tuple(10.0**k for k in range(4, 13))
+_DEFAULT_SNR_GRID = tuple(10.0**k for k in range(4, 13))
 
 
 def lemma1_predicted_exponent(ep: ExponentPair) -> float:
@@ -212,7 +205,7 @@ def lemma1_predicted_exponent(ep: ExponentPair) -> float:
 
 def check_lemma1_exponent(ep: ExponentPair, snr_grid=None, digits: int = 60) -> AsymptoticFit:
     """Exponent of |det exp(-SNR^-(alpha_j - beta_i))| against its prediction."""
-    snrs = tuple(float(s) for s in (snr_grid or _default_snr_grid()))
+    snrs = tuple(float(s) for s in (snr_grid or _DEFAULT_SNR_GRID))
     l = len(ep.alpha)
     if l > 3:
         raise ValueError(f"determinant evaluation is sized for l <= 3, got l = {l}")
@@ -224,32 +217,15 @@ def check_lemma1_exponent(ep: ExponentPair, snr_grid=None, digits: int = 60) -> 
     with mp.workdps(digits):
         for snr in snrs:
             s = mpf(snr)
-            mat = mp.matrix(l, l)
-            for i in range(l):
-                for j in range(l):
-                    mat[i, j] = mp.exp(-(s ** (-(ep.alpha[j] - ep.beta[i]))))
+            mat = mp.matrix([[mp.exp(-(s ** (-(a - b)))) for a in ep.alpha] for b in ep.beta])
             logs.append(_guarded_logabsdet(mat, digits))
-        top, measured = _fit_top_half(snrs, logs)
-    predicted = lemma1_predicted_exponent(ep)
-    return AsymptoticFit(
-        snr_points=top,
-        measured_exponent=measured,
-        predicted_exponent=predicted,
-        residual=abs(measured - predicted),
-    )
+        return _fit_top_half(snrs, logs, lemma1_predicted_exponent(ep))
 
 
-def _xi_mp(mu, lam):
-    """mpmath version of the mixed power/exponential matrix (rows follow mu)."""
-    p, n = len(mu), len(lam)
-    mat = mp.matrix(p, p)
-    for i in range(p):
-        for e in range(p - n):
-            mat[i, e] = mu[i] ** e
-        pref = mu[i] ** (p - n - 1)
-        for j in range(n):
-            mat[i, p - n + j] = pref * mp.exp(-lam[j] / mu[i])
-    return mat
+def _logabs_xi_over_vdm(mu, lam, digits: int):
+    """log |det Xi(mu, lam)| - log V(mu) in mpmath, guarded."""
+    xi = mp.matrix(xi_matrix(mu, lam, mp.exp))
+    return _guarded_logabsdet(xi, digits) - _log_vandermonde(mu, mp.log)
 
 
 def lemma2_predicted_exponent(beta, alpha, l: int, n: int) -> float:
@@ -286,22 +262,15 @@ def check_lemma2_exponent(mu_exponents, lambda_exponents, dims, snr_grid=None,
         raise ValueError("exponent vectors must be non-decreasing")
     if any(alpha[i] <= beta[i] for i in range(n)):
         raise ValueError("strict alpha_i > beta_i required on the coupled range")
-    snrs = tuple(float(s) for s in (snr_grid or _default_snr_grid()))
+    snrs = tuple(float(s) for s in (snr_grid or _DEFAULT_SNR_GRID))
     logs = []
     with mp.workdps(digits):
         for snr in snrs:
             s = mpf(snr)
             mu = [s ** (-b) for b in beta]
             lam = [s ** (-a) for a in alpha]
-            logs.append(_guarded_logabsdet(_xi_mp(mu, lam), digits))
-        top, measured = _fit_top_half(snrs, logs)
-    predicted = lemma2_predicted_exponent(beta, alpha, l, n)
-    return AsymptoticFit(
-        snr_points=top,
-        measured_exponent=measured,
-        predicted_exponent=predicted,
-        residual=abs(measured - predicted),
-    )
+            logs.append(_guarded_logabsdet(mp.matrix(xi_matrix(mu, lam, mp.exp)), digits))
+        return _fit_top_half(snrs, logs, lemma2_predicted_exponent(beta, alpha, l, n))
 
 
 _EPS_MULTIPLIERS = (1.0, 0.6, 0.35, 0.2)
@@ -333,11 +302,10 @@ def check_lemma3_limit(mu_positive, lam, dims, eps_grid, digits: int = 60) -> di
     with mp.workdps(digits):
         mu_l = [mpf(v) for v in mu_pos]
         lam_mp = [mpf(v) for v in lam]
-        log_rhs = _guarded_logabsdet(_xi_mp(mu_l, lam_mp), digits) - _log_vdm(mu_l)
+        log_rhs = _logabs_xi_over_vdm(mu_l, lam_mp, digits)
         for eps in eps_grid:
             tail = [mpf(eps) * mpf(c) for c in _EPS_MULTIPLIERS[: m - l]]
-            mu_full = mu_l + tail
-            log_lhs = _guarded_logabsdet(_xi_mp(mu_full, lam_mp), digits) - _log_vdm(mu_full)
+            log_lhs = _logabs_xi_over_vdm(mu_l + tail, lam_mp, digits)
             ratios.append(float(mp.exp(log_lhs - log_rhs)))
     errors = [abs(rho - 1.0) for rho in ratios]
     if len(eps_grid) >= 2 and all(e > 0 for e in errors):
@@ -354,14 +322,6 @@ def check_lemma3_limit(mu_positive, lam, dims, eps_grid, digits: int = 60) -> di
         "convergence_order": order,
         "precision_digits": digits,
     }
-
-
-def _log_vdm(vals):
-    total = mpf(0)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            total += mp.log(abs(vals[i] - vals[j]))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -392,64 +352,48 @@ LEMMA3_CASES = {
 EXPONENT_TOL = 0.05
 
 
-def lemma1_suite(digits: int = 60, tol: float = EXPONENT_TOL) -> dict:
-    results = {}
-    worst = 0.0
-    for name, ep in LEMMA1_CASES.items():
-        fit = check_lemma1_exponent(ep, digits=digits)
-        worst = max(worst, fit.residual)
-        results[name] = {
+def _exponent_suite(check: str, fits, digits: int, tol: float) -> dict:
+    """Report over (case name, AsymptoticFit) pairs; a case passes within tol."""
+    results = {
+        name: {
             "measured": fit.measured_exponent,
             "predicted": fit.predicted_exponent,
             "residual": fit.residual,
             "ok": fit.residual <= tol,
         }
+        for name, fit in fits
+    }
     return {
-        "check": "lemma1",
+        "check": check,
         "cases": len(results),
         "results": results,
         "violations": [k for k, v in results.items() if not v["ok"]],
-        "worst_residual": worst,
+        "worst_residual": max((v["residual"] for v in results.values()), default=0.0),
         "precision_digits": digits,
     }
+
+
+def lemma1_suite(digits: int = 60, tol: float = EXPONENT_TOL) -> dict:
+    fits = ((name, check_lemma1_exponent(ep, digits=digits)) for name, ep in LEMMA1_CASES.items())
+    return _exponent_suite("lemma1", fits, digits, tol)
 
 
 def lemma2_suite(digits: int = 60, tol: float = EXPONENT_TOL) -> dict:
-    results = {}
-    worst = 0.0
-    for name, (dims, beta, alpha) in LEMMA2_CASES.items():
-        fit = check_lemma2_exponent(beta, alpha, dims, digits=digits)
-        worst = max(worst, fit.residual)
-        results[name] = {
-            "measured": fit.measured_exponent,
-            "predicted": fit.predicted_exponent,
-            "residual": fit.residual,
-            "ok": fit.residual <= tol,
-        }
-    return {
-        "check": "lemma2",
-        "cases": len(results),
-        "results": results,
-        "violations": [k for k, v in results.items() if not v["ok"]],
-        "worst_residual": worst,
-        "precision_digits": digits,
-    }
+    fits = ((name, check_lemma2_exponent(beta, alpha, dims, digits=digits))
+            for name, (dims, beta, alpha) in LEMMA2_CASES.items())
+    return _exponent_suite("lemma2", fits, digits, tol)
 
 
 def lemma3_suite(digits: int = 60, eps_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)) -> dict:
     results = {}
-    violations = []
     for name, (dims, mu_pos, lam) in LEMMA3_CASES.items():
         rep = check_lemma3_limit(mu_pos, lam, dims, eps_grid, digits=digits)
-        ok = rep["monotone_decreasing"] and rep["errors"][-1] < 1e-3
-        results[name] = dict(rep, ok=ok)
-        if not ok:
-            violations.append(name)
+        results[name] = dict(rep, ok=rep["monotone_decreasing"] and rep["errors"][-1] < 1e-3)
     return {
         "check": "lemma3",
         "cases": len(results),
         "results": results,
-        "violations": violations,
+        "violations": [k for k, v in results.items() if not v["ok"]],
         "precision_digits": digits,
     }
 
@@ -463,48 +407,55 @@ def _random_nonsingular(dim: int, rng, cols: int | None = None):
             return mat
 
 
-def lemma4_suite(trials: int, dim: int, rng) -> dict:
+def _trial_suite(check: str, run, trials: int, draw, **shape) -> dict:
+    """Run run(*draw()) per trial; skipped trials count no cases."""
     cases = 0
     violations = []
     worst = 0.0
     for t in range(trials):
-        rep = check_lemma4(_random_nonsingular(dim, rng), _random_nonsingular(dim, rng))
+        rep = run(*draw())
         if rep.skipped:
             continue
         cases += rep.cases
         worst = max(worst, rep.worst_residual)
         if rep.violations:
             violations.append({"trial": t, "violations": rep.violations})
-    return {
-        "check": "lemma4",
-        "trials": trials,
-        "dim": dim,
-        "cases": cases,
-        "violations": violations,
-        "worst_residual": worst,
-    }
+    return {"check": check, "trials": trials, **shape, "cases": cases,
+            "violations": violations, "worst_residual": worst}
+
+
+def lemma4_suite(trials: int, dim: int, rng) -> dict:
+    def draw():  # A, then B
+        return _random_nonsingular(dim, rng), _random_nonsingular(dim, rng)
+
+    return _trial_suite("lemma4", check_lemma4, trials, draw, dim=dim)
 
 
 def prop1_suite(trials: int, dim: int, cols: int, rng) -> dict:
-    cases = 0
-    violations = []
-    worst = 0.0
-    for t in range(trials):
+    def draw():  # T, then M; check_prop1 takes (M, T)
         t_mat = _random_nonsingular(dim, rng)
-        m_mat = _random_nonsingular(dim, rng, cols=cols)
-        rep = check_prop1(m_mat, t_mat)
-        if rep.skipped:
-            continue
-        cases += rep.cases
-        worst = max(worst, rep.worst_residual)
-        if rep.violations:
-            violations.append({"trial": t, "violations": rep.violations})
-    return {
-        "check": "prop1",
-        "trials": trials,
-        "dim": dim,
-        "cols": cols,
-        "cases": cases,
-        "violations": violations,
-        "worst_residual": worst,
+        return _random_nonsingular(dim, rng, cols=cols), t_mat
+
+    return _trial_suite("prop1", check_prop1, trials, draw, dim=dim, cols=cols)
+
+
+def wishart_suite(trials: int, seed: int) -> dict:
+    """Density fits for Sigma = I; a fit fails at p <= 0.001."""
+    results = {
+        f"{m}x{n}": randmat.density_gof_identity(m, n, trials, randmat.stream(seed, (50, m, n)))
+        for m, n in ((1, 1), (2, 2), (1, 2))
     }
+    return {"check": "wishart", "results": results,
+            "violations": [k for k, v in results.items() if v["p_value"] <= 0.001]}
+
+
+# name -> f(trials, digits, seed), the suites of `dmt verify`.  The suite
+# functions are looked up when a suite runs, not when this table is built.
+SUITES = {
+    "lemma1": lambda trials, digits, seed: lemma1_suite(digits=digits),
+    "lemma2": lambda trials, digits, seed: lemma2_suite(digits=digits),
+    "lemma3": lambda trials, digits, seed: lemma3_suite(digits=digits),
+    "lemma4": lambda trials, digits, seed: lemma4_suite(trials, 4, randmat.stream(seed, 40)),
+    "prop1": lambda trials, digits, seed: prop1_suite(trials, 3, 5, randmat.stream(seed, 41)),
+    "wishart": lambda trials, digits, seed: wishart_suite(trials, seed),
+}

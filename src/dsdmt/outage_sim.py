@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmt_core import ChannelTriple
-from .randmat import CorrelationMatrix, complex_gaussian, identity_correlation, stream
+from .randmat import (
+    CorrelationMatrix,
+    complex_gaussian,
+    exponential_correlation,
+    identity_correlation,
+    stream,
+)
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -27,8 +33,6 @@ __all__ = [
     "SlopeFit",
     "make_channel_spec",
     "default_normalization",
-    "draw_channel",
-    "mutual_information_nats",
     "estimate_outage",
     "run_simulation",
     "fit_slope",
@@ -103,8 +107,9 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
+        top = min(self.spec.triple.as_tuple())
+        if not (math.isfinite(self.r) and 0 <= self.r <= top):
+            raise ValueError(f"r must be a finite number in [0, {top}], got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -130,22 +135,6 @@ def _draw_block(spec: ChannelSpec, count: int, rng) -> np.ndarray:
     h1 = complex_gaussian((count, t.n_r, t.n_s), rng)
     h2 = complex_gaussian((count, t.n_s, t.n_t), rng)
     return spec.phi_r.sqrt @ h1 @ spec.phi_s.sqrt @ h2 @ spec.phi_t.sqrt
-
-
-def draw_channel(spec: ChannelSpec, rng) -> np.ndarray:
-    """One n_r x n_t realization of the double-scattering channel."""
-    return _draw_block(spec, 1, rng)[0]
-
-
-def mutual_information_nats(h: np.ndarray, snr: float, c_norm: float) -> float:
-    """ln det(I + snr * c_norm * H H^dagger) via a self-adjoint factorization."""
-    h = np.asarray(h)
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
-        raise ValueError("channel matrix has non-finite entries")
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    sv = np.linalg.svd(h, compute_uv=False)
-    return float(np.sum(np.log1p(snr * c_norm * sv**2)))
 
 
 def _mutual_information_block(hs: np.ndarray, gain: float) -> np.ndarray:
@@ -257,29 +246,16 @@ def correlation_invariance_experiment(triple, rho: float, r, snr_grid_db, trials
         raise ValueError(f"rho must lie in [0, 0.9], got {rho}")
     if not isinstance(triple, ChannelTriple):
         triple = ChannelTriple(*triple)
+    correlated = [exponential_correlation(dim, rho) for dim in triple.as_tuple()]
     results = []
-    for corr in ("identity", "exponential"):
-        if corr == "identity":
-            spec = make_channel_spec(triple)
-        else:
-            from .randmat import exponential_correlation
-
-            spec = make_channel_spec(
-                triple,
-                phi_t=exponential_correlation(triple.n_t, rho),
-                phi_s=exponential_correlation(triple.n_s, rho),
-                phi_r=exponential_correlation(triple.n_r, rho),
-            )
+    for spec in (make_channel_spec(triple), make_channel_spec(triple, *correlated)):
         cfg = SimConfig(spec=spec, snr_grid_db=tuple(snr_grid_db), r=float(r),
                         trials=trials, seed=seed, workers=workers)
         estimates = run_simulation(cfg)
         results.append((fit_slope(estimates), tuple(estimates)))
-    return PairedSlopes(
-        identity=results[0][0],
-        correlated=results[1][0],
-        identity_estimates=results[0][1],
-        correlated_estimates=results[1][1],
-    )
+    (id_fit, id_est), (corr_fit, corr_est) = results
+    return PairedSlopes(identity=id_fit, correlated=corr_fit,
+                        identity_estimates=id_est, correlated_estimates=corr_est)
 
 
 def estimates_csv_lines(estimates, r: float) -> list[str]:

@@ -19,7 +19,6 @@ __all__ = [
     "CorrelationMatrix",
     "stream",
     "complex_gaussian",
-    "sample_complex_gaussian",
     "identity_correlation",
     "exponential_correlation",
     "explicit_correlation",
@@ -59,13 +58,6 @@ def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(0.5) * (re + 1j * im)
 
 
-def sample_complex_gaussian(rows: int, cols: int, rng_stream: np.random.Generator) -> np.ndarray:
-    """A rows x cols matrix of i.i.d. unit-variance complex Gaussian entries."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"dimensions must be positive, got ({rows}, {cols})")
-    return complex_gaussian((rows, cols), rng_stream)
-
-
 @dataclass(frozen=True)
 class EigenvalueVector:
     """Nonnegative eigen/singular values sorted descending."""
@@ -87,10 +79,7 @@ class EigenvalueVector:
         return self.values[::-1].copy()
 
     def has_ties(self, tol: float = TIE_TOL) -> bool:
-        if self.values.size < 2:
-            return False
-        scale = max(float(self.values[0]), 1.0)
-        return bool(np.min(self.values[:-1] - self.values[1:]) <= tol * scale)
+        return _min_gap(self.values) <= tol * max(float(self.values[0]), 1.0)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -177,45 +166,44 @@ def wishart_sample(m: int, n: int, sigma: CorrelationMatrix, rng: np.random.Gene
     return EigenvalueVector(np.linalg.eigvalsh(w))
 
 
-def _check_distinct(name: str, vals: np.ndarray):
-    if vals.size >= 2:
-        scale = max(float(vals[0]), 1.0)
-        gap = float(np.min(vals[:-1] - vals[1:]))
-        if gap <= TIE_TOL * scale:
-            raise DegenerateEigenvaluesError(
-                f"{name} eigenvalues nearly tied (min gap {gap:.3e}); density is singular there"
-            )
+def _min_gap(desc: np.ndarray) -> float:
+    """Smallest gap between neighbours of a descending array (inf below two values)."""
+    return float(np.min(desc[:-1] - desc[1:])) if desc.size >= 2 else float("inf")
 
 
 def _prep(name: str, vals) -> np.ndarray:
     arr = np.sort(np.asarray(vals, dtype=float))[::-1]
     if arr.size == 0 or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be positive and finite, got {vals}")
-    _check_distinct(name, arr)
+    gap = _min_gap(arr)
+    if gap <= TIE_TOL * max(float(arr[0]), 1.0):
+        raise DegenerateEigenvaluesError(
+            f"{name} eigenvalues nearly tied (min gap {gap:.3e}); density is singular there"
+        )
     return arr
 
 
-def _log_vandermonde(vals: np.ndarray) -> float:
-    i, j = np.triu_indices(vals.size, k=1)
-    if i.size == 0:
-        return 0.0
-    return float(np.sum(np.log(vals[i] - vals[j])))
+# The Xi matrix and the log-Vandermonde are written over scalar operations,
+# with exp and log passed in, so that the same code builds them from floats
+# (numpy) and from mpmath numbers (mp.exp, mp.log) in lemma_verify.
+
+def _log_vandermonde(vals, log=np.log):
+    """sum over i < j of log |vals_i - vals_j|, in that pair order."""
+    return sum(log(abs(a - b)) for i, a in enumerate(vals) for b in vals[i + 1 :])
 
 
-def xi_matrix(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The mixed power/exponential matrix driving the n < m density.
+def xi_matrix(mu, lam, exp=np.exp) -> list:
+    """The mixed power/exponential matrix driving the n < m density, as rows.
 
     Rows follow mu; columns are mu^0 .. mu^(p-n-1) followed by
     mu^(p-n-1) * exp(-lam_j / mu) for each of the n lambdas (p = len(mu)).
     For p = n there are no pure power columns and the prefactor is 1/mu.
     """
-    p, n = mu.size, lam.size
+    p, n = len(mu), len(lam)
     if p < n:
         raise ValueError(f"need len(mu) >= len(lam), got {p} < {n}")
-    cols = [mu ** e for e in range(p - n)]
-    pref = mu ** float(p - n - 1)
-    cols.extend(pref * np.exp(-lam[j] / mu) for j in range(n))
-    return np.stack(cols, axis=1)
+    return [[x**e for e in range(p - n)] + [x ** (p - n - 1) * exp(-y / x) for y in lam]
+            for x in mu]
 
 
 def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int | None = None) -> float:
@@ -275,7 +263,7 @@ def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int
     # positive ones of a rank-deficient correlation.
     if kind == "n_lt_m" and lam.size >= mu.size:
         raise ValueError(f"n_lt_m kind needs len(lam) < len(mu), got {lam.size} >= {mu.size}")
-    sign, logdet = np.linalg.slogdet(xi_matrix(mu, lam))
+    sign, logdet = np.linalg.slogdet(np.array(xi_matrix(mu, lam)))
     if sign == 0:
         raise DegenerateEigenvaluesError("Xi determinant underflowed to zero")
     return float(logdet - _log_vandermonde(mu) + _log_vandermonde(lam))

@@ -153,10 +153,14 @@ class TestSim:
         assert manifest["seed"] == 55  # config fills the rest
 
     def test_bad_grid_usage_error(self, tmp_path, monkeypatch, capsys):
-        code = run_cli(["sim", "--triple", "1,1,1", "--r", "0.5", "--snr-db", "20:10:5",
-                        "--trials", "100"], tmp_path, monkeypatch)
-        capsys.readouterr()
-        assert code == 2
+        # a descending grid, then r non-finite or outside [0, min(triple)] = [0, 1]
+        for grid, r in (("20:10:5", "0.5"), ("10:10:5", "nan"), ("10:10:5", "inf"),
+                        ("10:10:5", "5")):
+            code = run_cli(["sim", "--triple", "1,1,1", "--r", r, "--snr-db", grid,
+                            "--trials", "100"], tmp_path, monkeypatch)
+            err = capsys.readouterr().err
+            assert code == 2, (grid, r)
+            assert "error" in err, (grid, r)
 
     def test_bad_corr_usage_error(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["sim", "--triple", "1,1,1", "--r", "0.5", "--snr-db", "10:10:5",
@@ -180,6 +184,19 @@ class TestVerify:
                        tmp_path, monkeypatch)
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("suite,trials", [("wishart", "0"), ("lemma4", "-5"), ("all", "0")])
+    def test_trials_below_one_usage_error(self, suite, trials, tmp_path, monkeypatch, capsys):
+        code = run_cli(["verify", "--suite", suite, "--trials", trials], tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--trials must be >= 1" in err
+        assert not (tmp_path / "dmt_verify.json").exists()
+
+    def test_suite_names_match_the_suite_table(self):
+        from dsdmt import lemma_verify
+
+        assert list(cli.VERIFY_SUITES) == list(lemma_verify.SUITES)
 
     def test_precision_error_exits_5(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["verify", "--suite", "lemma1", "--digits", "30"],

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+import dsdmt
+from dsdmt import dmt_core, exponent_solver
 from dsdmt.dmt_core import (
     ChannelTriple,
     DmtCurve,
@@ -218,3 +220,8 @@ class TestCaseFormulaConsistency:
                 else:
                     local = (m - k) * (n - k) - self._floor_quarter_sq(n - (l - m) - k)
                 assert local == unified, (m, n, l, k)
+
+
+def test_package_namespace_is_the_submodule_exports():
+    assert dsdmt.__all__ == [*dmt_core.__all__, *exponent_solver.__all__, "__version__"]
+    assert [name for name in dsdmt.__all__ if not hasattr(dsdmt, name)] == []

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from dsdmt import lemma_verify as lv
-from dsdmt.randmat import stream
+from dsdmt.randmat import _log_vandermonde, stream, xi_matrix
 
 
 class TestLemma4:
@@ -119,6 +119,20 @@ class TestLemma2:
         fit_a = lv.check_lemma2_exponent((0.1, 0.2), (0.5,), (2, 1, 2), digits=60)
         fit_b = lv.check_lemma2_exponent((0.1, 0.2), (0.5,), (2, 1, 2), snr_grid=dense, digits=60)
         assert abs(fit_a.measured_exponent - fit_b.measured_exponent) < 1e-2
+
+
+class TestSharedXi:
+    def test_float_and_mpf_paths_agree(self):
+        # one builder serves the numpy density and the mpmath lemma checks
+        (m, _, l), mu_pos, lam = lv.LEMMA3_CASES["m4l2n2"]
+        mu = list(mu_pos) + [1e-2 * c for c in lv._EPS_MULTIPLIERS[: m - l]]
+        _, logdet = np.linalg.slogdet(np.array(xi_matrix(mu, lam)))
+        as_float = logdet - _log_vandermonde(mu)
+        with mp.workdps(40):
+            mu_mp, lam_mp = [mp.mpf(v) for v in mu], [mp.mpf(v) for v in lam]
+            det = mp.det(mp.matrix(xi_matrix(mu_mp, lam_mp, mp.exp)))
+            as_mpf = float(mp.log(abs(det)) - _log_vandermonde(mu_mp, mp.log))
+        assert as_float == pytest.approx(as_mpf, rel=1e-12)
 
 
 class TestLemma3:
