@@ -8,11 +8,30 @@ from scipy import integrate, stats
 
 from dsdmt import outage_sim as osim
 from dsdmt.dmt_core import ChannelTriple
-from dsdmt.randmat import exponential_correlation, stream
+from dsdmt.randmat import complex_gaussian, explicit_correlation, exponential_correlation, stream
 
 
 def spec_111():
     return osim.make_channel_spec((1, 1, 1))
+
+
+# Reference kernel: the full batched chain with every square root multiplied
+# in, and the mutual information from the eigenvalues of the Gram matrix.
+
+def reference_draw_block(spec, count: int, rng) -> np.ndarray:
+    t = spec.triple
+    h1 = complex_gaussian((count, t.n_r, t.n_s), rng)
+    h2 = complex_gaussian((count, t.n_s, t.n_t), rng)
+    return spec.phi_r.sqrt @ h1 @ spec.phi_s.sqrt @ h2 @ spec.phi_t.sqrt
+
+
+def reference_mutual_information_block(hs: np.ndarray, gain: float) -> np.ndarray:
+    if hs.shape[1] <= hs.shape[2]:
+        gram = hs @ np.conj(np.swapaxes(hs, 1, 2))
+    else:
+        gram = np.conj(np.swapaxes(hs, 1, 2)) @ hs
+    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    return np.sum(np.log1p(gain * eig), axis=1)
 
 
 # Per-matrix oracles for the batched kernels of outage_sim.
@@ -109,6 +128,75 @@ class TestMutualInformation:
         assert np.allclose(batch, single, atol=1e-10)
 
 
+GRID_15_40 = tuple(float(d) for d in range(15, 41, 5))
+GRID_10_30 = tuple(float(d) for d in range(10, 31, 5))
+# (triple, rho or None, r, grid, seed) of every pinned run in test_acceptance.py:
+# 7a, 7b, 7c and 7d (identity and correlated halves), 7e, the emergence and
+# monotonicity checks, and the criterion-8 CLI run
+PINNED_RUNS = (
+    ((1, 1, 1), None, 0.05, GRID_15_40, 1),
+    ((2, 2, 2), None, 1.0, GRID_10_30, 2),
+    ((1, 1, 1), None, 0.05, GRID_15_40, 21),
+    ((1, 1, 1), 0.5, 0.05, GRID_15_40, 21),
+    ((2, 2, 2), None, 1.0, GRID_10_30, 22),
+    ((2, 2, 2), 0.7, 1.0, GRID_10_30, 22),
+    ((1, 1, 1), None, 0.05, GRID_15_40, 23),
+    ((1, 1, 1), None, 0.05, tuple(float(d) for d in range(25, 51, 5)), 31),
+    ((2, 2, 2), None, 1.0, tuple(float(d) for d in range(25, 46, 5)), 32),
+    ((1, 1, 1), None, 0.05, GRID_15_40, 33),
+    ((2, 2, 2), None, 1.0, GRID_10_30, 33),
+    ((1, 1, 1), None, 0.5, (10.0, 15.0, 20.0, 25.0), 7),
+)
+FLIP_TOL = 1e-9
+
+
+def correlated_spec(triple, rho):
+    phis = [exponential_correlation(d, rho) for d in triple] if rho else [None] * 3
+    return osim.make_channel_spec(triple, *phis)
+
+
+class TestKernelAgainstReference:
+    def test_pinned_block0_counts_match(self):
+        for triple, rho, r, grid, seed in PINNED_RUNS:
+            spec = correlated_spec(triple, rho)
+            count = osim.BLOCK_TRIALS
+            for i, snr_db in enumerate(grid):
+                snr = 10.0 ** (snr_db / 10.0)
+                threshold = r * math.log(snr)
+                got = osim._count_block(spec, r, snr, seed, i, 0, count)
+                hs = reference_draw_block(spec, count, stream(seed, (i, 0)))
+                mi = reference_mutual_information_block(hs, snr * spec.c_norm)
+                want = int(np.sum(mi <= threshold))
+                near = int(np.sum(np.abs(mi - threshold) < FLIP_TOL))
+                assert abs(got - want) <= near, (triple, rho, seed, snr_db, got, want)
+
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (2, 2, 2), (3, 2, 2), (2, 3, 4), (3, 3, 3)])
+    def test_mutual_information_matches_svd(self, triple):
+        spec = osim.make_channel_spec(triple)
+        for snr_db in range(10, 101, 10):
+            gain = 10.0 ** (snr_db / 10.0) * spec.c_norm
+            hs = osim._draw_block(spec, 2000, stream(12, (snr_db,)))
+            sv = np.linalg.svd(hs, compute_uv=False)
+            want = np.sum(np.log1p(gain * sv**2), axis=1)
+            got = osim._mutual_information_block(hs, gain)
+            assert np.max(np.abs(got - want)) <= 1e-10, (triple, snr_db)
+
+    @pytest.mark.parametrize("node", ["phi_r", "phi_s", "phi_t"])
+    @pytest.mark.parametrize("kind", ["exponential", "explicit"])
+    def test_single_correlation_factor_stays_on_its_node(self, node, kind):
+        triple = ChannelTriple(2, 3, 4)
+        dim = {"phi_t": triple.n_t, "phi_s": triple.n_s, "phi_r": triple.n_r}[node]
+        if kind == "exponential":
+            phi = exponential_correlation(dim, 0.7)
+        else:  # complex Hermitian, so a transposed or conjugated root shows
+            a = complex_gaussian((dim, dim), stream(13, dim))
+            phi = explicit_correlation(a @ a.conj().T + np.eye(dim))
+        spec = osim.make_channel_spec(triple, **{node: phi})
+        got = osim._draw_block(spec, 500, stream(14, 0))
+        want = reference_draw_block(spec, 500, stream(14, 0))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
 class TestEstimateOutage:
     def test_r_zero_probability_zero(self):
         cfg = osim.SimConfig(spec=spec_111(), snr_grid_db=(10.0,), r=0.0, trials=5000, seed=1)
@@ -141,6 +229,24 @@ class TestEstimateOutage:
             cfg = osim.SimConfig(seed=42, workers=workers, **base)
             counts.add(osim.estimate_outage(cfg, 15.0).outage_count)
         assert len(counts) == 1
+
+    def test_run_simulation_worker_invariance_one_pool(self, monkeypatch):
+        created = []
+
+        class CountingPool(osim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(osim, "ProcessPoolExecutor", CountingPool)
+        spec = correlated_spec((2, 2, 2), 0.7)
+        counts = {}
+        for workers in (1, 2):
+            cfg = osim.SimConfig(spec=spec, snr_grid_db=(10.0, 15.0, 20.0), r=1.0,
+                                 trials=3 * osim.BLOCK_TRIALS, seed=5, workers=workers)
+            counts[workers] = [e.outage_count for e in osim.run_simulation(cfg)]
+        assert counts[1] == counts[2]
+        assert created == [{"max_workers": 2}]
 
     def test_monotone_in_snr_within_ci(self):
         # fixed multiplexing gain on the acceptance-style grid (>= 10 dB);

@@ -31,6 +31,14 @@ class TestStreams:
 
 
 class TestComplexGaussian:
+    def test_stream_layout(self):
+        # all real parts, then all imaginary parts, each scaled by sqrt(1/2)
+        rng = rm.stream(3, (1, 2))
+        re = rng.standard_normal((64, 2, 3))
+        im = rng.standard_normal((64, 2, 3))
+        h = rm.complex_gaussian((64, 2, 3), rm.stream(3, (1, 2)))
+        assert np.array_equal(h.view(float), (math.sqrt(0.5) * (re + 1j * im)).view(float))
+
     def test_unit_variance(self):
         h = rm.complex_gaussian((100000,), rm.stream(1, 0))
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
@@ -221,6 +229,13 @@ class TestUnitaryInvariance:
 
 
 class TestDensityGof:
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (3, 1)])
+    def test_q1_grid_is_the_identity_density(self, m, n):
+        # the q = 1 fit evaluates -x + |m - n| log x over its grid in one expression
+        grid = np.linspace(0.01, 30.0, 500)
+        scalar = [rm.log_density_unnormalized("identity", None, [x], m=m, n=n) for x in grid]
+        assert np.allclose(-grid + abs(m - n) * np.log(grid), scalar, rtol=1e-14, atol=1e-14)
+
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2)])
     def test_small_smoke(self, m, n):
         rep = rm.density_gof_identity(m, n, 20000, rm.stream(13, (m, n)))
