@@ -8,7 +8,8 @@
 Exit codes: 0 success, 2 usage error, 3 oracle mismatch, 4 insufficient
 tail data, 5 verification failure.  Every run writes a manifest JSON next
 to its outputs with the resolved configuration, seed, version and
-timestamps, enough to reproduce the outputs byte for byte.
+timestamps, enough to reproduce the outputs byte for byte; `dmt verify`
+adds the seconds each suite took.
 
 Rates are handled in nats internally (R = r * ln SNR); slope fits are in
 base 10, where the base cancels.  The literal r = 0 outage event has
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -168,8 +170,9 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _finalize(command_argv, args, outputs, started):
+def _finalize(command_argv, args, outputs, started, **detail):
     man = _manifest(command_argv, args, outputs)
+    man.update(detail)
     man["started"] = started
     man["finished"] = _now()
     path = f"{args.output}.manifest.json"
@@ -332,21 +335,28 @@ def cmd_verify(args, argv) -> int:
     if args.trials < 1:
         print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
         return USAGE_ERROR
+    if args.digits < lemma_verify.MIN_DIGITS:
+        print(f"error: --digits must be >= {lemma_verify.MIN_DIGITS}, got {args.digits}",
+              file=sys.stderr)
+        return USAGE_ERROR
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     report = {}
+    suite_s = {}
     failed = []
     for name in suites:
+        t0 = time.perf_counter()
         try:
             rep = lemma_verify.SUITES[name](args.trials, args.digits, args.seed)
         except lemma_verify.PrecisionLossError as exc:
             rep = {"check": name, "precision_error": str(exc),
                    "violations": [f"precision loss at {args.digits} digits"]}
+        suite_s[name] = time.perf_counter() - t0
         report[name] = rep
         if rep.get("violations"):
             failed.append(name)
     path = f"{args.output}.json"
     _write_json(path, report)
-    _finalize(argv, args, [path], started)
+    _finalize(argv, args, [path], started, suite_s=suite_s)
     for name in suites:
         status = "FAIL" if name in failed else "ok"
         print(f"{name}: {status}")

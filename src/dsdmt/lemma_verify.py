@@ -18,6 +18,7 @@ PrecisionLossError instead of returning garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ __all__ = [
 INEQ_SLACK = 1e-9
 COND_LIMIT = 1e8
 _GUARD_DIGITS = 12
+MIN_DIGITS = _GUARD_DIGITS + 1  # below it the cancellation floor reaches the matrix scale
+_CHUNK = 1024  # trials drawn and checked per stacked call in the trial suites
 
 
 class PrecisionLossError(RuntimeError):
@@ -101,67 +104,115 @@ class CheckReport:
         return self.skipped is None and not self.violations
 
 
-def _condition_number(mat) -> float:
-    sv = singular_values(mat).values
-    return float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
+def _condition_numbers(sv) -> np.ndarray:
+    """sigma_max / sigma_min of each descending vector; inf where sigma_min is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[..., 0] / sv[..., -1]
+    return np.where(sv[..., -1] == 0, np.inf, cond)
 
 
-def check_lemma4(a, b, rel_slack: float = INEQ_SLACK) -> CheckReport:
-    """sigma_{i+j-1}(AB) <= sigma_i(A) sigma_j(B) and the eta counterpart."""
+def _as_stacks(pair, sv):
+    """The two inputs of a check with a leading trial axis, their singular
+    values (taken here unless given), and whether one pair was passed."""
+    single = pair[0].ndim == 2
+    if single:
+        pair = tuple(x[None] for x in pair)
+        sv = None if sv is None else tuple(v[None] for v in sv)
+    if sv is None:
+        sv = tuple(singular_values(x).values for x in pair)
+    return pair, sv, single
+
+
+def _report(check, single, skip, skip_reason, cases, rel, violations) -> CheckReport:
+    """CheckReport of one pair or of a stack of trials.
+
+    skip is the per-trial mask of skipped trials, cases the cases per trial,
+    rel the residuals per trial and violations maps a trial to its list.  A
+    stack's violations are {"trial": t, "violations": [...]} entries, and its
+    skipped trials count no cases.
+    """
+    keep = ~skip
+    # a NaN residual (0/0 at a zero singular value of M) compares with nothing
+    report = CheckReport(check=check, cases=cases * int(keep.sum()),
+                         worst_residual=float(np.fmax.reduce(rel[keep], axis=None, initial=0.0)))
+    if single:
+        report.violations = violations.get(0, [])
+        if skip[0]:
+            report.skipped = skip_reason
+    else:
+        report.violations = [{"trial": t, "violations": v} for t, v in sorted(violations.items())]
+        if skip.any():
+            report.skipped = f"{int(skip.sum())} of {skip.size} trials: {skip_reason}"
+    return report
+
+
+def check_lemma4(a, b, rel_slack: float = INEQ_SLACK, *, sv=None) -> CheckReport:
+    """sigma_{i+j-1}(AB) <= sigma_i(A) sigma_j(B) and the eta counterpart.
+
+    a and b are one pair of m x m matrices, or two stacks of them with a
+    leading trial axis.  sv, when given, holds the descending singular values
+    of a and of b, shaped like them without the last axis.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    m = a.shape[0]
-    if a.shape != (m, m) or b.shape != (m, m):
+    m = a.shape[-1]
+    if a.ndim not in (2, 3) or a.shape[-2:] != (m, m) or b.shape != a.shape:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
-    report = CheckReport(check="lemma4", cases=0)
-    if max(_condition_number(a), _condition_number(b)) > COND_LIMIT:
-        report.skipped = f"condition number above {COND_LIMIT:.0e}"
-        return report
-    sa = singular_values(a).values
-    sb = singular_values(b).values
+    (a, b), (sa, sb), single = _as_stacks((a, b), sv)
+    skip = ~((_condition_numbers(sa) <= COND_LIMIT) & (_condition_numbers(sb) <= COND_LIMIT))
     sab = singular_values(a @ b)
     desc, asc = sab.values, sab.ascending()
-    ea, eb = sa[::-1], sb[::-1]
-    for i in range(1, m + 1):
-        for j in range(1, m + 2 - i):
-            report.cases += 2
-            hi = sa[i - 1] * sb[j - 1]
-            lo = ea[i - 1] * eb[j - 1]
-            rel_up = float(desc[i + j - 2] / hi - 1.0)
-            rel_dn = float(1.0 - asc[i + j - 2] / lo)
-            report.worst_residual = max(report.worst_residual, rel_up, rel_dn)
-            if rel_up > rel_slack:
-                report.violations.append(
-                    {"kind": "upper", "i": i, "j": j, "lhs": float(desc[i + j - 2]), "rhs": float(hi)}
-                )
-            if rel_dn > rel_slack:
-                report.violations.append(
-                    {"kind": "lower", "i": i, "j": j, "lhs": float(asc[i + j - 2]), "rhs": float(lo)}
-                )
-    return report
+    ea, eb = sa[:, ::-1], sb[:, ::-1]
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 2 - i)]
+    ii = np.array([i - 1 for i, _ in pairs])
+    jj = np.array([j - 1 for _, j in pairs])
+    hi = sa[:, ii] * sb[:, jj]
+    lo = ea[:, ii] * eb[:, jj]
+    up, dn = desc[:, ii + jj], asc[:, ii + jj]
+    with np.errstate(divide="ignore", invalid="ignore"):  # only skipped trials divide by 0
+        rel_up = up / hi - 1.0
+        rel_dn = 1.0 - dn / lo
+    violations = {}
+    bad = ~skip & ((rel_up > rel_slack) | (rel_dn > rel_slack)).any(axis=1)
+    for t in np.flatnonzero(bad).tolist():
+        found = violations[t] = []
+        for p, (i, j) in enumerate(pairs):
+            if rel_up[t, p] > rel_slack:
+                found.append({"kind": "upper", "i": i, "j": j,
+                              "lhs": float(up[t, p]), "rhs": float(hi[t, p])})
+            if rel_dn[t, p] > rel_slack:
+                found.append({"kind": "lower", "i": i, "j": j,
+                              "lhs": float(dn[t, p]), "rhs": float(lo[t, p])})
+    return _report("lemma4", single, skip, f"condition number above {COND_LIMIT:.0e}",
+                   2 * len(pairs), np.concatenate((rel_up, rel_dn), axis=1), violations)
 
 
-def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK) -> CheckReport:
-    """sigma_i(M) sigma_min(T) <= sigma_i(TM) <= sigma_i(M) sigma_max(T)."""
+def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK, *, sv=None) -> CheckReport:
+    """sigma_i(M) sigma_min(T) <= sigma_i(TM) <= sigma_i(M) sigma_max(T).
+
+    m_mat and t_mat are one pair, or two stacks with a leading trial axis.
+    sv, when given, holds the descending singular values of M and of T,
+    shaped like them without the last axis.
+    """
     m_mat = np.asarray(m_mat)
     t_mat = np.asarray(t_mat)
-    if t_mat.shape[0] != t_mat.shape[1] or t_mat.shape[1] != m_mat.shape[0]:
+    if (t_mat.ndim not in (2, 3) or m_mat.ndim != t_mat.ndim
+            or t_mat.shape[-2] != t_mat.shape[-1] or t_mat.shape[-1] != m_mat.shape[-2]
+            or t_mat.shape[:-2] != m_mat.shape[:-2]):
         raise ValueError(f"T must be square and conformable with M, got {t_mat.shape}, {m_mat.shape}")
-    report = CheckReport(check="prop1", cases=0)
-    if _condition_number(t_mat) > COND_LIMIT:
-        report.skipped = f"T condition number above {COND_LIMIT:.0e}"
-        return report
-    st = singular_values(t_mat).values
-    sm = singular_values(m_mat).values
+    (m_mat, t_mat), (sm, st), single = _as_stacks((m_mat, t_mat), sv)
+    skip = ~(_condition_numbers(st) <= COND_LIMIT)
     stm = singular_values(t_mat @ m_mat).values
-    for i, (s, s_prod) in enumerate(zip(sm, stm), start=1):
-        report.cases += 1
-        lo, hi = s * st[-1], s * st[0]
-        rel = max(float(lo / s_prod - 1.0), float(s_prod / hi - 1.0))
-        report.worst_residual = max(report.worst_residual, rel)
-        if rel > rel_slack:
-            report.violations.append({"i": i, "lhs": float(lo), "mid": float(s_prod), "rhs": float(hi)})
-    return report
+    lo, hi = sm * st[:, -1:], sm * st[:, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.fmax(lo / stm - 1.0, stm / hi - 1.0)
+    violations = {}
+    for t in np.flatnonzero(~skip & (rel > rel_slack).any(axis=1)).tolist():
+        violations[t] = [{"i": i, "lhs": float(lo[t, i - 1]), "mid": float(stm[t, i - 1]),
+                          "rhs": float(hi[t, i - 1])}
+                         for i in range(1, rel.shape[1] + 1) if rel[t, i - 1] > rel_slack]
+    return _report("prop1", single, skip, f"T condition number above {COND_LIMIT:.0e}",
+                   rel.shape[1], rel, violations)
 
 
 def _fit_top_half(snrs, logvals, predicted: float) -> AsymptoticFit:
@@ -399,54 +450,101 @@ def lemma3_suite(digits: int = 60, eps_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)) -> d
 
 
 def _random_nonsingular(dim: int, rng, cols: int | None = None):
+    """One draw of a suite matrix: a square draw is redrawn while its
+    condition number is COND_LIMIT or more."""
     while True:
         mat = complex_gaussian((dim, cols if cols is not None else dim), rng)
-        if cols is not None and cols != dim:
-            return mat
-        if _condition_number(mat) < COND_LIMIT:
+        if cols not in (None, dim) or _condition_numbers(singular_values(mat).values) < COND_LIMIT:
             return mat
 
 
-def _trial_suite(check: str, run, trials: int, draw, **shape) -> dict:
-    """Run run(*draw()) per trial; skipped trials count no cases."""
+def _draws(trials: int, shapes, rng):
+    """Yield (matrices, singular values) for ``trials`` trials, each a tuple
+    with one stack per entry of shapes, in chunks of up to _CHUNK trials.
+
+    Every trial draws one matrix of each shape in turn, as sequential
+    _random_nonsingular calls would, and takes the same numbers from rng.  A
+    chunk is drawn in one call; when one of its square draws is rejected,
+    the trials before it are kept, the stream is moved back to just after
+    them and the rejected trial is drawn by _random_nonsingular.
+    """
+    square = [rows == cols for rows, cols in shapes]
+    done = 0
+    while done < trials:
+        size = min(_CHUNK, trials - done)
+        state = rng.bit_generator.state
+        mats = randmat.complex_gaussian_trials(size, shapes, rng)
+        svs = tuple(singular_values(x).values for x in mats)
+        accept = np.ones(size, dtype=bool)
+        for sv, sq in zip(svs, square):
+            if sq:
+                accept &= _condition_numbers(sv) < COND_LIMIT
+        kept = size if accept.all() else int(np.argmin(accept))
+        if kept:
+            yield tuple(x[:kept] for x in mats), tuple(v[:kept] for v in svs)
+        if kept < size:
+            rng.bit_generator.state = state
+            randmat.complex_gaussian_trials(kept, shapes, rng)  # past the kept trials
+            redrawn = tuple(_random_nonsingular(rows, rng, cols)[None] for rows, cols in shapes)
+            yield redrawn, tuple(singular_values(x).values for x in redrawn)
+            kept += 1
+        done += kept
+
+
+def _trial_suite(check: str, run, trials: int, shapes, rng, **shape) -> dict:
+    """Run run(matrices, singular values) on each chunk of _draws; skipped
+    trials count no cases."""
     cases = 0
     violations = []
     worst = 0.0
-    for t in range(trials):
-        rep = run(*draw())
-        if rep.skipped:
-            continue
+    first = 0
+    for mats, svs in _draws(trials, shapes, rng):
+        rep = run(mats, svs)
         cases += rep.cases
         worst = max(worst, rep.worst_residual)
-        if rep.violations:
-            violations.append({"trial": t, "violations": rep.violations})
+        violations += [{"trial": first + v["trial"], "violations": v["violations"]}
+                       for v in rep.violations]
+        first += len(mats[0])
     return {"check": check, "trials": trials, **shape, "cases": cases,
             "violations": violations, "worst_residual": worst}
 
 
 def lemma4_suite(trials: int, dim: int, rng) -> dict:
-    def draw():  # A, then B
-        return _random_nonsingular(dim, rng), _random_nonsingular(dim, rng)
+    def run(mats, svs):  # A, then B
+        return check_lemma4(*mats, sv=svs)
 
-    return _trial_suite("lemma4", check_lemma4, trials, draw, dim=dim)
+    return _trial_suite("lemma4", run, trials, [(dim, dim), (dim, dim)], rng, dim=dim)
 
 
 def prop1_suite(trials: int, dim: int, cols: int, rng) -> dict:
-    def draw():  # T, then M; check_prop1 takes (M, T)
-        t_mat = _random_nonsingular(dim, rng)
-        return _random_nonsingular(dim, rng, cols=cols), t_mat
+    def run(mats, svs):  # T, then M; check_prop1 takes (M, T)
+        return check_prop1(mats[1], mats[0], sv=svs[::-1])
 
-    return _trial_suite("prop1", check_prop1, trials, draw, dim=dim, cols=cols)
+    return _trial_suite("prop1", run, trials, [(dim, dim), (dim, cols)], rng, dim=dim, cols=cols)
 
 
 def wishart_suite(trials: int, seed: int) -> dict:
-    """Density fits for Sigma = I; a fit fails at p <= 0.001."""
-    results = {
-        f"{m}x{n}": randmat.density_gof_identity(m, n, trials, randmat.stream(seed, (50, m, n)))
-        for m, n in ((1, 1), (2, 2), (1, 2))
-    }
-    return {"check": "wishart", "results": results,
-            "violations": [k for k, v in results.items() if v["p_value"] <= 0.001]}
+    """Density fits for Sigma = I; a fit fails at p <= 0.001.
+
+    A fit with fewer than two pooled bins, or with a non-finite p-value,
+    tests nothing and fails with its reason; its non-finite numbers are
+    reported as None.
+    """
+    results = {}
+    violations = []
+    for m, n in ((1, 1), (2, 2), (1, 2)):
+        key = f"{m}x{n}"
+        fit = randmat.density_gof_identity(m, n, trials, randmat.stream(seed, (50, m, n)))
+        if fit["bins"] < 2:
+            violations.append(f"{key}: {fit['bins']} pooled bins, a chi-square fit needs 2; "
+                              f"increase --trials")
+        elif not math.isfinite(fit["p_value"]):
+            violations.append(f"{key}: the p-value is not finite")
+        elif fit["p_value"] <= 0.001:
+            violations.append(key)
+        results[key] = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for k, v in fit.items()}
+    return {"check": "wishart", "results": results, "violations": violations}
 
 
 # name -> f(trials, digits, seed), the suites of `dmt verify`.  The suite

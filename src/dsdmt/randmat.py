@@ -19,6 +19,7 @@ __all__ = [
     "CorrelationMatrix",
     "stream",
     "complex_gaussian",
+    "complex_gaussian_trials",
     "identity_correlation",
     "exponential_correlation",
     "explicit_correlation",
@@ -63,31 +64,57 @@ def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def complex_gaussian_trials(trials: int, shapes, rng: np.random.Generator) -> tuple:
+    """``trials`` rounds of complex_gaussian(shape, rng) for each shape in
+    turn, drawn with one call: one stack per shape, of shape (trials, *shape).
+
+    The values and the stream position afterwards are those of the
+    sequential calls: each matrix takes its real parts, then its imaginary
+    parts, and the matrices of a round follow each other.
+    """
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = rng.standard_normal((trials, 2 * sum(sizes)))
+    stacks = []
+    start = 0
+    for shape, size in zip(shapes, sizes):
+        out = np.empty((trials, *shape), dtype=complex)
+        out.real = flat[:, start : start + size].reshape(trials, *shape)
+        out.imag = flat[:, start + size : start + 2 * size].reshape(trials, *shape)
+        out *= np.sqrt(0.5)
+        stacks.append(out)
+        start += 2 * size
+    return tuple(stacks)
+
+
 @dataclass(frozen=True)
 class EigenvalueVector:
-    """Nonnegative eigen/singular values sorted descending."""
+    """Nonnegative eigen/singular values sorted descending along the last
+    axis; leading axes, if any, index a stack of vectors."""
 
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0 or not np.all(np.isfinite(vals)):
-            raise ValueError("values must be a finite 1-d array")
-        scale = max(float(np.max(np.abs(vals))), 1.0)
+        if vals.ndim == 0 or vals.shape[-1] == 0 or not np.all(np.isfinite(vals)):
+            raise ValueError("values must be a finite array of 1-d vectors")
+        scale = np.maximum(np.max(np.abs(vals), axis=-1, keepdims=True), 1.0)
         if np.any(vals < -1e-12 * scale):
             raise ValueError(f"negative eigenvalue beyond roundoff: {vals.min()}")
-        vals = np.sort(np.clip(vals, 0.0, None))[::-1].copy()
+        vals = np.sort(np.clip(vals, 0.0, None), axis=-1)[..., ::-1].copy()
         object.__setattr__(self, "values", vals)
 
     def ascending(self) -> np.ndarray:
         """eta_i = sigma_{n+1-i}: the same values, smallest first."""
-        return self.values[::-1].copy()
+        return self.values[..., ::-1].copy()
 
     def has_ties(self, tol: float = TIE_TOL) -> bool:
-        return _min_gap(self.values) <= tol * max(float(self.values[0]), 1.0)
+        """True if two neighbours of any vector lie within tol of its largest value."""
+        vals = self.values
+        gaps = vals[..., :-1] - vals[..., 1:]
+        return bool(np.any(gaps <= tol * np.maximum(vals[..., :1], 1.0)))
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -275,7 +302,8 @@ def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int
 
 
 def singular_values(a) -> EigenvalueVector:
-    """Descending singular values; ascending order via .ascending()."""
+    """Descending singular values of a matrix, or of each matrix of a stack
+    (..., r, c); ascending order via .ascending()."""
     return EigenvalueVector(np.linalg.svd(np.asarray(a), compute_uv=False))
 
 
@@ -301,7 +329,7 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
     samples and the model on a truncation box covering ~99.9% of the mass,
     with the normalization done by quadrature on a fine grid; expected
     counts below 5 are pooled.  Returns a dict with the p-value and bin
-    counts.
+    counts; with fewer than two pooled bins the statistic and p-value are NaN.
     """
     from scipy import stats
 
@@ -371,8 +399,11 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
         pooled_obs[-1] += acc_o
         pooled_exp[-1] += acc_e
     pooled_obs = np.array(pooled_obs)
-    pooled_exp = np.array(pooled_exp) * (pooled_obs.sum() / sum(pooled_exp))
-    stat, pvalue = stats.chisquare(pooled_obs, pooled_exp)
+    if len(pooled_obs) < 2:  # too few samples for a test: no statistic, no p-value
+        stat = pvalue = float("nan")
+    else:
+        pooled_exp = np.array(pooled_exp) * (pooled_obs.sum() / sum(pooled_exp))
+        stat, pvalue = stats.chisquare(pooled_obs, pooled_exp)
     return {
         "m": m,
         "n": n,

@@ -178,6 +178,20 @@ class TestVerify:
         assert "lemma4: ok" in out
         report = json.loads((tmp_path / "dmt_verify.json").read_text())
         assert report["lemma4"]["violations"] == []
+        manifest = json.loads((tmp_path / "dmt_verify.manifest.json").read_text())
+        assert list(manifest["suite_s"]) == ["lemma4"]
+        assert manifest["suite_s"]["lemma4"] > 0
+        assert "suite_s" not in report["lemma4"]
+
+    def test_manifest_times_every_suite(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(["verify", "--suite", "all", "--trials", "50"], tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert code == 0
+        manifest = json.loads((tmp_path / "dmt_verify.manifest.json").read_text())
+        assert list(manifest["suite_s"]) == list(cli.VERIFY_SUITES)
+        assert all(s >= 0 for s in manifest["suite_s"].values())
+        report = json.loads((tmp_path / "dmt_verify.json").read_text())
+        assert list(report) == list(cli.VERIFY_SUITES)
 
     def test_wishart_suite(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["verify", "--suite", "wishart", "--trials", "20000", "--seed", "5"],
@@ -185,12 +199,34 @@ class TestVerify:
         capsys.readouterr()
         assert code == 0
 
+    def test_wishart_too_few_trials_fails(self, tmp_path, monkeypatch, capsys):
+        # three samples pool into no chi-square bin: no test, so no pass
+        code = run_cli(["verify", "--suite", "wishart", "--trials", "3"], tmp_path, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "wishart: FAIL" in captured.out
+        text = (tmp_path / "dmt_verify.json").read_text()
+        assert "NaN" not in text
+        report = json.loads(text)["wishart"]
+        assert len(report["violations"]) == 3
+        assert all("pooled bins" in v for v in report["violations"])
+        for fit in report["results"].values():
+            assert fit["bins"] == 0 and fit["p_value"] is None and fit["statistic"] is None
+
     @pytest.mark.parametrize("suite,trials", [("wishart", "0"), ("lemma4", "-5"), ("all", "0")])
     def test_trials_below_one_usage_error(self, suite, trials, tmp_path, monkeypatch, capsys):
         code = run_cli(["verify", "--suite", suite, "--trials", trials], tmp_path, monkeypatch)
         err = capsys.readouterr().err
         assert code == 2
         assert "--trials must be >= 1" in err
+        assert not (tmp_path / "dmt_verify.json").exists()
+
+    @pytest.mark.parametrize("digits", ["0", "-3", "12"])
+    def test_digits_at_the_guard_usage_error(self, digits, tmp_path, monkeypatch, capsys):
+        code = run_cli(["verify", "--suite", "lemma1", "--digits", digits], tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--digits must be >= 13" in err
         assert not (tmp_path / "dmt_verify.json").exists()
 
     def test_suite_names_match_the_suite_table(self):

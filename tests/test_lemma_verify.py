@@ -1,5 +1,6 @@
 """Singular-value inequality checks and extended-precision asymptotics."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,103 @@ import pytest
 from mpmath import mp
 
 from dsdmt import lemma_verify as lv
-from dsdmt.randmat import _log_vandermonde, stream, xi_matrix
+from dsdmt.randmat import _log_vandermonde, complex_gaussian, singular_values, stream, xi_matrix
+
+
+# Reference oracles: the trial suites as one draw, one check and one SVD per
+# matrix at a time.  The batched suites must reproduce them exactly.
+
+def reference_condition_number(mat) -> float:
+    sv = singular_values(mat).values
+    return float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
+
+
+def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK) -> lv.CheckReport:
+    m = a.shape[0]
+    report = lv.CheckReport(check="lemma4", cases=0)
+    if max(reference_condition_number(a), reference_condition_number(b)) > lv.COND_LIMIT:
+        report.skipped = f"condition number above {lv.COND_LIMIT:.0e}"
+        return report
+    sa = singular_values(a).values
+    sb = singular_values(b).values
+    sab = singular_values(a @ b)
+    desc, asc = sab.values, sab.ascending()
+    ea, eb = sa[::-1], sb[::-1]
+    for i in range(1, m + 1):
+        for j in range(1, m + 2 - i):
+            report.cases += 2
+            hi = sa[i - 1] * sb[j - 1]
+            lo = ea[i - 1] * eb[j - 1]
+            rel_up = float(desc[i + j - 2] / hi - 1.0)
+            rel_dn = float(1.0 - asc[i + j - 2] / lo)
+            report.worst_residual = max(report.worst_residual, rel_up, rel_dn)
+            if rel_up > rel_slack:
+                report.violations.append(
+                    {"kind": "upper", "i": i, "j": j, "lhs": float(desc[i + j - 2]), "rhs": float(hi)})
+            if rel_dn > rel_slack:
+                report.violations.append(
+                    {"kind": "lower", "i": i, "j": j, "lhs": float(asc[i + j - 2]), "rhs": float(lo)})
+    return report
+
+
+def reference_check_prop1(m_mat, t_mat, rel_slack=lv.INEQ_SLACK) -> lv.CheckReport:
+    report = lv.CheckReport(check="prop1", cases=0)
+    if reference_condition_number(t_mat) > lv.COND_LIMIT:
+        report.skipped = f"T condition number above {lv.COND_LIMIT:.0e}"
+        return report
+    st = singular_values(t_mat).values
+    sm = singular_values(m_mat).values
+    stm = singular_values(t_mat @ m_mat).values
+    for i, (s, s_prod) in enumerate(zip(sm, stm), start=1):
+        report.cases += 1
+        lo, hi = s * st[-1], s * st[0]
+        rel = max(float(lo / s_prod - 1.0), float(s_prod / hi - 1.0))
+        report.worst_residual = max(report.worst_residual, rel)
+        if rel > rel_slack:
+            report.violations.append({"i": i, "lhs": float(lo), "mid": float(s_prod), "rhs": float(hi)})
+    return report
+
+
+def reference_random_nonsingular(dim, rng, cols=None):
+    while True:
+        mat = complex_gaussian((dim, cols if cols is not None else dim), rng)
+        if cols is not None and cols != dim:
+            return mat
+        if reference_condition_number(mat) < lv.COND_LIMIT:
+            return mat
+
+
+def reference_trial_suite(check, run, trials, draw, **shape) -> dict:
+    cases = 0
+    violations = []
+    worst = 0.0
+    for t in range(trials):
+        rep = run(*draw())
+        if rep.skipped:
+            continue
+        cases += rep.cases
+        worst = max(worst, rep.worst_residual)
+        if rep.violations:
+            violations.append({"trial": t, "violations": rep.violations})
+    return {"check": check, "trials": trials, **shape, "cases": cases,
+            "violations": violations, "worst_residual": worst}
+
+
+def reference_lemma4_suite(trials, dim, rng, rel_slack=lv.INEQ_SLACK) -> dict:
+    def draw():  # A, then B
+        return reference_random_nonsingular(dim, rng), reference_random_nonsingular(dim, rng)
+
+    run = functools.partial(reference_check_lemma4, rel_slack=rel_slack)
+    return reference_trial_suite("lemma4", run, trials, draw, dim=dim)
+
+
+def reference_prop1_suite(trials, dim, cols, rng, rel_slack=lv.INEQ_SLACK) -> dict:
+    def draw():  # T, then M
+        t_mat = reference_random_nonsingular(dim, rng)
+        return reference_random_nonsingular(dim, rng, cols=cols), t_mat
+
+    run = functools.partial(reference_check_prop1, rel_slack=rel_slack)
+    return reference_trial_suite("prop1", run, trials, draw, dim=dim, cols=cols)
 
 
 class TestLemma4:
@@ -49,6 +146,140 @@ class TestProp1:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             lv.check_prop1(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+# (suite, reference, shape arguments): the shapes of `dmt verify` and of criterion 5
+SUITE_CASES = [
+    (lv.lemma4_suite, reference_lemma4_suite, (4,)),
+    (lv.lemma4_suite, reference_lemma4_suite, (3,)),
+    (lv.prop1_suite, reference_prop1_suite, (3, 5)),
+    (lv.prop1_suite, reference_prop1_suite, (4, 6)),
+]
+SUITE_IDS = ["lemma4-4", "lemma4-3", "prop1-3x5", "prop1-4x6"]
+
+
+def plain_state(rng):
+    """The generator state with its arrays as lists, comparable with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def run_both(suite, reference, shape, trials, seed):
+    """The batched and the reference suite on one stream each; their reports
+    and the generator states they leave."""
+    rng, ref_rng = stream(seed, 7), stream(seed, 7)
+    got = suite(trials, *shape, rng)
+    want = reference(trials, *shape, ref_rng)
+    return got, want, plain_state(rng), plain_state(ref_rng)
+
+
+class TestBatchedSuites:
+    @pytest.mark.parametrize("suite,reference,shape", SUITE_CASES, ids=SUITE_IDS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference(self, suite, reference, shape, seed, monkeypatch):
+        monkeypatch.setattr(lv, "_CHUNK", 64)  # 150 trials: two full chunks and a part
+        got, want, state, ref_state = run_both(suite, reference, shape, 150, seed)
+        assert got == want
+        assert state == ref_state
+
+    @pytest.mark.parametrize("suite,reference,shape", SUITE_CASES[::2], ids=SUITE_IDS[::2])
+    def test_matches_reference_at_full_chunk(self, suite, reference, shape):
+        got, want, state, ref_state = run_both(suite, reference, shape, lv._CHUNK + 100, 4)
+        assert got == want
+        assert state == ref_state
+
+    @pytest.mark.parametrize("suite,reference,shape",
+                             SUITE_CASES + [(lv.prop1_suite, reference_prop1_suite, (3, 3))],
+                             ids=SUITE_IDS + ["prop1-3x3"])
+    def test_rejections_follow_the_sequential_draw(self, suite, reference, shape, monkeypatch):
+        # at this limit a good share of square draws is rejected and redrawn
+        monkeypatch.setattr(lv, "COND_LIMIT", 10.0)
+        monkeypatch.setattr(lv, "_CHUNK", 32)
+        draws = []
+        monkeypatch.setattr(lv, "_random_nonsingular", _recording(lv._random_nonsingular, draws))
+        got, want, state, ref_state = run_both(suite, reference, shape, 80, 5)
+        assert draws, "no draw was rejected"
+        assert got == want
+        assert state == ref_state
+
+    @pytest.mark.parametrize("suite,reference,shape", SUITE_CASES, ids=SUITE_IDS)
+    def test_violations_carry_their_trial(self, suite, reference, shape, monkeypatch):
+        # with a negative slack every case is a violation, so every trial is listed
+        name = "check_lemma4" if suite is lv.lemma4_suite else "check_prop1"
+        monkeypatch.setattr(lv, name, functools.partial(getattr(lv, name), rel_slack=-0.5))
+        monkeypatch.setattr(lv, "_CHUNK", 16)
+        rng, ref_rng = stream(6, 7), stream(6, 7)
+        got = suite(40, *shape, rng)
+        want = reference(40, *shape, ref_rng, rel_slack=-0.5)
+        assert len(got["violations"]) == 40
+        assert got == want
+
+
+def _recording(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _pairs(shape_a, shape_b, count, seed):
+    rng = stream(seed, 8)
+    return (np.stack([complex_gaussian(shape_a, rng) for _ in range(count)]),
+            np.stack([complex_gaussian(shape_b, rng) for _ in range(count)]))
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("check,reference,shapes", [
+        (lv.check_lemma4, reference_check_lemma4, ((3, 3), (3, 3))),
+        (lv.check_prop1, reference_check_prop1, ((3, 5), (3, 3))),
+    ], ids=["lemma4", "prop1"])
+    @pytest.mark.parametrize("slack", [lv.INEQ_SLACK, -0.5])
+    def test_stack_is_the_concatenated_pairs(self, check, reference, shapes, slack):
+        x, y = _pairs(*shapes, 12, 1)
+        y[5] = 0.0  # a singular second factor: this trial is skipped
+        pairs = [reference(x[t], y[t], slack) for t in range(12)]
+        rep = check(x, y, slack)
+        assert rep.violations == [{"trial": t, "violations": p.violations}
+                                  for t, p in enumerate(pairs) if p.violations]
+        assert rep.cases == sum(p.cases for p in pairs)
+        assert rep.worst_residual == max(p.worst_residual for p in pairs)
+        assert rep.skipped.startswith("1 of 12 trials")
+        for t, p in enumerate(pairs):
+            assert check(x[t], y[t], slack) == p
+
+    @pytest.mark.parametrize("check,shapes", [
+        (lv.check_lemma4, ((3, 3), (3, 3))),
+        (lv.check_prop1, ((3, 5), (3, 3))),
+    ], ids=["lemma4", "prop1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, check, shapes, bad):
+        x, y = _pairs(*shapes, 6, 2)
+        x[3, 1, 1] = bad
+        with pytest.raises(ValueError):
+            check(x[3], y[3])
+        with pytest.raises(ValueError):
+            check(x, y)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rank_deficient_m_as_one_pair(self):
+        # sigma_2(M) = 0 makes that case 0/0; it counts, but sets no residual
+        m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        t = np.diag([1.0, 2.0, 3.0])
+        rep = lv.check_prop1(m, t)
+        assert rep == reference_check_prop1(m, t)
+        assert rep.worst_residual == 0.0 and rep.cases == 2
+
+    def test_stack_shape_validation(self):
+        x, y = _pairs((3, 3), (3, 3), 4, 3)
+        with pytest.raises(ValueError):
+            lv.check_lemma4(x, y[:3])
+        with pytest.raises(ValueError):
+            lv.check_prop1(x, y[0])
 
 
 class TestExponentPair:

@@ -39,6 +39,19 @@ class TestComplexGaussian:
         h = rm.complex_gaussian((64, 2, 3), rm.stream(3, (1, 2)))
         assert np.array_equal(h.view(float), (math.sqrt(0.5) * (re + 1j * im)).view(float))
 
+    @pytest.mark.parametrize("shapes", [[(4, 4), (4, 4)], [(3, 3), (3, 5)], [(2, 3)]])
+    def test_trials_are_the_sequential_draws(self, shapes):
+        rng, seq = rm.stream(4, (5, 6)), rm.stream(4, (5, 6))
+        stacks = rm.complex_gaussian_trials(7, shapes, rng)
+        rounds = [[rm.complex_gaussian(shape, seq) for shape in shapes] for _ in range(7)]
+        for k, stack in enumerate(stacks):
+            assert stack.shape == (7, *shapes[k])
+            want = np.stack([r[k] for r in rounds])
+            assert np.array_equal(stack.view(float), want.view(float))
+        assert rng.standard_normal(5).tolist() == seq.standard_normal(5).tolist()
+        assert rng.bit_generator.state["state"]["counter"].tolist() == \
+            seq.bit_generator.state["state"]["counter"].tolist()
+
     def test_unit_variance(self):
         h = rm.complex_gaussian((100000,), rm.stream(1, 0))
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
@@ -143,6 +156,18 @@ class TestEigenvalueVector:
         assert rm.EigenvalueVector(np.array([1.0, 1.0 - 1e-12])).has_ties()
         assert not rm.EigenvalueVector(np.array([2.0, 1.0])).has_ties()
 
+    def test_stack_is_checked_per_vector(self):
+        ev = rm.EigenvalueVector(np.array([[1.0, 3.0, -1e-15], [2.0, 5.0, 1.0]]))
+        assert ev.values.tolist() == [[3.0, 1.0, 0.0], [5.0, 2.0, 1.0]]
+        assert ev.ascending().tolist() == [[0.0, 1.0, 3.0], [1.0, 2.0, 5.0]]
+        assert len(ev) == 3
+        assert not ev.has_ties()
+        assert rm.EigenvalueVector(np.array([[2.0, 1.0], [1.0, 1.0 - 1e-12]])).has_ties()
+        with pytest.raises(ValueError, match="negative"):
+            rm.EigenvalueVector(np.array([[1.0, 0.5], [1.0, -0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            rm.EigenvalueVector(np.array([[1.0, 0.5], [np.nan, 0.5]]))
+
 
 class TestDensities:
     def test_identity_scalar_is_exponential(self):
@@ -207,6 +232,13 @@ class TestSingularValues:
 
     def test_diagonal(self):
         assert rm.singular_values(np.diag([2.0, 1.0])).values.tolist() == [2.0, 1.0]
+
+    def test_stack_matches_each_matrix(self):
+        stack = rm.complex_gaussian((5, 3, 4), rm.stream(9, 1))
+        sv = rm.singular_values(stack).values
+        assert sv.shape == (5, 3)
+        for mat, row in zip(stack, sv):
+            assert row.tolist() == rm.singular_values(mat).values.tolist()
 
     def test_matches_gram_eigenvalues(self):
         a = rm.complex_gaussian((3, 3), rm.stream(9, 0))
