@@ -68,6 +68,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric grid {text!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise argparse.ArgumentTypeError(f"lo, hi and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0, got {text!r}")
     grid = []
@@ -123,24 +125,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(parser, args, argv):
-    """Fill non-explicit options from --config JSON, then the environment."""
+    """Fill non-explicit options from --config JSON, then the environment.
+
+    Each config entry becomes the flag it names, with the value as its text
+    (a list joined by commas; true gives a bare flag, false none), placed
+    before the command line's own flags, which therefore win.  The parser
+    then reads both, so a config value is accepted exactly when the same
+    text on the command line is, and a bad one exits 2 naming its flag.
+    """
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        given = set()
-        for tok in argv:
-            if tok.startswith("--"):
-                given.add(tok[2:].split("=")[0].replace("-", "_"))
+        flags = []
         for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if dest in given or not hasattr(args, dest):
+            if not hasattr(args, key.replace("-", "_")) or value is False:
                 continue
-            if dest == "triple":
-                value = _parse_triple(value if isinstance(value, str) else ",".join(map(str, value)))
-            elif dest == "snr_db":
-                value = _parse_snr_grid(value) if isinstance(value, str) \
-                    else tuple(float(v) for v in value)
-            setattr(args, dest, value)
+            flag = "--" + key.replace("_", "-")
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append(flag if value is True else f"{flag}={text}")
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         env = os.environ.get("DMT_SEED")
         args.seed = int(env) if env else 1

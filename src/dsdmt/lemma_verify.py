@@ -25,7 +25,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import randmat
-from .randmat import _log_vandermonde, complex_gaussian, singular_values, xi_matrix
+from .randmat import _log_vandermonde, singular_values, xi_matrix
 
 __all__ = [
     "PrecisionLossError",
@@ -97,11 +97,10 @@ class CheckReport:
     cases: int
     violations: list = field(default_factory=list)
     worst_residual: float = 0.0
-    skipped: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.skipped is None and not self.violations
+        return not self.violations
 
 
 def _condition_numbers(sv) -> np.ndarray:
@@ -111,54 +110,37 @@ def _condition_numbers(sv) -> np.ndarray:
     return np.where(sv[..., -1] == 0, np.inf, cond)
 
 
-def _as_stacks(pair, sv):
-    """The two inputs of a check with a leading trial axis, their singular
-    values (taken here unless given), and whether one pair was passed."""
-    single = pair[0].ndim == 2
-    if single:
-        pair = tuple(x[None] for x in pair)
-        sv = None if sv is None else tuple(v[None] for v in sv)
-    if sv is None:
-        sv = tuple(singular_values(x).values for x in pair)
-    return pair, sv, single
-
-
-def _report(check, single, skip, skip_reason, cases, rel, violations) -> CheckReport:
-    """CheckReport of one pair or of a stack of trials.
+def _report(check, skip, skip_reason, cases, rel, violations) -> CheckReport:
+    """CheckReport of a stack of trials.
 
     skip is the per-trial mask of skipped trials, cases the cases per trial,
     rel the residuals per trial and violations maps a trial to its list.  A
-    stack's violations are {"trial": t, "violations": [...]} entries, and its
-    skipped trials count no cases.
+    skipped trial tests nothing: it counts no cases and is listed as
+    {"trial": t, "skipped": reason}, a failing one as
+    {"trial": t, "violations": [...]}.
     """
     keep = ~skip
+    found = [{"trial": t, "skipped": skip_reason} for t in np.flatnonzero(skip).tolist()]
+    found += [{"trial": t, "violations": v} for t, v in violations.items()]
     # a NaN residual (0/0 at a zero singular value of M) compares with nothing
-    report = CheckReport(check=check, cases=cases * int(keep.sum()),
-                         worst_residual=float(np.fmax.reduce(rel[keep], axis=None, initial=0.0)))
-    if single:
-        report.violations = violations.get(0, [])
-        if skip[0]:
-            report.skipped = skip_reason
-    else:
-        report.violations = [{"trial": t, "violations": v} for t, v in sorted(violations.items())]
-        if skip.any():
-            report.skipped = f"{int(skip.sum())} of {skip.size} trials: {skip_reason}"
-    return report
+    return CheckReport(check=check, cases=cases * int(keep.sum()),
+                       violations=sorted(found, key=lambda v: v["trial"]),
+                       worst_residual=float(np.fmax.reduce(rel[keep], axis=None, initial=0.0)))
 
 
-def check_lemma4(a, b, rel_slack: float = INEQ_SLACK, *, sv=None) -> CheckReport:
+def check_lemma4(a, b, rel_slack: float = INEQ_SLACK) -> CheckReport:
     """sigma_{i+j-1}(AB) <= sigma_i(A) sigma_j(B) and the eta counterpart.
 
-    a and b are one pair of m x m matrices, or two stacks of them with a
-    leading trial axis.  sv, when given, holds the descending singular values
-    of a and of b, shaped like them without the last axis.
+    a and b are two stacks of m x m matrices with a leading trial axis.  A
+    trial with a condition number above COND_LIMIT is skipped.
     """
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape:
+        raise ValueError(f"need two stacks of square matrices of equal size, "
+                         f"got {a.shape} and {b.shape}")
     m = a.shape[-1]
-    if a.ndim not in (2, 3) or a.shape[-2:] != (m, m) or b.shape != a.shape:
-        raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
-    (a, b), (sa, sb), single = _as_stacks((a, b), sv)
+    sa, sb = singular_values(a).values, singular_values(b).values
     skip = ~((_condition_numbers(sa) <= COND_LIMIT) & (_condition_numbers(sb) <= COND_LIMIT))
     sab = singular_values(a @ b)
     desc, asc = sab.values, sab.ascending()
@@ -183,24 +165,23 @@ def check_lemma4(a, b, rel_slack: float = INEQ_SLACK, *, sv=None) -> CheckReport
             if rel_dn[t, p] > rel_slack:
                 found.append({"kind": "lower", "i": i, "j": j,
                               "lhs": float(dn[t, p]), "rhs": float(lo[t, p])})
-    return _report("lemma4", single, skip, f"condition number above {COND_LIMIT:.0e}",
+    return _report("lemma4", skip, f"condition number above {COND_LIMIT:.0e}",
                    2 * len(pairs), np.concatenate((rel_up, rel_dn), axis=1), violations)
 
 
-def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK, *, sv=None) -> CheckReport:
+def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK) -> CheckReport:
     """sigma_i(M) sigma_min(T) <= sigma_i(TM) <= sigma_i(M) sigma_max(T).
 
-    m_mat and t_mat are one pair, or two stacks with a leading trial axis.
-    sv, when given, holds the descending singular values of M and of T,
-    shaped like them without the last axis.
+    m_mat and t_mat are two stacks with a leading trial axis.  A trial whose
+    T has a condition number above COND_LIMIT is skipped.
     """
     m_mat = np.asarray(m_mat)
     t_mat = np.asarray(t_mat)
-    if (t_mat.ndim not in (2, 3) or m_mat.ndim != t_mat.ndim
-            or t_mat.shape[-2] != t_mat.shape[-1] or t_mat.shape[-1] != m_mat.shape[-2]
-            or t_mat.shape[:-2] != m_mat.shape[:-2]):
-        raise ValueError(f"T must be square and conformable with M, got {t_mat.shape}, {m_mat.shape}")
-    (m_mat, t_mat), (sm, st), single = _as_stacks((m_mat, t_mat), sv)
+    if (t_mat.ndim != 3 or m_mat.ndim != 3 or t_mat.shape[1] != t_mat.shape[2]
+            or t_mat.shape[2] != m_mat.shape[1] or t_mat.shape[0] != m_mat.shape[0]):
+        raise ValueError(f"need a stack of square T conformable with the stack of M, "
+                         f"got {t_mat.shape}, {m_mat.shape}")
+    sm, st = singular_values(m_mat).values, singular_values(t_mat).values
     skip = ~(_condition_numbers(st) <= COND_LIMIT)
     stm = singular_values(t_mat @ m_mat).values
     lo, hi = sm * st[:, -1:], sm * st[:, :1]
@@ -211,7 +192,7 @@ def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK, *, sv=None) -> Chec
         violations[t] = [{"i": i, "lhs": float(lo[t, i - 1]), "mid": float(stm[t, i - 1]),
                           "rhs": float(hi[t, i - 1])}
                          for i in range(1, rel.shape[1] + 1) if rel[t, i - 1] > rel_slack]
-    return _report("prop1", single, skip, f"T condition number above {COND_LIMIT:.0e}",
+    return _report("prop1", skip, f"T condition number above {COND_LIMIT:.0e}",
                    rel.shape[1], rel, violations)
 
 
@@ -449,78 +430,32 @@ def lemma3_suite(digits: int = 60, eps_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)) -> d
     }
 
 
-def _random_nonsingular(dim: int, rng, cols: int | None = None):
-    """One draw of a suite matrix: a square draw is redrawn while its
-    condition number is COND_LIMIT or more."""
-    while True:
-        mat = complex_gaussian((dim, cols if cols is not None else dim), rng)
-        if cols not in (None, dim) or _condition_numbers(singular_values(mat).values) < COND_LIMIT:
-            return mat
-
-
-def _draws(trials: int, shapes, rng):
-    """Yield (matrices, singular values) for ``trials`` trials, each a tuple
-    with one stack per entry of shapes, in chunks of up to _CHUNK trials.
-
-    Every trial draws one matrix of each shape in turn, as sequential
-    _random_nonsingular calls would, and takes the same numbers from rng.  A
-    chunk is drawn in one call; when one of its square draws is rejected,
-    the trials before it are kept, the stream is moved back to just after
-    them and the rejected trial is drawn by _random_nonsingular.
-    """
-    square = [rows == cols for rows, cols in shapes]
-    done = 0
-    while done < trials:
-        size = min(_CHUNK, trials - done)
-        state = rng.bit_generator.state
-        mats = randmat.complex_gaussian_trials(size, shapes, rng)
-        svs = tuple(singular_values(x).values for x in mats)
-        accept = np.ones(size, dtype=bool)
-        for sv, sq in zip(svs, square):
-            if sq:
-                accept &= _condition_numbers(sv) < COND_LIMIT
-        kept = size if accept.all() else int(np.argmin(accept))
-        if kept:
-            yield tuple(x[:kept] for x in mats), tuple(v[:kept] for v in svs)
-        if kept < size:
-            rng.bit_generator.state = state
-            randmat.complex_gaussian_trials(kept, shapes, rng)  # past the kept trials
-            redrawn = tuple(_random_nonsingular(rows, rng, cols)[None] for rows, cols in shapes)
-            yield redrawn, tuple(singular_values(x).values for x in redrawn)
-            kept += 1
-        done += kept
-
-
 def _trial_suite(check: str, run, trials: int, shapes, rng, **shape) -> dict:
-    """Run run(matrices, singular values) on each chunk of _draws; skipped
-    trials count no cases."""
+    """Run run(*stacks) on chunks of up to _CHUNK trials, each chunk drawn
+    with one complex_gaussian_trials call; the trial indices of its
+    violations are offset to the whole run.  A skipped trial counts no cases
+    and is a violation."""
     cases = 0
     violations = []
     worst = 0.0
-    first = 0
-    for mats, svs in _draws(trials, shapes, rng):
-        rep = run(mats, svs)
+    for first in range(0, trials, _CHUNK):
+        rep = run(*randmat.complex_gaussian_trials(min(_CHUNK, trials - first), shapes, rng))
         cases += rep.cases
         worst = max(worst, rep.worst_residual)
-        violations += [{"trial": first + v["trial"], "violations": v["violations"]}
-                       for v in rep.violations]
-        first += len(mats[0])
+        violations += [dict(v, trial=first + v["trial"]) for v in rep.violations]
     return {"check": check, "trials": trials, **shape, "cases": cases,
             "violations": violations, "worst_residual": worst}
 
 
 def lemma4_suite(trials: int, dim: int, rng) -> dict:
-    def run(mats, svs):  # A, then B
-        return check_lemma4(*mats, sv=svs)
-
-    return _trial_suite("lemma4", run, trials, [(dim, dim), (dim, dim)], rng, dim=dim)
+    # A, then B; the checks are looked up when a suite runs, so a rebound name is called
+    return _trial_suite("lemma4", check_lemma4, trials, [(dim, dim), (dim, dim)], rng, dim=dim)
 
 
 def prop1_suite(trials: int, dim: int, cols: int, rng) -> dict:
-    def run(mats, svs):  # T, then M; check_prop1 takes (M, T)
-        return check_prop1(mats[1], mats[0], sv=svs[::-1])
-
-    return _trial_suite("prop1", run, trials, [(dim, dim), (dim, cols)], rng, dim=dim, cols=cols)
+    # T, then M; check_prop1 takes (M, T)
+    return _trial_suite("prop1", lambda t, m: check_prop1(m, t), trials,
+                        [(dim, dim), (dim, cols)], rng, dim=dim, cols=cols)
 
 
 def wishart_suite(trials: int, seed: int) -> dict:

@@ -27,7 +27,6 @@ __all__ = [
     "wishart_sample",
     "log_density_unnormalized",
     "singular_values",
-    "haar_unitary",
     "density_gof_identity",
 ]
 
@@ -106,12 +105,6 @@ class EigenvalueVector:
     def ascending(self) -> np.ndarray:
         """eta_i = sigma_{n+1-i}: the same values, smallest first."""
         return self.values[..., ::-1].copy()
-
-    def has_ties(self, tol: float = TIE_TOL) -> bool:
-        """True if two neighbours of any vector lie within tol of its largest value."""
-        vals = self.values
-        gaps = vals[..., :-1] - vals[..., 1:]
-        return bool(np.any(gaps <= tol * np.maximum(vals[..., :1], 1.0)))
 
     def __len__(self) -> int:
         return int(self.values.shape[-1])
@@ -305,12 +298,6 @@ def singular_values(a) -> EigenvalueVector:
     """Descending singular values of a matrix, or of each matrix of a stack
     (..., r, c); ascending order via .ascending()."""
     return EigenvalueVector(np.linalg.svd(np.asarray(a), compute_uv=False))
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(complex_gaussian((dim, dim), rng))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _equal_mass_edges(grid: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:

@@ -86,6 +86,9 @@ class TestCrosscheck:
         capsys.readouterr()
 
 
+SIM_ARGV = ["sim", "--triple", "1,1,1", "--r", "0.5", "--snr-db", "10:15:5"]
+
+
 class TestSim:
     def test_files_and_determinism(self, tmp_path, monkeypatch, capsys):
         args = ["sim", "--triple", "1,1,1", "--r", "0.5", "--snr-db", "10:20:5",
@@ -152,10 +155,41 @@ class TestSim:
         assert manifest["config"]["trials"] == 6000  # explicit flag wins
         assert manifest["seed"] == 55  # config fills the rest
 
+    @pytest.mark.parametrize("cfg,argv,flag,parsed", [
+        ({"trials": "5"}, SIM_ARGV, "--trials", 5),
+        ({"r": "0.5"}, ["sim", "--triple", "1,1,1", "--snr-db", "10:15:5", "--trials", "5"],
+         "--r", 0.5),
+        ({"digits": "60"}, ["verify", "--suite", "lemma4", "--trials", "10"], "--digits", 60),
+        ({"max_dim": 2.5}, ["crosscheck"], "--max-dim", None),
+        ({"trials": 5.5}, SIM_ARGV, "--trials", None),
+        ({"trials": "five"}, SIM_ARGV, "--trials", None),
+        ({"snr_db": "10:30:nan"}, ["sim", "--triple", "1,1,1", "--r", "0.5"], "--snr-db", None),
+        ({"max-dim": [1, 2]}, ["crosscheck"], "--max-dim", None),
+        ({"fractional": "yes"}, ["crosscheck", "--max-dim", "1"], "--fractional", None),
+    ], ids=["str-int", "str-float", "str-digits", "float-int", "fraction-int", "word-int",
+            "nan-grid", "list-int", "str-switch"])
+    def test_config_value_goes_through_its_flag(self, cfg, argv, flag, parsed,
+                                                 tmp_path, monkeypatch, capsys):
+        # a config value is read as the same text after its flag: the string
+        # forms parse, a value the flag's parser rejects exits 2 naming it
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(argv + ["--config", str(path)], tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        if parsed is None:
+            assert code == 2
+            assert flag in err and "Traceback" not in err
+        else:
+            assert code in (0, 4)  # 4: the five-trial sim has no tail data
+            manifest = json.loads(next(tmp_path.glob("*.manifest.json")).read_text())
+            assert manifest["config"][flag[2:].replace("-", "_")] == parsed
+
     def test_bad_grid_usage_error(self, tmp_path, monkeypatch, capsys):
-        # a descending grid, then r non-finite or outside [0, min(triple)] = [0, 1]
-        for grid, r in (("20:10:5", "0.5"), ("10:10:5", "nan"), ("10:10:5", "inf"),
-                        ("10:10:5", "5")):
+        # a descending grid, a non-finite step or end, then r non-finite or
+        # outside [0, min(triple)] = [0, 1]; without the finiteness check the
+        # nan step gives one point and the inf end never returns, so nan goes first
+        for grid, r in (("20:10:5", "0.5"), ("10:30:nan", "0.5"), ("10:inf:5", "0.5"),
+                        ("10:10:5", "nan"), ("10:10:5", "inf"), ("10:10:5", "5")):
             code = run_cli(["sim", "--triple", "1,1,1", "--r", r, "--snr-db", grid,
                             "--trials", "100"], tmp_path, monkeypatch)
             err = capsys.readouterr().err

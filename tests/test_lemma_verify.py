@@ -7,29 +7,35 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from dsdmt import cli
 from dsdmt import lemma_verify as lv
 from dsdmt.randmat import _log_vandermonde, complex_gaussian, singular_values, stream, xi_matrix
 
 
 # Reference oracles: the trial suites as one draw, one check and one SVD per
-# matrix at a time.  The batched suites must reproduce them exactly.
+# matrix at a time.  The batched suites must reproduce them exactly.  A
+# reference check takes one pair and reports it as trial t of a stack: its
+# violations are one {"trial": t, "violations": [...]} entry if any case
+# fails, or {"trial": t, "skipped": reason} if the pair is too ill-conditioned
+# to test.
 
 def reference_condition_number(mat) -> float:
     sv = singular_values(mat).values
     return float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
 
 
-def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK) -> lv.CheckReport:
+def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport:
     m = a.shape[0]
     report = lv.CheckReport(check="lemma4", cases=0)
     if max(reference_condition_number(a), reference_condition_number(b)) > lv.COND_LIMIT:
-        report.skipped = f"condition number above {lv.COND_LIMIT:.0e}"
+        report.violations = [{"trial": t, "skipped": f"condition number above {lv.COND_LIMIT:.0e}"}]
         return report
     sa = singular_values(a).values
     sb = singular_values(b).values
     sab = singular_values(a @ b)
     desc, asc = sab.values, sab.ascending()
     ea, eb = sa[::-1], sb[::-1]
+    found = []
     for i in range(1, m + 1):
         for j in range(1, m + 2 - i):
             report.cases += 2
@@ -39,39 +45,35 @@ def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK) -> lv.CheckReport:
             rel_dn = float(1.0 - asc[i + j - 2] / lo)
             report.worst_residual = max(report.worst_residual, rel_up, rel_dn)
             if rel_up > rel_slack:
-                report.violations.append(
+                found.append(
                     {"kind": "upper", "i": i, "j": j, "lhs": float(desc[i + j - 2]), "rhs": float(hi)})
             if rel_dn > rel_slack:
-                report.violations.append(
+                found.append(
                     {"kind": "lower", "i": i, "j": j, "lhs": float(asc[i + j - 2]), "rhs": float(lo)})
+    if found:
+        report.violations = [{"trial": t, "violations": found}]
     return report
 
 
-def reference_check_prop1(m_mat, t_mat, rel_slack=lv.INEQ_SLACK) -> lv.CheckReport:
+def reference_check_prop1(m_mat, t_mat, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport:
     report = lv.CheckReport(check="prop1", cases=0)
     if reference_condition_number(t_mat) > lv.COND_LIMIT:
-        report.skipped = f"T condition number above {lv.COND_LIMIT:.0e}"
+        report.violations = [{"trial": t, "skipped": f"T condition number above {lv.COND_LIMIT:.0e}"}]
         return report
     st = singular_values(t_mat).values
     sm = singular_values(m_mat).values
     stm = singular_values(t_mat @ m_mat).values
+    found = []
     for i, (s, s_prod) in enumerate(zip(sm, stm), start=1):
         report.cases += 1
         lo, hi = s * st[-1], s * st[0]
         rel = max(float(lo / s_prod - 1.0), float(s_prod / hi - 1.0))
         report.worst_residual = max(report.worst_residual, rel)
         if rel > rel_slack:
-            report.violations.append({"i": i, "lhs": float(lo), "mid": float(s_prod), "rhs": float(hi)})
+            found.append({"i": i, "lhs": float(lo), "mid": float(s_prod), "rhs": float(hi)})
+    if found:
+        report.violations = [{"trial": t, "violations": found}]
     return report
-
-
-def reference_random_nonsingular(dim, rng, cols=None):
-    while True:
-        mat = complex_gaussian((dim, cols if cols is not None else dim), rng)
-        if cols is not None and cols != dim:
-            return mat
-        if reference_condition_number(mat) < lv.COND_LIMIT:
-            return mat
 
 
 def reference_trial_suite(check, run, trials, draw, **shape) -> dict:
@@ -79,20 +81,17 @@ def reference_trial_suite(check, run, trials, draw, **shape) -> dict:
     violations = []
     worst = 0.0
     for t in range(trials):
-        rep = run(*draw())
-        if rep.skipped:
-            continue
+        rep = run(*draw(), t=t)
         cases += rep.cases
         worst = max(worst, rep.worst_residual)
-        if rep.violations:
-            violations.append({"trial": t, "violations": rep.violations})
+        violations += rep.violations
     return {"check": check, "trials": trials, **shape, "cases": cases,
             "violations": violations, "worst_residual": worst}
 
 
 def reference_lemma4_suite(trials, dim, rng, rel_slack=lv.INEQ_SLACK) -> dict:
     def draw():  # A, then B
-        return reference_random_nonsingular(dim, rng), reference_random_nonsingular(dim, rng)
+        return complex_gaussian((dim, dim), rng), complex_gaussian((dim, dim), rng)
 
     run = functools.partial(reference_check_lemma4, rel_slack=rel_slack)
     return reference_trial_suite("lemma4", run, trials, draw, dim=dim)
@@ -100,8 +99,8 @@ def reference_lemma4_suite(trials, dim, rng, rel_slack=lv.INEQ_SLACK) -> dict:
 
 def reference_prop1_suite(trials, dim, cols, rng, rel_slack=lv.INEQ_SLACK) -> dict:
     def draw():  # T, then M
-        t_mat = reference_random_nonsingular(dim, rng)
-        return reference_random_nonsingular(dim, rng, cols=cols), t_mat
+        t_mat = complex_gaussian((dim, dim), rng)
+        return complex_gaussian((dim, cols), rng), t_mat
 
     run = functools.partial(reference_check_prop1, rel_slack=rel_slack)
     return reference_trial_suite("prop1", run, trials, draw, dim=dim, cols=cols)
@@ -109,12 +108,12 @@ def reference_prop1_suite(trials, dim, cols, rng, rel_slack=lv.INEQ_SLACK) -> di
 
 class TestLemma4:
     def test_identity_equality(self):
-        rep = lv.check_lemma4(np.eye(3), np.eye(3))
+        rep = lv.check_lemma4(np.eye(3)[None], np.eye(3)[None])
         assert rep.passed and rep.cases == 12  # 6 (i,j) pairs, two bounds each
 
     def test_diagonal_hand_case(self):
         # sigma2(AB) = 1 <= sigma1(A) sigma2(B) = 2; sigma1(AB) = 6 <= 6
-        rep = lv.check_lemma4(np.diag([2.0, 1.0]), np.diag([3.0, 1.0]))
+        rep = lv.check_lemma4(np.diag([2.0, 1.0])[None], np.diag([3.0, 1.0])[None])
         assert rep.passed
 
     def test_random_batch(self):
@@ -123,20 +122,20 @@ class TestLemma4:
         assert rep["cases"] > 0
 
     def test_singular_input_skipped(self):
-        rep = lv.check_lemma4(np.diag([1.0, 0.0]), np.eye(2))
-        assert rep.skipped is not None
-        assert not rep.passed
+        rep = lv.check_lemma4(np.diag([1.0, 0.0])[None], np.eye(2)[None])
+        assert rep.violations == [{"trial": 0, "skipped": "condition number above 1e+08"}]
+        assert rep.cases == 0 and not rep.passed
 
 
 class TestProp1:
     def test_identity_transform(self):
         m = np.arange(6, dtype=float).reshape(3, 2) + 1
-        rep = lv.check_prop1(m, np.eye(3))
+        rep = lv.check_prop1(m[None], np.eye(3)[None])
         assert rep.passed and rep.worst_residual <= 1e-12
 
     def test_scalar_scaling(self):
         m = np.arange(6, dtype=float).reshape(3, 2) + 1
-        rep = lv.check_prop1(m, 2.0 * np.eye(3))
+        rep = lv.check_prop1(m[None], 2.0 * np.eye(3)[None])
         assert rep.passed
 
     def test_random_batch(self):
@@ -145,7 +144,9 @@ class TestProp1:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            lv.check_prop1(np.zeros((2, 2)), np.zeros((3, 3)))
+            lv.check_prop1(np.zeros((1, 2, 2)), np.zeros((1, 3, 3)))
+        with pytest.raises(ValueError):  # one pair without its trial axis
+            lv.check_prop1(np.zeros((3, 2)), np.eye(3))
 
 
 # (suite, reference, shape arguments): the shapes of `dmt verify` and of criterion 5
@@ -195,16 +196,27 @@ class TestBatchedSuites:
     @pytest.mark.parametrize("suite,reference,shape",
                              SUITE_CASES + [(lv.prop1_suite, reference_prop1_suite, (3, 3))],
                              ids=SUITE_IDS + ["prop1-3x3"])
-    def test_rejections_follow_the_sequential_draw(self, suite, reference, shape, monkeypatch):
-        # at this limit a good share of square draws is rejected and redrawn
+    def test_skipped_trials_fail_the_suite(self, suite, reference, shape, monkeypatch):
+        # at this limit a good share of square draws is too ill-conditioned to test
         monkeypatch.setattr(lv, "COND_LIMIT", 10.0)
         monkeypatch.setattr(lv, "_CHUNK", 32)
-        draws = []
-        monkeypatch.setattr(lv, "_random_nonsingular", _recording(lv._random_nonsingular, draws))
         got, want, state, ref_state = run_both(suite, reference, shape, 80, 5)
-        assert draws, "no draw was rejected"
         assert got == want
         assert state == ref_state
+        skipped = [v for v in got["violations"] if "skipped" in v]
+        assert skipped, "no trial was skipped"
+        reason = "condition number above 1e+01"
+        assert all(v.keys() == {"trial", "skipped"} and v["skipped"].endswith(reason)
+                   for v in skipped)
+        dim = shape[0]
+        per_trial = dim * (dim + 1) if suite is lv.lemma4_suite else min(shape)
+        assert got["cases"] == per_trial * (80 - len(skipped))
+
+    def test_skipped_trial_fails_verify(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lv, "COND_LIMIT", 10.0)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--suite", "lemma4", "--trials", "50"]) == 5
+        assert "skipped" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite,reference,shape", SUITE_CASES, ids=SUITE_IDS)
     def test_violations_carry_their_trial(self, suite, reference, shape, monkeypatch):
@@ -217,14 +229,6 @@ class TestBatchedSuites:
         want = reference(40, *shape, ref_rng, rel_slack=-0.5)
         assert len(got["violations"]) == 40
         assert got == want
-
-
-def _recording(fn, calls):
-    def wrapped(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    return wrapped
 
 
 def _pairs(shape_a, shape_b, count, seed):
@@ -242,15 +246,14 @@ class TestStackedChecks:
     def test_stack_is_the_concatenated_pairs(self, check, reference, shapes, slack):
         x, y = _pairs(*shapes, 12, 1)
         y[5] = 0.0  # a singular second factor: this trial is skipped
-        pairs = [reference(x[t], y[t], slack) for t in range(12)]
+        pairs = [reference(x[t], y[t], slack, t) for t in range(12)]
         rep = check(x, y, slack)
-        assert rep.violations == [{"trial": t, "violations": p.violations}
-                                  for t, p in enumerate(pairs) if p.violations]
+        assert rep.violations == [v for p in pairs for v in p.violations]
         assert rep.cases == sum(p.cases for p in pairs)
         assert rep.worst_residual == max(p.worst_residual for p in pairs)
-        assert rep.skipped.startswith("1 of 12 trials")
-        for t, p in enumerate(pairs):
-            assert check(x[t], y[t], slack) == p
+        assert "skipped" in pairs[5].violations[0]
+        for t in range(12):
+            assert check(x[t : t + 1], y[t : t + 1], slack) == reference(x[t], y[t], slack)
 
     @pytest.mark.parametrize("check,shapes", [
         (lv.check_lemma4, ((3, 3), (3, 3))),
@@ -261,7 +264,7 @@ class TestStackedChecks:
         x, y = _pairs(*shapes, 6, 2)
         x[3, 1, 1] = bad
         with pytest.raises(ValueError):
-            check(x[3], y[3])
+            check(x[3:4], y[3:4])
         with pytest.raises(ValueError):
             check(x, y)
 
@@ -270,7 +273,7 @@ class TestStackedChecks:
         # sigma_2(M) = 0 makes that case 0/0; it counts, but sets no residual
         m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         t = np.diag([1.0, 2.0, 3.0])
-        rep = lv.check_prop1(m, t)
+        rep = lv.check_prop1(m[None], t[None])
         assert rep == reference_check_prop1(m, t)
         assert rep.worst_residual == 0.0 and rep.cases == 2
 
@@ -280,6 +283,8 @@ class TestStackedChecks:
             lv.check_lemma4(x, y[:3])
         with pytest.raises(ValueError):
             lv.check_prop1(x, y[0])
+        with pytest.raises(ValueError):  # one pair without its trial axis
+            lv.check_lemma4(x[0], y[0])
 
 
 class TestExponentPair:
