@@ -1,20 +1,23 @@
 """Exact-arithmetic simplex for the small dense LPs of the exponent solver.
 
-Solves  minimize c.x  subject to  A x <= b,  x >= 0  over ``Fraction``
-entries with the two-phase tableau method.  Bland's pivoting rule rules out
-cycling, so optima are exact rationals and the solver always terminates.
-Internal to the package: sized for a few dozen variables, not a general LP
-surface.
+Solves  minimize c.x  subject to  A x <= b,  x >= 0  over the rationals with
+the two-phase tableau method.  Bland's pivoting rule rules out cycling, so
+optima are exact rationals and the solver always terminates.  Internal to the
+package: sized for a few dozen variables, not a general LP surface.
+
+The tableau holds Python ints: a row stands for itself over its basic entry,
+kept > 0, and the cost row ends in its own scale.  Pivots are fraction-free
+(after Bareiss, Math. Comp. 22, 1968): a row with f = row[pc] != 0 becomes
+p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
+tableau would, so the pivots, the optimum and x are the ones it would give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["Infeasible", "Unbounded", "solve_min"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Infeasible(Exception):
@@ -25,24 +28,39 @@ class Unbounded(Exception):
     """The objective is unbounded below on the feasible set."""
 
 
+def _exact(v):
+    return v if type(v) is int else Fraction(v)
+
+
+def _scaled(values):
+    """The rationals values times the lcm of their denominators, and that lcm,
+    in Python ints (a Fraction keeps a numpy integer as its numerator)."""
+    scale = lcm(*[v.denominator for v in values])
+    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
+
+
+def _combine(row, p, f, prow, hot):
+    """p*row - f*prow, prow zero outside the columns hot, over its gcd."""
+    new = [v * p for v in row] if p != 1 else row[:]
+    for j in hot:
+        new[j] -= f * prow[j]
+    g = gcd(*new)
+    return new if g == 1 else [v // g for v in new]
+
+
 def _pivot(rows, cost, basis, pr, pc):
     """Pivot the tableau on (row pr, column pc), updating the cost row."""
     prow = rows[pr]
-    inv = _ONE / prow[pc]
-    if inv != _ONE:
-        rows[pr] = prow = [v * inv for v in prow]
-    hot = [j for j, v in enumerate(prow) if v != 0]
-    for row in rows:
-        if row is prow:
-            continue
-        f = row[pc]
-        if f != 0:
-            for j in hot:
-                row[j] -= f * prow[j]
-    f = cost[pc]
-    if f != 0:
-        for j in hot:
-            cost[j] -= f * prow[j]
+    p = prow[pc]
+    if p < 0:  # only when phase 1 drives out an artificial
+        rows[pr] = prow = [-v for v in prow]
+        p = -p
+    hot = [j for j, v in enumerate(prow) if v]
+    for i, row in enumerate(rows):
+        if row[pc] and i != pr:
+            rows[i] = _combine(row, p, row[pc], prow, hot)
+    if cost[pc]:
+        cost[:] = _combine(cost, p, cost[pc], prow, hot)
     basis[pr] = pc
 
 
@@ -53,13 +71,14 @@ def _iterate(rows, cost, basis, ncols):
         if pc is None:
             return
         pr = None
-        best = None
         for i, row in enumerate(rows):
             a = row[pc]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
-                    best, pr = ratio, i
+                if pr is not None:  # row[-1] / a against num / den
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[pr]):
+                        continue
+                pr, num, den = i, row[-1], a
         if pr is None:
             raise Unbounded(f"column {pc} has no positive pivot entry")
         _pivot(rows, cost, basis, pr, pc)
@@ -68,54 +87,50 @@ def _iterate(rows, cost, basis, ncols):
 def solve_min(c, a_ub, b_ub):
     """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
 
-    Returns (optimal value, x) with x a list of Fractions.  Raises
-    :class:`Infeasible` / :class:`Unbounded` accordingly.
+    Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
+    with x a list of Fractions.  Raises :class:`Infeasible` /
+    :class:`Unbounded` accordingly.
     """
     nvar = len(c)
     m = len(a_ub)
-    c = [Fraction(v) for v in c]
+    c = [_exact(v) for v in c]
+    b_ub = [_exact(b_ub[i]) for i in range(m)]
 
     # Rows: [A | slack I | artificials... | rhs].  Rows with negative rhs are
     # negated (slack entry becomes -1) and get an artificial basis column.
-    need_art = [i for i in range(m) if Fraction(b_ub[i]) < 0]
+    need_art = [i for i in range(m) if b_ub[i] < 0]
     nart = len(need_art)
     ncols = nvar + m + nart
     rows = []
-    basis = [0] * m
-    art_of_row = {r: nvar + m + k for k, r in enumerate(need_art)}
+    basis = [nvar + i for i in range(m)]
     for i in range(m):
-        row = [Fraction(v) for v in a_ub[i]]
+        row = [_exact(v) for v in a_ub[i]]
         if len(row) != nvar:
             raise ValueError(f"row {i} has {len(row)} entries, expected {nvar}")
-        row += [_ZERO] * (m + nart) + [Fraction(b_ub[i])]
-        row[nvar + i] = _ONE
-        if i in art_of_row:
+        row, scale = _scaled(row + [b_ub[i]])
+        row[nvar:nvar] = [0] * (m + nart)
+        row[nvar + i] = scale
+        if b_ub[i] < 0:
+            basis[i] = nvar + m + need_art.index(i)
             row = [-v for v in row]
-            row[art_of_row[i]] = _ONE
-            basis[i] = art_of_row[i]
-        else:
-            basis[i] = nvar + i
+            row[basis[i]] = scale
         rows.append(row)
 
     if nart:
         # Phase 1: minimize the sum of artificials, expressed over the
         # current (artificial) basis.
-        cost = [_ZERO] * (ncols + 1)
+        cost = [0] * (ncols + 1) + [1]
         for i in need_art:
-            for j in range(ncols + 1):
-                cost[j] -= rows[i][j]
-        for k in range(nvar + m, ncols):
-            cost[k] = _ZERO
+            cost = _combine(cost, rows[i][basis[i]], cost[-1], rows[i], range(ncols + 1))
+        cost[nvar + m : ncols] = [0] * nart
         _iterate(rows, cost, basis, ncols)
-        if -cost[-1] != 0:
-            raise Infeasible(f"phase-1 optimum {-cost[-1]} > 0")
+        if cost[-2] != 0:
+            raise Infeasible(f"phase-1 optimum {Fraction(-cost[-2], cost[-1])} > 0")
         # Drive leftover artificials out of the basis; a row with no usable
         # pivot entry is redundant and dropped.
         for i in reversed(range(len(rows))):
             if basis[i] >= nvar + m:
-                pc = next(
-                    (j for j in range(nvar + m) if rows[i][j] != 0), None
-                )
+                pc = next((j for j in range(nvar + m) if rows[i][j] != 0), None)
                 if pc is None:
                     del rows[i]
                     del basis[i]
@@ -125,17 +140,15 @@ def solve_min(c, a_ub, b_ub):
         ncols = nvar + m
 
     # Phase 2: reduced costs of c over the current basis.
-    cost = c + [_ZERO] * (m + 1)
-    cost = cost[: ncols + 1]
+    cost, scale = _scaled(c)
+    cost += [0] * (m + 1) + [scale]
     for i, row in enumerate(rows):
-        f = cost[basis[i]]
-        if f != 0:
-            for j in range(ncols + 1):
-                cost[j] -= f * row[j]
+        if cost[basis[i]]:
+            cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
     _iterate(rows, cost, basis, ncols)
 
-    x = [_ZERO] * nvar
+    x = [Fraction(0)] * nvar
     for i, b in enumerate(basis):
         if b < nvar:
-            x[b] = rows[i][-1]
-    return -cost[-1], x
+            x[b] = Fraction(rows[i][-1], rows[i][b])
+    return Fraction(-cost[-2], cost[-1]), x

@@ -45,6 +45,8 @@ MISMATCH_ERROR = 3
 INSUFFICIENT_DATA = 4
 VERIFICATION_FAILURE = 5
 
+MAX_SNR_POINTS = 10_000  # the most points an --snr-db grid may have
+
 # the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
 VERIFY_SUITES = ("lemma1", "lemma2", "lemma3", "lemma4", "prop1", "wishart")
 
@@ -72,6 +74,9 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"lo, hi and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0, got {text!r}")
+    if (hi - lo) / step >= MAX_SNR_POINTS or step < math.ulp(max(abs(lo), abs(hi))):
+        raise argparse.ArgumentTypeError(f"grid {text!r} has over {MAX_SNR_POINTS} points"
+                                         " or a step under one ulp of its ends")
     grid = []
     v = lo
     while v <= hi + 1e-9:
@@ -131,11 +136,18 @@ def _merge_config(parser, args, argv):
     (a list joined by commas; true gives a bare flag, false none), placed
     before the command line's own flags, which therefore win.  The parser
     then reads both, so a config value is accepted exactly when the same
-    text on the command line is, and a bad one exits 2 naming its flag.
+    text on the command line is, and a bad one exits 2 naming its flag, as
+    do an unreadable config file, one holding no JSON object, and a
+    non-integer DMT_SEED.
     """
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+            parser.error(f"--config {args.config}: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error(f"--config {args.config}: expected a JSON object")
         flags = []
         for key, value in cfg.items():
             if not hasattr(args, key.replace("-", "_")) or value is False:
@@ -146,7 +158,10 @@ def _merge_config(parser, args, argv):
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         env = os.environ.get("DMT_SEED")
-        args.seed = int(env) if env else 1
+        try:
+            args.seed = int(env) if env else 1
+        except ValueError:
+            parser.error(f"DMT_SEED must be an integer, got {env!r}")
     return args
 
 

@@ -1,5 +1,6 @@
 """CLI surface: arguments, files, manifests, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -184,17 +185,48 @@ class TestSim:
             manifest = json.loads(next(tmp_path.glob("*.manifest.json")).read_text())
             assert manifest["config"][flag[2:].replace("-", "_")] == parsed
 
+    @pytest.mark.parametrize("setup,named", [
+        ("env-seed", "DMT_SEED"),
+        ("missing-file", "missing.json"),
+        ("malformed-json", "bad.json"),
+        ("json-list", "list.json"),
+    ])
+    def test_bad_config_or_seed_usage_error(self, setup, named, tmp_path, monkeypatch, capsys):
+        # read before any command runs: each exits 2 with one error line
+        # naming the variable or the file, never a traceback
+        argv = SIM_ARGV + ["--trials", "5"]
+        if setup == "env-seed":
+            monkeypatch.setenv("DMT_SEED", "abc")
+        else:
+            (tmp_path / "bad.json").write_text('{"trials": ')
+            (tmp_path / "list.json").write_text("[5]")
+            argv += ["--config", str(tmp_path / named)]
+        code = run_cli(argv, tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and named in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.manifest.json"))
+
     def test_bad_grid_usage_error(self, tmp_path, monkeypatch, capsys):
         # a descending grid, a non-finite step or end, then r non-finite or
-        # outside [0, min(triple)] = [0, 1]; without the finiteness check the
-        # nan step gives one point and the inf end never returns, so nan goes first
+        # outside [0, min(triple)] = [0, 1], then grids of ~1e12 points;
+        # without the finiteness check the nan step gives one point and the
+        # inf end never returns, so nan goes first
         for grid, r in (("20:10:5", "0.5"), ("10:30:nan", "0.5"), ("10:inf:5", "0.5"),
-                        ("10:10:5", "nan"), ("10:10:5", "inf"), ("10:10:5", "5")):
+                        ("10:10:5", "nan"), ("10:10:5", "inf"), ("10:10:5", "5"),
+                        ("10:15:1e-12", "0.5"), ("10:1e300:1", "0.5")):
             code = run_cli(["sim", "--triple", "1,1,1", "--r", r, "--snr-db", grid,
                             "--trials", "100"], tmp_path, monkeypatch)
             err = capsys.readouterr().err
             assert code == 2, (grid, r)
             assert "error" in err, (grid, r)
+
+    def test_grid_point_bound(self):
+        top = cli.MAX_SNR_POINTS
+        assert len(cli._parse_snr_grid(f"0:{top - 1}:1")) == top
+        for grid in (f"0:{top}:1", "0:1:1e-4", "1e17:1e17:1"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._parse_snr_grid(grid)
 
     def test_bad_corr_usage_error(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["sim", "--triple", "1,1,1", "--r", "0.5", "--snr-db", "10:10:5",

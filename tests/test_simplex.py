@@ -1,12 +1,17 @@
-"""The internal exact simplex against hand LPs, scipy, and a cycling classic."""
+"""The internal exact simplex against hand LPs, scipy, a cycling classic, and
+the Fraction tableau it replaced (``fraction_simplex``), pivot for pivot."""
 
+import math
 from fractions import Fraction
 
+import fraction_simplex
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dsdmt import _simplex
+from dsdmt import _simplex, cli
 
 
 def test_simple_hand_lp():
@@ -45,17 +50,17 @@ def test_no_constraints():
     assert value == 0 and x == [0, 0]
 
 
+# classic degenerate LP on which naive pivoting cycles; Bland must finish
+BEALE = (
+    [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+    [[Fraction(1, 4), -60, Fraction(-1, 25), 9], [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+     [0, 0, 1, 0]],
+    [0, 0, 1],
+)
+
+
 def test_beales_cycling_example():
-    # classic degenerate LP on which naive pivoting cycles; Bland must finish
-    value, _ = _simplex.solve_min(
-        [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
-        [
-            [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-            [Fraction(1, 2), -90, Fraction(-1, 50), 3],
-            [0, 0, 1, 0],
-        ],
-        [0, 0, 1],
-    )
+    value, _ = _simplex.solve_min(*BEALE)
     assert value == Fraction(-1, 20)
 
 
@@ -95,3 +100,123 @@ def test_against_scipy_randomized():
             # it must at least not claim a finite optimum
             assert ref.status != 0, (trial, status, ref.status)
     assert agreed > 100  # the comparison actually exercised real optima
+
+
+# Differential test: the integer tableau makes every decision of the Fraction
+# tableau on the same rationals, so both take the same pivots and return the
+# same (value, x), or raise the same exception with the same message.
+
+def _outcome(module, lp):
+    """repr of (value, x) or of the exception's type and message, and the pivots."""
+    pivots = []
+    pivot = module._pivot
+
+    def recording(rows, cost, basis, pr, pc):
+        pivots.append((pr, pc))
+        pivot(rows, cost, basis, pr, pc)
+
+    module._pivot = recording
+    try:
+        result = repr(module.solve_min(*lp))
+    except Exception as exc:  # any exception must match the oracle's
+        result = (type(exc).__name__, str(exc))
+    finally:
+        module._pivot = pivot
+    return result, pivots
+
+
+def assert_same_as_oracle(lp):
+    assert _outcome(_simplex, lp) == _outcome(fraction_simplex, lp), lp
+
+
+def test_crosscheck_lps_match_oracle(monkeypatch):
+    lps = []
+    solve = _simplex.solve_min
+
+    def recording(c, a_ub, b_ub):
+        lps.append((c, a_ub, b_ub))
+        return solve(c, a_ub, b_ub)
+
+    monkeypatch.setattr(_simplex, "solve_min", recording)
+    report = cli.run_crosscheck(3, True)
+    monkeypatch.undo()
+    assert report["cases"] == len(lps) == 171 and not report["mismatches"]
+    for lp in lps:
+        assert_same_as_oracle(lp)
+
+
+@pytest.mark.parametrize("lp", [
+    BEALE,
+    ([1], [[-1], [-1], [1]], [-1, -1, 1]),  # redundant equality rows
+    ([1, 2], [[1, 1], [-1, -1], [1, 0], [-1, 0]], [2, -2, 1, -1]),  # x fixed by two equalities
+    ([2, 3], [], []),  # no constraints
+    ([-1, 0], [], []),  # no constraints, unbounded
+    ([], [], []),
+    ([1, 1], [[-1, -1]], [-3]),  # negative rhs
+    ([1], [[1], [-1]], [1, -2]),  # infeasible, phase-1 optimum 1
+    ([0, 0], [[1, 1], [-2, -2]], [Fraction(1, 3), -1]),  # infeasible, fractional optimum
+    ([-1], [[-1]], [0]),  # unbounded
+    ([np.int64(-2), Fraction(1, 3), "-1/2", 0.25, True],
+     [[1, "2", np.int64(1), 0.5, 1], [Fraction(-1, 7), 0, -1, 0, np.int64(3)]],
+     [np.int64(4), "-1/3"]),
+    (np.array([-1, -1]), np.array([[1, 2], [3, 1]]), np.array([4, 5])),
+    (np.array([-1.5, -1.0]), np.array([[1, 2.5], [3, 1]]), np.array([4.0, 5.0])),
+    ([1, math.nan], [[1, 1]], [1]),
+    ([1, 1], [[1, math.inf]], [1]),
+    ([1, 1], [[1, 1]], [-math.inf]),
+    ([1, 1], [[1, "x"]], [math.nan]),  # b is read first
+    ([1, None], [[1, 1]], [1]),
+    ([1, 1], [[1]], [1]),  # short row
+    ([1, 1], [[1, 1], [1, 1]], [1]),  # short b
+], ids=["beale", "redundant", "two-equalities", "empty", "empty-unbounded", "no-vars",
+        "negative-rhs", "infeasible", "infeasible-fraction", "unbounded", "mixed-types",
+        "numpy-int", "numpy-float", "nan-c", "inf-a", "inf-b", "nan-b-first", "none",
+        "short-row", "short-b"])
+def test_hand_lps_match_oracle(lp):
+    assert_same_as_oracle(lp)
+
+
+def test_narrow_numpy_ints_are_exact():
+    # the Fraction tableau kept numpy numerators and so overflowed uint8 here;
+    # the integer tableau reads them as Python ints
+    lp = ([-3, -1], [[3, 1], [1, 3]], [7, 5])
+    narrow = (lp[0], np.array(lp[1], dtype=np.uint8), lp[2])
+    with pytest.raises(OverflowError), np.errstate(over="ignore"):
+        fraction_simplex.solve_min(*narrow)
+    assert _simplex.solve_min(*narrow) == (-7, [Fraction(7, 3), 0])
+    assert repr(_simplex.solve_min(*narrow)) == repr(_simplex.solve_min(*lp))
+
+
+_VALUES = st.integers(-6, 6)
+_ENTRIES = st.one_of(
+    _VALUES,
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.tuples(_VALUES, st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    _VALUES.map(lambda v: v / 4),
+    _VALUES.map(np.int64),
+)
+_POISON = st.sampled_from([math.nan, math.inf, -math.inf, "1/0x", None])
+
+
+@st.composite
+def random_lps(draw):
+    """Small LPs; about half all-int, degenerate right-hand sides, some
+    equality pairs, and now and then one entry Fraction rejects."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([_VALUES, _ENTRIES]))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(0), entry), min_size=m, max_size=m))
+    if entry is _VALUES and m and draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    if n and m and draw(st.integers(0, 9)) == 0:
+        where = draw(st.sampled_from([c, a[0], b]))
+        where[draw(st.integers(0, len(where) - 1))] = draw(_POISON)
+    return c, a, b
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(random_lps())
+def test_random_lps_match_oracle(lp):
+    assert_same_as_oracle(lp)
