@@ -196,17 +196,6 @@ def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK) -> CheckReport:
                    rel.shape[1], rel, violations)
 
 
-def _fit_top_half(snrs, logvals, predicted: float) -> AsymptoticFit:
-    """LS slope of log(value)/log(SNR) over the top half of the grid, as a fit
-    against the predicted exponent."""
-    half = len(snrs) // 2
-    xs = np.log10(np.asarray(snrs[half:], dtype=float))
-    ys = np.array([float(v) / mp.log(10) for v in logvals[half:]], dtype=float)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return AsymptoticFit(snr_points=tuple(float(s) for s in snrs[half:]), measured_exponent=slope,
-                         predicted_exponent=predicted, residual=abs(slope - predicted))
-
-
 def _guarded_logabsdet(mat, digits: int):
     """log |det| in mpmath, guarding against cancellation past the budget."""
     det = mp.det(mat)
@@ -224,6 +213,21 @@ def _guarded_logabsdet(mat, digits: int):
 
 
 _DEFAULT_SNR_GRID = tuple(10.0**k for k in range(4, 13))
+
+
+def _exponent_fit(snrs, rows_at, predicted: float, digits: int) -> AsymptoticFit:
+    """Guarded log |det| of the matrix rows_at(mpf(snr)) at every SNR of the
+    grid, at the given digits; the LS slope of log10 |det| against
+    log10(SNR) over the top half of the grid, as a fit against the
+    predicted exponent."""
+    half = len(snrs) // 2
+    with mp.workdps(digits):
+        logs = [_guarded_logabsdet(mp.matrix(rows_at(mpf(snr))), digits) for snr in snrs]
+        ys = np.array([float(v) / mp.log(10) for v in logs[half:]], dtype=float)
+    xs = np.log10(np.asarray(snrs[half:], dtype=float))
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return AsymptoticFit(snr_points=tuple(float(s) for s in snrs[half:]), measured_exponent=slope,
+                         predicted_exponent=predicted, residual=abs(slope - predicted))
 
 
 def lemma1_predicted_exponent(ep: ExponentPair) -> float:
@@ -245,13 +249,9 @@ def check_lemma1_exponent(ep: ExponentPair, snr_grid=None, digits: int = 60) -> 
         raise ValueError("strict alpha_i > beta_i required so the exp factor tends to 1")
     if len(snrs) < 8 or snrs[-1] / snrs[0] < 1e8:
         raise ValueError("snr grid must span at least 8 decades with 8+ points")
-    logs = []
-    with mp.workdps(digits):
-        for snr in snrs:
-            s = mpf(snr)
-            mat = mp.matrix([[mp.exp(-(s ** (-(a - b)))) for a in ep.alpha] for b in ep.beta])
-            logs.append(_guarded_logabsdet(mat, digits))
-        return _fit_top_half(snrs, logs, lemma1_predicted_exponent(ep))
+    return _exponent_fit(
+        snrs, lambda s: [[mp.exp(-(s ** (-(a - b)))) for a in ep.alpha] for b in ep.beta],
+        lemma1_predicted_exponent(ep), digits)
 
 
 def _logabs_xi_over_vdm(mu, lam, digits: int):
@@ -295,14 +295,9 @@ def check_lemma2_exponent(mu_exponents, lambda_exponents, dims, snr_grid=None,
     if any(alpha[i] <= beta[i] for i in range(n)):
         raise ValueError("strict alpha_i > beta_i required on the coupled range")
     snrs = tuple(float(s) for s in (snr_grid or _DEFAULT_SNR_GRID))
-    logs = []
-    with mp.workdps(digits):
-        for snr in snrs:
-            s = mpf(snr)
-            mu = [s ** (-b) for b in beta]
-            lam = [s ** (-a) for a in alpha]
-            logs.append(_guarded_logabsdet(mp.matrix(xi_matrix(mu, lam, mp.exp)), digits))
-        return _fit_top_half(snrs, logs, lemma2_predicted_exponent(beta, alpha, l, n))
+    return _exponent_fit(
+        snrs, lambda s: xi_matrix([s ** (-b) for b in beta], [s ** (-a) for a in alpha], mp.exp),
+        lemma2_predicted_exponent(beta, alpha, l, n), digits)
 
 
 _EPS_MULTIPLIERS = (1.0, 0.6, 0.35, 0.2)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -231,8 +232,10 @@ def estimate_outage(cfg: SimConfig, snr_db: float, pool=None) -> OutageEstimate:
     if cfg.workers == 1 or len(args) == 1:
         counts = [_count_block(*a) for a in args]
     else:
+        # a pool forks all its workers at the first submit: at most one per CPU
         with (contextlib.nullcontext(pool) if pool is not None
-              else ProcessPoolExecutor(max_workers=cfg.workers)) as executor:
+              else ProcessPoolExecutor(
+                  max_workers=min(cfg.workers, os.cpu_count() or 1))) as executor:
             counts = list(executor.map(_count_block, *zip(*args), chunksize=8))
     total = int(sum(counts))
     lo, hi = wilson_interval(total, cfg.trials)
@@ -250,7 +253,7 @@ def run_simulation(cfg: SimConfig) -> list[OutageEstimate]:
     """Estimates at every grid point; a multi-worker run shares one process pool."""
     if cfg.workers == 1 or cfg.trials <= BLOCK_TRIALS:
         return [estimate_outage(cfg, snr_db) for snr_db in cfg.snr_grid_db]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
         return [estimate_outage(cfg, snr_db, pool) for snr_db in cfg.snr_grid_db]
 
 

@@ -182,28 +182,29 @@ def load_correlation_matrix(path) -> CorrelationMatrix:
     return _validated_correlation(mat, "explicit", unit_diagonal=False)
 
 
-def wishart_sample(m: int, n: int, sigma: CorrelationMatrix, rng: np.random.Generator) -> EigenvalueVector:
-    """Eigenvalues of W = H H^dagger with H m x n, columns CN(0, sigma)."""
+def wishart_sample(m: int, n: int, sigma: CorrelationMatrix, trials: int,
+                   rng: np.random.Generator) -> EigenvalueVector:
+    """Eigenvalues of W = H H^dagger for trials draws of H, m x n with columns
+    CN(0, sigma), all drawn by one complex_gaussian call: shape (trials, m)."""
     if sigma.dim != m:
         raise ValueError(f"sigma is {sigma.dim}x{sigma.dim}, expected {m}x{m}")
-    h = sigma.sqrt @ complex_gaussian((m, n), rng)
-    w = h @ h.conj().T
-    return EigenvalueVector(np.linalg.eigvalsh(w))
-
-
-def _min_gap(desc: np.ndarray) -> float:
-    """Smallest gap between neighbours of a descending array (inf below two values)."""
-    return float(np.min(desc[:-1] - desc[1:])) if desc.size >= 2 else float("inf")
+    h = complex_gaussian((trials, m, n), rng)
+    if sigma.kind != "identity":
+        h = sigma.sqrt @ h
+    return EigenvalueVector(np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2)))
 
 
 def _prep(name: str, vals) -> np.ndarray:
-    arr = np.sort(np.asarray(vals, dtype=float))[::-1]
+    """vals sorted descending along the last axis, each vector positive, finite and untied."""
+    arr = np.asarray(vals, dtype=float)
     if arr.size == 0 or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be positive and finite, got {vals}")
-    gap = _min_gap(arr)
-    if gap <= TIE_TOL * max(float(arr[0]), 1.0):
+    arr = np.sort(arr, axis=-1)[..., ::-1]
+    gap = arr[..., :-1] - arr[..., 1:]
+    tied = gap <= TIE_TOL * np.maximum(arr[..., :1], 1.0)
+    if np.any(tied):
         raise DegenerateEigenvaluesError(
-            f"{name} eigenvalues nearly tied (min gap {gap:.3e}); density is singular there"
+            f"{name} eigenvalues nearly tied (min gap {gap[tied].min():.3e}); density is singular there"
         )
     return arr
 
@@ -231,8 +232,8 @@ def xi_matrix(mu, lam, exp=np.exp) -> list:
             for x in mu]
 
 
-def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int | None = None) -> float:
-    """Log of the ordered-eigenvalue density, constants dropped.
+def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int | None = None):
+    """Log of the ordered-eigenvalue density, constants dropped: a float.
 
     kind selects the regime:
 
@@ -240,6 +241,7 @@ def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int
       eigenvalues of Sigma, lam the m eigenvalues of W; pass n.
     * "n_lt_m": n < m; mu has m entries, lam has n.
     * "identity": Sigma = I; pass both m and n, lam has min(m, n) entries.
+      lam may also be a stack (..., min(m, n)), giving an array of shape (...).
     * "rank_deficient": Sigma with l positive eigenvalues (mu) and the rest
       zero, l >= len(lam); the zero eigenvalues drop out of the shape.
 
@@ -259,12 +261,16 @@ def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int
         if m is None or n is None:
             raise ValueError("identity kind needs both m and n")
         q = min(m, n)
-        if lam.size != q:
-            raise ValueError(f"expected {q} eigenvalues, got {lam.size}")
-        return float(-np.sum(lam) + abs(m - n) * np.sum(np.log(lam)) + 2.0 * _log_vandermonde(lam))
+        if lam.shape[-1] != q:
+            raise ValueError(f"expected {q} eigenvalues, got {lam.shape[-1]}")
+        logp = (-np.sum(lam, axis=-1) + abs(m - n) * np.sum(np.log(lam), axis=-1)
+                + 2.0 * _log_vandermonde(np.moveaxis(lam, -1, 0)))
+        return float(logp) if lam.ndim == 1 else logp
 
     lam = _prep("lam", lam)
     mu = _prep("mu", mu)
+    if lam.ndim != 1 or mu.ndim != 1:
+        raise ValueError(f"the {kind} density takes one vector of lam and one of mu, not stacks")
 
     if kind == "full_rank_n_ge_m":
         mm = mu.size
@@ -323,20 +329,17 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
     q = min(m, n)
     if q not in (1, 2):
         raise ValueError(f"goodness-of-fit check supports min(m, n) in {{1, 2}}, got {q}")
-    h = complex_gaussian((trials, m, n), rng)
-    w = h @ np.conj(np.swapaxes(h, 1, 2))
-    eig = np.linalg.eigvalsh(w)[:, ::-1][:, :q]  # descending, top q
+    eig = wishart_sample(m, n, identity_correlation(m), trials, rng).values[:, :q]
 
     if q == 1:
         lam = eig[:, 0]
         top = float(np.quantile(lam, 0.999)) * 1.2
         grid = np.linspace(top / 4000.0, top, 4000)
-        logpdf = -grid + abs(m - n) * np.log(grid)  # the "identity" log density at q = 1
+        logpdf = log_density_unnormalized("identity", None, grid[:, None], m=m, n=n)
         pdf = np.exp(logpdf - logpdf.max())
         weights = pdf * np.gradient(grid)
         edges = _equal_mass_edges(grid, weights, bins)
-        inside = lam[(lam >= grid[0]) & (lam <= top)]
-        observed, _ = np.histogram(inside, bins=edges)
+        observed, _ = np.histogram(lam, bins=edges)
         cell_prob = weights / weights.sum()
         bin_idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, bins - 1)
         expected_p = np.bincount(bin_idx, weights=cell_prob, minlength=bins)
@@ -348,12 +351,8 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         mask = x1 > x2
         logs = np.full((g, g), -np.inf)
-        diff = np.where(mask, x1 - x2, 1.0)
-        logs[mask] = (
-            -(x1 + x2)[mask]
-            + abs(m - n) * (np.log(x1) + np.log(x2))[mask]
-            + 2.0 * np.log(diff)[mask]
-        )
+        logs[mask] = log_density_unnormalized("identity", None, np.stack((x1[mask], x2[mask]), -1),
+                                              m=m, n=n)
         cell = np.exp(logs - logs[mask].max())
         nb = 8
         edges = np.linspace(0.0, top, nb + 1)
@@ -365,11 +364,9 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
         i1 = np.clip(np.searchsorted(edges, lam1[keep], side="right") - 1, 0, nb - 1)
         i2 = np.clip(np.searchsorted(edges, lam2[keep], side="right") - 1, 0, nb - 1)
         observed = np.bincount(i1 * nb + i2, minlength=nb * nb).astype(float)
-        inside = lam1[keep]
 
     expected_p = expected_p / expected_p.sum()
-    n_in = float(len(inside)) if q == 1 else float(observed.sum())
-    expected = expected_p * n_in
+    expected = expected_p * float(observed.sum())
 
     # pool sparse bins so the chi-square approximation is valid
     order = np.argsort(expected)

@@ -322,6 +322,22 @@ class TestLemma1:
         fit = lv.check_lemma1_exponent(ep, digits=60)
         assert fit.residual <= 0.05
 
+    def test_every_point_goes_through_the_module_determinant(self, monkeypatch):
+        # the benchmark traces lemma_verify._guarded_logabsdet by rebinding it
+        calls = []
+        det = lv._guarded_logabsdet
+
+        def counted(mat, digits):
+            calls.append(digits)
+            return det(mat, digits)
+
+        monkeypatch.setattr(lv, "_guarded_logabsdet", counted)
+        lv.check_lemma1_exponent(lv.LEMMA1_CASES["l2-standard"], digits=40)
+        dims, beta, alpha = lv.LEMMA2_CASES["m3n2l3"]
+        lv.check_lemma2_exponent(beta, alpha, dims, digits=50)
+        grid = len(lv._DEFAULT_SNR_GRID)
+        assert calls == [40] * grid + [50] * grid
+
     def test_grid_contract(self):
         ep = lv.ExponentPair(alpha=(0.5,), beta=(0.2,))
         with pytest.raises(ValueError, match="8 decades"):

@@ -239,6 +239,7 @@ class TestEstimateOutage:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(osim, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(osim.os, "cpu_count", lambda: 4)  # the pool size is min(workers, CPUs)
         spec = correlated_spec((2, 2, 2), 0.7)
         counts = {}
         for workers in (1, 2):
@@ -247,6 +248,36 @@ class TestEstimateOutage:
             counts[workers] = [e.outage_count for e in osim.run_simulation(cfg)]
         assert counts[1] == counts[2]
         assert created == [{"max_workers": 2}]
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # an in-process stand-in: a real pool would fork every worker it is asked for
+        created = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(osim, "ProcessPoolExecutor", InlinePool)
+        base = dict(spec=spec_111(), snr_grid_db=(10.0, 15.0), r=0.5,
+                    trials=2 * osim.BLOCK_TRIALS + 7, seed=5)
+        want = [e.outage_count for e in osim.run_simulation(osim.SimConfig(workers=1, **base))]
+        assert created == []
+        for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (None, 5000, 1)):
+            monkeypatch.setattr(osim.os, "cpu_count", lambda: cpus)
+            cfg = osim.SimConfig(workers=workers, **base)
+            created.clear()
+            assert [e.outage_count for e in osim.run_simulation(cfg)] == want
+            assert osim.estimate_outage(cfg, 15.0).outage_count == want[1]
+            assert created == [size, size]  # run_simulation's pool, then estimate_outage's own
 
     def test_monotone_in_snr_within_ci(self):
         # fixed multiplexing gain on the acceptance-style grid (>= 10 dB);

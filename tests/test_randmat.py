@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from gof_reference import reference_density_gof_identity
 from scipy import stats
 
 from dsdmt import randmat as rm
@@ -111,32 +112,44 @@ class TestWishartSample:
     def test_scalar_is_unit_exponential(self):
         rng = rm.stream(5, 0)
         sigma = rm.identity_correlation(1)
-        vals = np.array([rm.wishart_sample(1, 1, sigma, rng).values[0] for _ in range(100000)])
+        vals = rm.wishart_sample(1, 1, sigma, 100000, rng).values[:, 0]
         assert abs(vals.mean() - 1.0) < 0.02
         # exponential shape via KS against the exact CDF
         assert stats.kstest(vals, "expon").pvalue > 0.001
 
     def test_rank_bound(self):
         rng = rm.stream(6, 0)
-        ev = rm.wishart_sample(2, 1, rm.identity_correlation(2), rng)
+        ev = rm.wishart_sample(2, 1, rm.identity_correlation(2), 1000, rng)
         assert len(ev) == 2
-        nonzero = np.sum(ev.values > 1e-10 * ev.values[0])
-        assert nonzero == 1
+        nonzero = np.sum(ev.values > 1e-10 * ev.values[:, :1], axis=-1)
+        assert np.all(nonzero == 1)
 
     def test_trace_mean(self):
         sigma = rm.exponential_correlation(3, 0.4)
         rng = rm.stream(7, 0)
-        total = np.mean([
-            rm.wishart_sample(3, 2, sigma, rng).values.sum() for _ in range(20000)
-        ])
+        total = rm.wishart_sample(3, 2, sigma, 20000, rng).values.sum(axis=-1).mean()
         expected = 2 * np.trace(sigma.matrix).real
         assert abs(total - expected) < 0.06 * expected
 
     def test_rank_deficiency_exhaustive_shapes(self):
         rng = rm.stream(8, 0)
         for m, n in [(3, 1), (3, 2), (4, 2)]:
-            ev = rm.wishart_sample(m, n, rm.identity_correlation(m), rng)
-            assert np.sum(ev.values > 1e-10 * ev.values[0]) == n
+            ev = rm.wishart_sample(m, n, rm.identity_correlation(m), 1000, rng)
+            assert np.all(np.sum(ev.values > 1e-10 * ev.values[:, :1], axis=-1) == n)
+
+    @pytest.mark.parametrize("sigma", [rm.identity_correlation(3), rm.exponential_correlation(3, 0.6)])
+    def test_stack_is_one_draw_of_every_h(self, sigma):
+        # one complex_gaussian stack; a non-identity sigma is multiplied in per trial
+        ev = rm.wishart_sample(3, 2, sigma, 50, rm.stream(9, 2))
+        h = rm.complex_gaussian((50, 3, 2), rm.stream(9, 2))
+        want = [np.sort(np.linalg.eigvalsh((sigma.sqrt @ x) @ (sigma.sqrt @ x).conj().T))[::-1]
+                for x in h]
+        assert ev.values.shape == (50, 3)
+        assert np.allclose(ev.values, np.clip(want, 0.0, None), rtol=1e-12, atol=1e-12)
+
+    def test_sigma_must_match_m(self):
+        with pytest.raises(ValueError, match="expected 3x3"):
+            rm.wishart_sample(3, 2, rm.identity_correlation(2), 10, rm.stream(9, 3))
 
 
 class TestEigenvalueVector:
@@ -211,6 +224,36 @@ class TestDensities:
         with pytest.raises(rm.DegenerateEigenvaluesError):
             rm.log_density_unnormalized("n_lt_m", [2.0, 2.0 + 1e-11, 1.0], [0.5])
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2)])
+    def test_identity_stack_is_the_scalar_calls(self, m, n):
+        q = min(m, n)
+        lam = rm.stream(14, (m, n)).uniform(0.01, 30.0, (4, 25, q))
+        got = rm.log_density_unnormalized("identity", None, lam, m=m, n=n)
+        assert got.shape == (4, 25)
+        want = [[rm.log_density_unnormalized("identity", None, v, m=m, n=n) for v in row]
+                for row in lam]
+        assert got.tolist() == want  # bit equality, vector by vector
+
+    @pytest.mark.parametrize("bad,error", [
+        ([3.0, 3.0 + 1e-12], rm.DegenerateEigenvaluesError),
+        ([3.0, 0.0], ValueError),
+        ([np.nan, 1.0], ValueError),
+    ])
+    def test_identity_stack_rejects_one_bad_vector(self, bad, error):
+        lam = np.array([[2.0, 1.0], [5.0, 0.5], bad, [4.0, 3.0]])
+        with pytest.raises(error):
+            rm.log_density_unnormalized("identity", None, lam, m=2, n=2)
+        assert np.all(np.isfinite(
+            rm.log_density_unnormalized("identity", None, lam[[0, 1, 3]], m=2, n=2)))
+
+    def test_other_regimes_reject_stacks(self):
+        with pytest.raises(ValueError, match="not stacks"):
+            rm.log_density_unnormalized("full_rank_n_ge_m", [2.0, 1.0], [[2.0, 1.0], [3.0, 1.0]], n=2)
+        with pytest.raises(ValueError, match="not stacks"):
+            rm.log_density_unnormalized("n_lt_m", [[3.0, 2.0, 1.0]], [0.5])
+        with pytest.raises(ValueError, match="not stacks"):
+            rm.log_density_unnormalized("rank_deficient", [3.0, 1.7], [[2.2], [1.1]])
+
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="unknown density kind"):
             rm.log_density_unnormalized("bogus", None, [1.0])
@@ -261,12 +304,13 @@ class TestUnitaryInvariance:
 
 
 class TestDensityGof:
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (3, 1)])
-    def test_q1_grid_is_the_identity_density(self, m, n):
-        # the q = 1 fit evaluates -x + |m - n| log x over its grid in one expression
-        grid = np.linspace(0.01, 30.0, 500)
-        scalar = [rm.log_density_unnormalized("identity", None, [x], m=m, n=n) for x in grid]
-        assert np.allclose(-grid + abs(m - n) * np.log(grid), scalar, rtol=1e-14, atol=1e-14)
+    @pytest.mark.parametrize("trials", [50, 2000])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (1, 2), (3, 1), (2, 3)])
+    def test_matches_the_inline_reference(self, m, n, trials):
+        for seed in (1, 2, 3):
+            got = rm.density_gof_identity(m, n, trials, rm.stream(seed, (50, m, n)))
+            want = reference_density_gof_identity(m, n, trials, rm.stream(seed, (50, m, n)))
+            assert repr(got) == repr(want)  # float repr round-trips: bit equality, NaN included
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2)])
     def test_small_smoke(self, m, n):
