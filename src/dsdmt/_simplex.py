@@ -10,6 +10,12 @@ kept > 0, and the cost row ends in its own scale.  Pivots are fraction-free
 (after Bareiss, Math. Comp. 22, 1968): a row with f = row[pc] != 0 becomes
 p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
 tableau would, so the pivots, the optimum and x are the ones it would give.
+
+:func:`solve_min_path` re-solves as b_k moves through a list of values: a
+move by delta adds delta times the slack-k column to the rhs of every row and
+of the cost row, and leaves the reduced costs >= 0 (Murty, *Linear Programming*,
+1983, on parametric programming).  Raising b_k of a <= row keeps the LP
+feasible and bounded, so the dual simplex pivots always end optimal there.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["Infeasible", "Unbounded", "solve_min"]
+__all__ = ["Infeasible", "Unbounded", "solve_min", "solve_min_path"]
 
 
 class Infeasible(Exception):
@@ -52,7 +58,7 @@ def _pivot(rows, cost, basis, pr, pc):
     """Pivot the tableau on (row pr, column pc), updating the cost row."""
     prow = rows[pr]
     p = prow[pc]
-    if p < 0:  # only when phase 1 drives out an artificial
+    if p < 0:  # when phase 1 drives out an artificial, and on every dual pivot
         rows[pr] = prow = [-v for v in prow]
         p = -p
     hot = [j for j, v in enumerate(prow) if v]
@@ -84,13 +90,8 @@ def _iterate(rows, cost, basis, ncols):
         _pivot(rows, cost, basis, pr, pc)
 
 
-def solve_min(c, a_ub, b_ub):
-    """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
-
-    Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
-    with x a list of Fractions.  Raises :class:`Infeasible` /
-    :class:`Unbounded` accordingly.
-    """
+def _optimal_tableau(c, a_ub, b_ub):
+    """(rows, cost, basis) at the optimum; the columns are x, then the slacks."""
     nvar = len(c)
     m = len(a_ub)
     c = [_exact(v) for v in c]
@@ -126,16 +127,11 @@ def solve_min(c, a_ub, b_ub):
         _iterate(rows, cost, basis, ncols)
         if cost[-2] != 0:
             raise Infeasible(f"phase-1 optimum {Fraction(-cost[-2], cost[-1])} > 0")
-        # Drive leftover artificials out of the basis; a row with no usable
-        # pivot entry is redundant and dropped.
+        # Drive leftover artificials out of the basis.  The slack block of the
+        # tableau is B^-1 times a signed identity, so no row of it is zero.
         for i in reversed(range(len(rows))):
             if basis[i] >= nvar + m:
-                pc = next((j for j in range(nvar + m) if rows[i][j] != 0), None)
-                if pc is None:
-                    del rows[i]
-                    del basis[i]
-                else:
-                    _pivot(rows, cost, basis, i, pc)
+                _pivot(rows, cost, basis, i, next(j for j in range(nvar + m) if rows[i][j]))
         rows = [row[: nvar + m] + row[-1:] for row in rows]
         ncols = nvar + m
 
@@ -146,9 +142,44 @@ def solve_min(c, a_ub, b_ub):
         if cost[basis[i]]:
             cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
     _iterate(rows, cost, basis, ncols)
+    return rows, cost, basis
 
-    x = [Fraction(0)] * nvar
+
+def solve_min(c, a_ub, b_ub):
+    """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
+
+    Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
+    with x a list of Fractions.  Raises :class:`Infeasible` /
+    :class:`Unbounded` accordingly.
+    """
+    rows, cost, basis = _optimal_tableau(c, a_ub, b_ub)
+    x = [Fraction(0)] * len(c)
     for i, b in enumerate(basis):
-        if b < nvar:
+        if b < len(c):
             x[b] = Fraction(rows[i][-1], rows[i][b])
     return Fraction(-cost[-2], cost[-1]), x
+
+
+def solve_min_path(c, a_ub, b_ub, k, values):
+    """The optimal values of solve_min(c, a_ub, b_ub) with b_ub[k] set to each of values in
+    turn, by one cold solve and then dual pivots; raises what solve_min would raise first."""
+    rows, cost, basis = _optimal_tableau(c, a_ub, [*b_ub[:k], values[0], *b_ub[k + 1 :]])
+    ncols, slack = len(c) + len(a_ub), len(c) + k
+    out = [Fraction(-cost[-2], cost[-1])]
+    for p, q in ((b - a).as_integer_ratio() for a, b in zip(values, values[1:])):
+        for tab in (*rows, cost):  # q*tab + p*tab[slack] in the rhs slot, column ncols
+            if tab[slack]:
+                tab[:] = _combine(tab, q, -p * tab[slack], {ncols: 1}, (ncols,))
+        # Dual Bland: the negative-rhs row of smallest basic index leaves, and the
+        # column of least cost[j] / |a_j| over a_j < 0 enters, the lowest j on ties.
+        while neg := [i for i, row in enumerate(rows) if row[-1] < 0]:
+            prow = rows[pr := min(neg, key=basis.__getitem__)]
+            pc = None
+            for j, a in enumerate(prow[:ncols]):
+                if a < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
+                    pc = j
+            if pc is None:
+                raise Infeasible(f"row {pr} has a negative right-hand side and no negative entry")
+            _pivot(rows, cost, basis, pr, pc)
+        out.append(Fraction(-cost[-2], cost[-1]))
+    return out

@@ -38,7 +38,8 @@ from .dmt_core import (
     max_diversity,
     order_triple,
 )
-from .exponent_solver import dmt_via_greedy, dmt_via_lp
+# dmt_via_lp is unused here but stays bound: perfbench cuts and traces cli.dmt_via_lp
+from .exponent_solver import dmt_via_greedy, dmt_via_lp, dmt_via_lp_path  # noqa: F401
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 3
@@ -235,19 +236,18 @@ def cmd_curve(args, argv) -> int:
 def run_crosscheck(max_dim: int, fractional: bool,
                    closed_form=None, lp=None, greedy=None) -> dict:
     """Sweep all triples with components <= max_dim; the three routes must
-    agree exactly.  The route callables are injectable for fault-testing."""
+    agree exactly.  The route callables are injectable for fault-testing;
+    lp(m, n, l, rs) gives the LP values at all of a triple's rs at once."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
-    lp = lp or dmt_via_lp
+    lp = lp or dmt_via_lp_path
     greedy = greedy or dmt_via_greedy
     step = Fraction(1, 4) if fractional else Fraction(1)
     cases = 0
     mismatches = []
     for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
-        r = Fraction(0)
-        top = min(m, n, l)
-        while r <= top:
+        rs = [k * step for k in range(int(min(m, n, l) / step) + 1)]
+        for r, b in zip(rs, lp(m, n, l, rs), strict=True):
             a = closed_form((m, n, l), r)
-            b = lp(m, n, l, r)
             c = greedy(m, n, l, r)
             cases += 1
             if not (a == b == c):
@@ -255,7 +255,6 @@ def run_crosscheck(max_dim: int, fractional: bool,
                     "m": m, "n": n, "l": l, "r": str(r),
                     "closed_form": str(a), "lp": str(b), "greedy": str(c),
                 })
-            r += step
     return {"max_dim": max_dim, "fractional": fractional,
             "cases": cases, "mismatches": mismatches}
 

@@ -199,7 +199,8 @@ def _prep(name: str, vals) -> np.ndarray:
     arr = np.asarray(vals, dtype=float)
     if arr.size == 0 or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be positive and finite, got {vals}")
-    arr = np.sort(arr, axis=-1)[..., ::-1]
+    if not np.all(arr[..., :-1] >= arr[..., 1:]):  # the fit's grids come sorted
+        arr = np.sort(arr, axis=-1)[..., ::-1]
     gap = arr[..., :-1] - arr[..., 1:]
     tied = gap <= TIE_TOL * np.maximum(arr[..., :1], 1.0)
     if np.any(tied):

@@ -254,6 +254,16 @@ def test_supplementary_asymptotic_emergence():
            f"(1,1,1)@25-50dB slope={fit1.slope:.3f}, (2,2,2)@25-45dB slope={fit2.slope:.3f}")
 
 
+def test_supplementary_triple_route_agreement_dims_8():
+    """Criterion 1 on all triples <= 8, quarter r: 5696 cases, under 5 s."""
+    t0 = time.time()
+    sweep = cli.run_crosscheck(max_dim=8, fractional=True)
+    elapsed = time.time() - t0
+    detail = f"{sweep['cases']} cases, {len(sweep['mismatches'])} mismatches, {elapsed:.1f}s"
+    report("supplementary: closed form = LP = greedy (dims <= 8, quarter r)",
+           sweep["cases"] == 5696 and not sweep["mismatches"] and elapsed < 5.0, detail)
+
+
 def test_supplementary_monotonicity_on_acceptance_grids():
     """p_out non-increasing in SNR (within CI) on the criterion-7 runs."""
     ok = True

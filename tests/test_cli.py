@@ -82,6 +82,25 @@ class TestCrosscheck:
         assert code == 3
         assert "counterexample" in err.err
 
+    def test_injected_lp_fault_exits_3(self, tmp_path, monkeypatch, capsys):
+        # an LP path that is wrong at r = 1/2 of (2,1,2) only
+        from fractions import Fraction
+
+        def faulty_lp(m, n, l, rs):
+            values = cli.dmt_via_lp_path(m, n, l, rs)
+            return [v + 1 if (m, n, l, r) == (2, 1, 2, Fraction(1, 2)) else v
+                    for r, v in zip(rs, values)]
+
+        report = cli.run_crosscheck(2, True, lp=faulty_lp)
+        assert [(d["m"], d["n"], d["l"], d["r"]) for d in report["mismatches"]] == [
+            (2, 1, 2, "1/2")]
+        assert (report["mismatches"][0]["closed_form"], report["mismatches"][0]["lp"]) == ("1", "2")
+        original = cli.run_crosscheck
+        monkeypatch.setattr(cli, "run_crosscheck",
+                            lambda max_dim, fractional: original(max_dim, fractional, lp=faulty_lp))
+        assert run_cli(["crosscheck", "--max-dim", "2", "--fractional"], tmp_path, monkeypatch) == 3
+        assert "'r': '1/2'" in capsys.readouterr().err
+
     def test_bad_dim_usage_error(self, tmp_path, monkeypatch, capsys):
         assert run_cli(["crosscheck", "--max-dim", "0"], tmp_path, monkeypatch) == 2
         capsys.readouterr()

@@ -234,6 +234,15 @@ class TestDensities:
                 for row in lam]
         assert got.tolist() == want  # bit equality, vector by vector
 
+    def test_prep_sorts_only_what_is_unsorted(self):
+        lam = [[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 5.0, 4.0]]
+        want = [[3.0, 2.0, 1.0], [3.0, 2.0, 1.0], [6.0, 5.0, 4.0]]
+        assert rm._prep("lam", lam).tolist() == want
+        assert rm._prep("lam", lam[::2]).tolist() == want[::2]
+        assert rm._prep("lam", lam[0]).tolist() == want[0]
+        assert rm._prep("lam", lam[2]).tolist() == want[2]
+        assert rm._prep("lam", want).tolist() == want
+
     @pytest.mark.parametrize("bad,error", [
         ([3.0, 3.0 + 1e-12], rm.DegenerateEigenvaluesError),
         ([3.0, 0.0], ValueError),

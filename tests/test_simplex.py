@@ -1,6 +1,9 @@
 """The internal exact simplex against hand LPs, scipy, a cycling classic, and
-the Fraction tableau it replaced (``fraction_simplex``), pivot for pivot."""
+the Fraction tableau it replaced (``fraction_simplex``), pivot for pivot; its
+warm path against cold solves, dual pivot by dual pivot."""
 
+import contextlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dsdmt import _simplex, cli
+from dsdmt import _simplex, exponent_solver
 
 
 def test_simple_hand_lp():
@@ -130,6 +133,7 @@ def assert_same_as_oracle(lp):
 
 
 def test_crosscheck_lps_match_oracle(monkeypatch):
+    # the LP of every crosscheck case with dims <= 3 and quarter-step r
     lps = []
     solve = _simplex.solve_min
 
@@ -138,9 +142,11 @@ def test_crosscheck_lps_match_oracle(monkeypatch):
         return solve(c, a_ub, b_ub)
 
     monkeypatch.setattr(_simplex, "solve_min", recording)
-    report = cli.run_crosscheck(3, True)
+    for m, n, l in itertools.product(range(1, 4), repeat=3):
+        for k in range(4 * min(m, n, l) + 1):
+            exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4))
     monkeypatch.undo()
-    assert report["cases"] == len(lps) == 171 and not report["mismatches"]
+    assert len(lps) == 171
     for lp in lps:
         assert_same_as_oracle(lp)
 
@@ -220,3 +226,102 @@ def random_lps(draw):
 @given(random_lps())
 def test_random_lps_match_oracle(lp):
     assert_same_as_oracle(lp)
+
+
+# The warm path: one tableau, b_k moved by dual-simplex pivots.  Every dual
+# pivot is checked against the dual Bland rule recomputed in Fractions, and
+# every value against a cold solve.
+
+def _dual_bland(rows, cost, basis):
+    """(row, column) of the dual Bland rule: the negative right-hand side
+    with the smallest basic index leaves, and the column with the smallest
+    cost[j] / |a_j| over a_j < 0 enters, lowest j on ties."""
+    pr = min((i for i, row in enumerate(rows) if row[-1] < 0), key=basis.__getitem__)
+    ratios = {j: Fraction(cost[j], -a) for j, a in enumerate(rows[pr][:-1]) if a < 0}
+    return pr, min(ratios, key=lambda j: (ratios[j], j))
+
+
+@contextlib.contextmanager
+def dual_pivots_checked():
+    """Check every dual pivot made inside against _dual_bland; yields the
+    list of those pivots."""
+    pivot = _simplex._pivot
+    dual = []
+
+    def checked(rows, cost, basis, pr, pc):
+        if rows[pr][-1] < 0:  # primal pivots keep every right-hand side >= 0
+            assert (pr, pc) == _dual_bland(rows, cost, basis)
+            dual.append((pr, pc))
+        pivot(rows, cost, basis, pr, pc)
+
+    _simplex._pivot = checked
+    try:
+        yield dual
+    finally:
+        _simplex._pivot = pivot
+
+
+def _cold(c, a_ub, b_ub, k, value):
+    """solve_min's value with b_ub[k] = value, or the type of what it raises."""
+    b_ub = [value if i == k else v for i, v in enumerate(b_ub)]
+    try:
+        return _simplex.solve_min(c, a_ub, b_ub)[0]
+    except (_simplex.Infeasible, _simplex.Unbounded) as exc:
+        return type(exc)
+
+
+def test_path_hand_lp():
+    # min -x - 2y  s.t. x + y <= b, y <= 1: -2 - (b - 1) for b >= 1, -2b below
+    lp = ([-1, -2], [[1, 1], [0, 1]], [None, 1], 0)
+    with dual_pivots_checked() as dual:
+        values = _simplex.solve_min_path(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0])
+    assert values == [-4, -1, -2, Fraction(-10, 3), 0]
+    assert len(dual) == 3  # every move but 1/2 -> 1 leaves the optimal basis
+    with pytest.raises(_simplex.Infeasible):
+        _simplex.solve_min_path(*lp, [1, -1])
+
+
+@st.composite
+def lp_paths(draw):
+    """Small LPs, a row k and 2-10 distinct quarter-step values for b_k in any
+    order.  Most draws end in a cap on the sum of x and move that cap, so the
+    optimum varies with it; some are unbounded or turn infeasible."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    c = draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    if draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    if draw(st.integers(0, 4)):  # the cap, as row k
+        a.append([1] * n)
+        b.append(None)
+    k = len(a) - 1 if b[-1] is None else draw(st.integers(0, len(a) - 1))
+    values = draw(st.lists(st.integers(-4, 24), min_size=2, max_size=10, unique=True))
+    return c, a, b, k, [Fraction(v, 4) for v in values]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(lp_paths())
+def test_path_matches_cold_solves(lp):
+    cold = [_cold(*lp[:4], v) for v in lp[4]]
+    first_raise = next((i for i, v in enumerate(cold) if isinstance(v, type)), None)
+    with dual_pivots_checked():
+        if first_raise is None:
+            assert _simplex.solve_min_path(*lp) == cold
+        else:
+            with pytest.raises(cold[first_raise]):
+                _simplex.solve_min_path(*lp)
+
+
+def test_exponent_lp_paths_match_cold_solves():
+    # every crosscheck case with dims <= 5 and quarter-step r: 125 paths
+    # against 1025 cold solves, with the paths' dual pivots checked
+    triples = list(itertools.product(range(1, 6), repeat=3))
+    steps = {t: [Fraction(k, 4) for k in range(4 * min(t) + 1)] for t in triples}
+    with dual_pivots_checked() as dual:
+        paths = {t: exponent_solver.dmt_via_lp_path(*t, steps[t]) for t in triples}
+    assert dual
+    for t in triples:
+        assert paths[t] == [exponent_solver.dmt_via_lp(*t, r) for r in steps[t]], t
