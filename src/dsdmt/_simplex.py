@@ -11,11 +11,11 @@ kept > 0, and the cost row ends in its own scale.  Pivots are fraction-free
 p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
 tableau would, so the pivots, the optimum and x are the ones it would give.
 
-:func:`solve_min_path` re-solves as b_k moves through a list of values: a
-move by delta adds delta times the slack-k column to the rhs of every row and
-of the cost row, and leaves the reduced costs >= 0 (Murty, *Linear Programming*,
-1983, on parametric programming).  Raising b_k of a <= row keeps the LP
-feasible and bounded, so the dual simplex pivots always end optimal there.
+A warm dict carries the optimal tableau of one call on to the next with the
+same c and a_ub.  A move of b_i by delta adds delta times the slack-i column to
+the rhs of every row and of the cost row and leaves the reduced costs >= 0, so
+dual-simplex pivots end optimal or find the LP infeasible; they end optimal when
+b_i only rises (Murty, *Linear Programming*, 1983, on parametric programming).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["Infeasible", "Unbounded", "solve_min", "solve_min_path"]
+__all__ = ["Infeasible", "Unbounded", "solve_min"]
 
 
 class Infeasible(Exception):
@@ -131,7 +131,8 @@ def _optimal_tableau(c, a_ub, b_ub):
         # tableau is B^-1 times a signed identity, so no row of it is zero.
         for i in reversed(range(len(rows))):
             if basis[i] >= nvar + m:
-                _pivot(rows, cost, basis, i, next(j for j in range(nvar + m) if rows[i][j]))
+                pc = next(j for j in range(nvar + m) if rows[i][j])
+                _pivot(rows, cost, basis, i, pc)
         rows = [row[: nvar + m] + row[-1:] for row in rows]
         ncols = nvar + m
 
@@ -145,41 +146,61 @@ def _optimal_tableau(c, a_ub, b_ub):
     return rows, cost, basis
 
 
-def solve_min(c, a_ub, b_ub):
+def _dual_iterate(rows, cost, basis, ncols):
+    """Run dual Bland pivots until no right-hand side is negative: the
+    negative-rhs row of smallest basic index leaves, and the column of least
+    cost[j] / |a_j| over a_j < 0 enters, the lowest j on ties."""
+    while neg := [i for i, row in enumerate(rows) if row[-1] < 0]:
+        pr = min(neg, key=basis.__getitem__)
+        prow = rows[pr]
+        pc = None
+        for j, a in enumerate(prow[:ncols]):
+            if a < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
+                pc = j
+        if pc is None:
+            raise Infeasible(f"row {pr} has a negative right-hand side and no negative entry")
+        _pivot(rows, cost, basis, pr, pc)
+
+
+def _warm_tableau(c, a_ub, b_ub, warm):
+    """_optimal_tableau, moved by dual pivots from the one warm holds if that has
+    the same c and a_ub; warm then holds this one, or nothing if this raises."""
+    lp = ([*c], [[*row] for row in a_ub])
+    b_ub = [_exact(b_ub[i]) for i in range(len(a_ub))]
+    last = warm.pop("last", None)
+    if last is None or last[0] != lp:
+        tableau = _optimal_tableau(c, a_ub, b_ub)
+    else:
+        _, old, tableau = last
+        rows, cost, basis = tableau
+        ncols = len(c) + len(a_ub)
+        for slack, (a, b) in enumerate(zip(old, b_ub), len(c)):
+            if a != b:
+                p, q = (b - a).as_integer_ratio()
+                for tab in (*rows, cost):  # q*tab, plus p*tab[slack] in the rhs slot
+                    if tab[slack]:
+                        tab[:] = _combine(tab, q, -p * tab[slack], {ncols: 1}, (ncols,))
+        _dual_iterate(rows, cost, basis, ncols)
+    warm["last"] = lp, b_ub, tableau
+    return tableau
+
+
+def solve_min(c, a_ub, b_ub, warm=None):
     """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
 
     Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
     with x a list of Fractions.  Raises :class:`Infeasible` /
     :class:`Unbounded` accordingly.
+
+    warm, if given, is a dict that keeps the optimal tableau for the next call
+    (see above); x may then be another optimal point than a cold solve's.
     """
-    rows, cost, basis = _optimal_tableau(c, a_ub, b_ub)
+    if warm is None:
+        rows, cost, basis = _optimal_tableau(c, a_ub, b_ub)
+    else:
+        rows, cost, basis = _warm_tableau(c, a_ub, b_ub, warm)
     x = [Fraction(0)] * len(c)
     for i, b in enumerate(basis):
         if b < len(c):
             x[b] = Fraction(rows[i][-1], rows[i][b])
     return Fraction(-cost[-2], cost[-1]), x
-
-
-def solve_min_path(c, a_ub, b_ub, k, values):
-    """The optimal values of solve_min(c, a_ub, b_ub) with b_ub[k] set to each of values in
-    turn, by one cold solve and then dual pivots; raises what solve_min would raise first."""
-    rows, cost, basis = _optimal_tableau(c, a_ub, [*b_ub[:k], values[0], *b_ub[k + 1 :]])
-    ncols, slack = len(c) + len(a_ub), len(c) + k
-    out = [Fraction(-cost[-2], cost[-1])]
-    for p, q in ((b - a).as_integer_ratio() for a, b in zip(values, values[1:])):
-        for tab in (*rows, cost):  # q*tab + p*tab[slack] in the rhs slot, column ncols
-            if tab[slack]:
-                tab[:] = _combine(tab, q, -p * tab[slack], {ncols: 1}, (ncols,))
-        # Dual Bland: the negative-rhs row of smallest basic index leaves, and the
-        # column of least cost[j] / |a_j| over a_j < 0 enters, the lowest j on ties.
-        while neg := [i for i, row in enumerate(rows) if row[-1] < 0]:
-            prow = rows[pr := min(neg, key=basis.__getitem__)]
-            pc = None
-            for j, a in enumerate(prow[:ncols]):
-                if a < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
-                    pc = j
-            if pc is None:
-                raise Infeasible(f"row {pr} has a negative right-hand side and no negative entry")
-            _pivot(rows, cost, basis, pr, pc)
-        out.append(Fraction(-cost[-2], cost[-1]))
-    return out

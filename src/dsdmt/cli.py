@@ -38,8 +38,7 @@ from .dmt_core import (
     max_diversity,
     order_triple,
 )
-# dmt_via_lp is unused here but stays bound: perfbench cuts and traces cli.dmt_via_lp
-from .exponent_solver import dmt_via_greedy, dmt_via_lp, dmt_via_lp_path  # noqa: F401
+from .exponent_solver import dmt_via_greedy, dmt_via_lp
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 3
@@ -237,17 +236,19 @@ def run_crosscheck(max_dim: int, fractional: bool,
                    closed_form=None, lp=None, greedy=None) -> dict:
     """Sweep all triples with components <= max_dim; the three routes must
     agree exactly.  The route callables are injectable for fault-testing;
-    lp(m, n, l, rs) gives the LP values at all of a triple's rs at once."""
+    lp(m, n, l, r, warm) gets one fresh warm dict per triple."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
-    lp = lp or dmt_via_lp_path
+    lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
     step = Fraction(1, 4) if fractional else Fraction(1)
     cases = 0
     mismatches = []
     for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
-        rs = [k * step for k in range(int(min(m, n, l) / step) + 1)]
-        for r, b in zip(rs, lp(m, n, l, rs), strict=True):
+        warm = {}  # the LP's optimal tableau, moved on from each r to the next
+        for k in range(int(min(m, n, l) / step) + 1):
+            r = k * step
             a = closed_form((m, n, l), r)
+            b = lp(m, n, l, r, warm)
             c = greedy(m, n, l, r)
             cases += 1
             if not (a == b == c):

@@ -52,7 +52,6 @@ __all__ = [
     "greedy_reduce",
     "minimize_threshold",
     "dmt_via_lp",
-    "dmt_via_lp_path",
     "dmt_via_greedy",
 ]
 
@@ -153,13 +152,16 @@ class LpSolution:
     beta: tuple[Fraction, ...]
 
 
-def _lp(p: ExponentProgram):
-    """(c, a_ub, b_ub, k) of the exponent program, row k being sum s_i <= r.
+def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
+    """Exact optimum of the exponent program; value equals d(r).
 
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
-    so minimization pins them to the plus parts.
+    so minimization pins them to the plus parts.  r is only the rhs of the row
+    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l.
     """
+    if p.r < 0:
+        raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
     pairs = sorted(p.plus_pairs)
     npair = len(pairs)
@@ -187,19 +189,16 @@ def _lp(p: ExponentProgram):
         add([(ofs_b + j, 1), (ofs_b + j + 1, -1)], 0)
     for i in range(p.couple_range):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
-    return c, rows, rhs, npair
 
-
-def solve_lp(p: ExponentProgram) -> LpSolution:
-    """Exact optimum of the exponent program; value equals d(r)."""
-    if p.r < 0:
-        raise ValueError(f"r must be nonnegative, got {p.r}")
-    c, rows, rhs, _ = _lp(p)
     try:
-        value, x = _simplex.solve_min(c, rows, rhs)
+        value, x = _simplex.solve_min(c, rows, rhs, warm)
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
-    return LpSolution(value, tuple(x[: p.alpha_dim]), tuple(x[p.alpha_dim : p.alpha_dim + p.beta_dim]))
+    return LpSolution(
+        value=value,
+        alpha=tuple(x[:na]),
+        beta=tuple(x[ofs_b : ofs_b + nb]),
+    )
 
 
 @dataclass(frozen=True)
@@ -270,16 +269,10 @@ def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
     return build_program(m, n, l, r)
 
 
-def dmt_via_lp(m: int, n: int, l: int, r) -> Fraction:
-    """d(r) by the exact linear program, for any role order of (m, n, l)."""
-    return solve_lp(_reciprocal_program(m, n, l, r)).value
-
-
-def dmt_via_lp_path(m: int, n: int, l: int, rs) -> list[Fraction]:
-    """d(r) at each r of rs by the exact linear program, on one warm tableau."""
-    rs = [Fraction(r) for r in rs]
-    lo, _ = (_reciprocal_program(m, n, l, r) for r in (min(rs), max(rs)))  # range-checks rs
-    return _simplex.solve_min_path(*_lp(lo), rs)  # r is the rhs of row k
+def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
+    """d(r) by the exact linear program, for any role order of (m, n, l);
+    warm as in :func:`solve_lp`."""
+    return solve_lp(_reciprocal_program(m, n, l, r), warm).value
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:

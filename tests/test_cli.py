@@ -83,13 +83,12 @@ class TestCrosscheck:
         assert "counterexample" in err.err
 
     def test_injected_lp_fault_exits_3(self, tmp_path, monkeypatch, capsys):
-        # an LP path that is wrong at r = 1/2 of (2,1,2) only
+        # an LP route that is wrong at r = 1/2 of (2,1,2) only
         from fractions import Fraction
 
-        def faulty_lp(m, n, l, rs):
-            values = cli.dmt_via_lp_path(m, n, l, rs)
-            return [v + 1 if (m, n, l, r) == (2, 1, 2, Fraction(1, 2)) else v
-                    for r, v in zip(rs, values)]
+        def faulty_lp(m, n, l, r, warm):
+            value = cli.dmt_via_lp(m, n, l, r, warm)
+            return value + 1 if (m, n, l, r) == (2, 1, 2, Fraction(1, 2)) else value
 
         report = cli.run_crosscheck(2, True, lp=faulty_lp)
         assert [(d["m"], d["n"], d["l"], d["r"]) for d in report["mismatches"]] == [

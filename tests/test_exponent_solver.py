@@ -19,7 +19,6 @@ from dsdmt.exponent_solver import (
     classify_case,
     dmt_via_greedy,
     dmt_via_lp,
-    dmt_via_lp_path,
     greedy_reduce,
     minimize_threshold,
     solve_lp,
@@ -204,12 +203,13 @@ class TestDmtViaLp:
         with pytest.raises(ValueError):
             dmt_via_lp(2, 2, 2, Fraction(-1, 4))
 
-    def test_path_checks_every_r(self):
-        assert dmt_via_lp_path(4, 2, 3, [1, "1/2", 0, 2]) == [
+    def test_warm_checks_every_r(self):
+        warm = {}
+        assert [dmt_via_lp(4, 2, 3, r, warm) for r in (1, "1/2", 0, 2)] == [
             dmt_via_lp(4, 2, 3, r) for r in (1, Fraction(1, 2), 0, 2)]
-        for rs in ([0, 3], [Fraction(-1, 4), 1]):
+        for r in (3, Fraction(-1, 4)):
             with pytest.raises(ValueError):
-                dmt_via_lp_path(2, 2, 2, rs)
+                dmt_via_lp(2, 2, 2, r, warm)
 
 
 class TestRouteAgreement:

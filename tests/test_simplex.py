@@ -1,6 +1,6 @@
 """The internal exact simplex against hand LPs, scipy, a cycling classic, and
 the Fraction tableau it replaced (``fraction_simplex``), pivot for pivot; its
-warm path against cold solves, dual pivot by dual pivot."""
+warm starts against cold solves, dual pivot by dual pivot."""
 
 import contextlib
 import itertools
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dsdmt import _simplex, exponent_solver
+from dsdmt import _simplex, cli, exponent_solver
 
 
 def test_simple_hand_lp():
@@ -133,20 +133,17 @@ def assert_same_as_oracle(lp):
 
 
 def test_crosscheck_lps_match_oracle(monkeypatch):
-    # the LP of every crosscheck case with dims <= 3 and quarter-step r
     lps = []
     solve = _simplex.solve_min
 
-    def recording(c, a_ub, b_ub):
+    def recording(c, a_ub, b_ub, warm=None):  # crosscheck's solves are warm
         lps.append((c, a_ub, b_ub))
-        return solve(c, a_ub, b_ub)
+        return solve(c, a_ub, b_ub, warm)
 
     monkeypatch.setattr(_simplex, "solve_min", recording)
-    for m, n, l in itertools.product(range(1, 4), repeat=3):
-        for k in range(4 * min(m, n, l) + 1):
-            exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4))
+    report = cli.run_crosscheck(3, True)
     monkeypatch.undo()
-    assert len(lps) == 171
+    assert report["cases"] == len(lps) == 171 and not report["mismatches"]
     for lp in lps:
         assert_same_as_oracle(lp)
 
@@ -228,9 +225,9 @@ def test_random_lps_match_oracle(lp):
     assert_same_as_oracle(lp)
 
 
-# The warm path: one tableau, b_k moved by dual-simplex pivots.  Every dual
-# pivot is checked against the dual Bland rule recomputed in Fractions, and
-# every value against a cold solve.
+# Warm starts: one tableau, b moved by dual-simplex pivots.  Every dual pivot
+# is checked against the dual Bland rule recomputed in Fractions, and every
+# value against a cold solve.
 
 def _dual_bland(rows, cost, basis):
     """(row, column) of the dual Bland rule: the negative right-hand side
@@ -261,24 +258,37 @@ def dual_pivots_checked():
         _simplex._pivot = pivot
 
 
-def _cold(c, a_ub, b_ub, k, value):
-    """solve_min's value with b_ub[k] = value, or the type of what it raises."""
-    b_ub = [value if i == k else v for i, v in enumerate(b_ub)]
-    try:
-        return _simplex.solve_min(c, a_ub, b_ub)[0]
-    except (_simplex.Infeasible, _simplex.Unbounded) as exc:
-        return type(exc)
+def _outcomes(c, a_ub, b_ub, k, values, warm=None):
+    """solve_min with b_ub[k] set to each of values in turn, on one warm dict
+    if warm is given: the optimal value, or the type of what it raises.  A warm
+    x must be optimal too."""
+    out = []
+    for v in values:
+        b = [v if i == k else bi for i, bi in enumerate(b_ub)]
+        try:
+            value, x = _simplex.solve_min(c, a_ub, b, warm)
+        except (_simplex.Infeasible, _simplex.Unbounded) as exc:
+            out.append(type(exc))
+            continue
+        assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x)) == value
+        assert all(sum(ai * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(a_ub, b))
+        out.append(value)
+    return out
 
 
-def test_path_hand_lp():
+def test_warm_hand_lp():
     # min -x - 2y  s.t. x + y <= b, y <= 1: -2 - (b - 1) for b >= 1, -2b below
     lp = ([-1, -2], [[1, 1], [0, 1]], [None, 1], 0)
+    warm = {}
     with dual_pivots_checked() as dual:
-        values = _simplex.solve_min_path(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0])
-    assert values == [-4, -1, -2, Fraction(-10, 3), 0]
+        values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0, -1], warm)
+    assert values == [-4, -1, -2, Fraction(-10, 3), 0, _simplex.Infeasible]
     assert len(dual) == 3  # every move but 1/2 -> 1 leaves the optimal basis
-    with pytest.raises(_simplex.Infeasible):
-        _simplex.solve_min_path(*lp, [1, -1])
+    assert warm == {}  # a raise leaves nothing to start from
+    assert _outcomes(*lp, [2], warm) == [-3]
+    # another LP in the same dict is solved cold, and replaces the first
+    assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm)[0] == 3
+    assert warm["last"][0] == ([1, 1], [[-1, -1]])
 
 
 @st.composite
@@ -304,24 +314,21 @@ def lp_paths(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(lp_paths())
-def test_path_matches_cold_solves(lp):
-    cold = [_cold(*lp[:4], v) for v in lp[4]]
-    first_raise = next((i for i, v in enumerate(cold) if isinstance(v, type)), None)
+def test_warm_matches_cold_solves(lp):
+    cold = _outcomes(*lp)
     with dual_pivots_checked():
-        if first_raise is None:
-            assert _simplex.solve_min_path(*lp) == cold
-        else:
-            with pytest.raises(cold[first_raise]):
-                _simplex.solve_min_path(*lp)
+        assert _outcomes(*lp, warm={}) == cold
 
 
-def test_exponent_lp_paths_match_cold_solves():
-    # every crosscheck case with dims <= 5 and quarter-step r: 125 paths
-    # against 1025 cold solves, with the paths' dual pivots checked
-    triples = list(itertools.product(range(1, 6), repeat=3))
-    steps = {t: [Fraction(k, 4) for k in range(4 * min(t) + 1)] for t in triples}
+def test_exponent_lps_warm_match_cold_solves():
+    # every crosscheck case with dims <= 5 and quarter-step r, each triple on
+    # one warm dict with r rising and falling, against 1025 cold solves
     with dual_pivots_checked() as dual:
-        paths = {t: exponent_solver.dmt_via_lp_path(*t, steps[t]) for t in triples}
+        for t in itertools.product(range(1, 6), repeat=3):
+            rs = [Fraction(k, 4) for k in range(4 * min(t) + 1)]
+            cold = [exponent_solver.dmt_via_lp(*t, r) for r in rs]
+            for order in (1, -1):
+                warm = {}
+                warm_values = [exponent_solver.dmt_via_lp(*t, r, warm) for r in rs[::order]]
+                assert warm_values == cold[::order], t
     assert dual
-    for t in triples:
-        assert paths[t] == [exponent_solver.dmt_via_lp(*t, r) for r in steps[t]], t
