@@ -25,7 +25,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import randmat
-from .randmat import _log_vandermonde, singular_values, xi_matrix
+from .randmat import _log_vandermonde, singular_values
 
 __all__ = [
     "PrecisionLossError",
@@ -252,6 +252,20 @@ def check_lemma1_exponent(ep: ExponentPair, snr_grid=None, digits: int = 60) -> 
     return _exponent_fit(
         snrs, lambda s: [[mp.exp(-(s ** (-(a - b)))) for a in ep.alpha] for b in ep.beta],
         lemma1_predicted_exponent(ep), digits)
+
+
+def xi_matrix(mu, lam, exp) -> list:
+    """The mixed power/exponential matrix driving the n < m density, as rows.
+
+    Rows follow mu; columns are mu^0 .. mu^(p-n-1) followed by
+    mu^(p-n-1) * exp(-lam_j / mu) for each of the n lambdas (p = len(mu)).
+    For p = n there are no pure power columns and the prefactor is 1/mu.
+    """
+    p, n = len(mu), len(lam)
+    if p < n:
+        raise ValueError(f"need len(mu) >= len(lam), got {p} < {n}")
+    return [[x**e for e in range(p - n)] + [x ** (p - n - 1) * exp(-y / x) for y in lam]
+            for x in mu]
 
 
 def _logabs_xi_over_vdm(mu, lam, digits: int):

@@ -23,7 +23,6 @@ the eigenvalues of G lose it in proportion to its square.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -221,22 +220,18 @@ def estimate_outage(cfg: SimConfig, snr_db: float, pool=None) -> OutageEstimate:
 
     The point must belong to cfg.snr_grid_db: the grid position keys the RNG
     streams, which is what makes counts reproducible and worker-invariant.
-    With several workers the blocks run on pool, or on a pool of this call's
-    own when pool is None.
+    The blocks run on pool when one is given, and in this process otherwise;
+    run_simulation builds the pool of a multi-worker run.
     """
     matches = [i for i, v in enumerate(cfg.snr_grid_db) if abs(v - snr_db) < 1e-9]
     if not matches:
         raise ValueError(f"snr {snr_db} dB is not on the configured grid {cfg.snr_grid_db}")
     snr_index = matches[0]
     args = list(_block_args(cfg, snr_db, snr_index))
-    if cfg.workers == 1 or len(args) == 1:
+    if pool is None:
         counts = [_count_block(*a) for a in args]
     else:
-        # a pool forks all its workers at the first submit: at most one per CPU
-        with (contextlib.nullcontext(pool) if pool is not None
-              else ProcessPoolExecutor(
-                  max_workers=min(cfg.workers, os.cpu_count() or 1))) as executor:
-            counts = list(executor.map(_count_block, *zip(*args), chunksize=8))
+        counts = list(pool.map(_count_block, *zip(*args), chunksize=8))
     total = int(sum(counts))
     lo, hi = wilson_interval(total, cfg.trials)
     return OutageEstimate(
@@ -253,6 +248,7 @@ def run_simulation(cfg: SimConfig) -> list[OutageEstimate]:
     """Estimates at every grid point; a multi-worker run shares one process pool."""
     if cfg.workers == 1 or cfg.trials <= BLOCK_TRIALS:
         return [estimate_outage(cfg, snr_db) for snr_db in cfg.snr_grid_db]
+    # a pool forks all its workers at the first submit: at most one per CPU
     with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
         return [estimate_outage(cfg, snr_db, pool) for snr_db in cfg.snr_grid_db]
 

@@ -1,10 +1,11 @@
-"""Complex Gaussian / Wishart sampling and the matching eigenvalue densities.
+"""Complex Gaussian / Wishart sampling and the Sigma = I eigenvalue density
+that the Wishart fit evaluates.
 
-Densities are evaluated without their normalization constants (those play no
-role in SNR exponents); shape comparisons against samples normalize
-numerically.  All sampling goes through counter-based Philox streams keyed
-by (seed, stream id), so Monte Carlo runs are reproducible and can be
-partitioned across workers without overlap.
+The density is evaluated without its normalization constant (which plays no
+role in SNR exponents); the fit against samples normalizes numerically.
+All sampling goes through counter-based Philox streams keyed by (seed,
+stream id), so Monte Carlo runs are reproducible and can be partitioned
+across workers without overlap.
 """
 
 from __future__ import annotations
@@ -25,18 +26,17 @@ __all__ = [
     "explicit_correlation",
     "load_correlation_matrix",
     "wishart_sample",
-    "log_density_unnormalized",
+    "log_density_identity",
     "singular_values",
     "density_gof_identity",
 ]
 
-DENSITY_KINDS = ("full_rank_n_ge_m", "n_lt_m", "identity", "rank_deficient")
 TIE_TOL = 1e-9
 
 
 class DegenerateEigenvaluesError(ValueError):
-    """Eigenvalue arguments too close to tied; the density formula divides
-    by their differences."""
+    """Eigenvalue arguments too close to tied; the log-density takes the
+    log of their differences."""
 
 
 def stream(seed: int, stream_id=0) -> np.random.Generator:
@@ -131,6 +131,8 @@ def _validated_correlation(mat: np.ndarray, kind: str, unit_diagonal: bool) -> C
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"correlation matrix must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):  # NaN slips through every comparison below
+        raise ValueError("correlation matrix has a non-finite entry")
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_err > 1e-12:
         raise ValueError(f"matrix is not Hermitian: max |A - A^H| = {herm_err:.3e}")
@@ -178,8 +180,7 @@ def load_correlation_matrix(path) -> CorrelationMatrix:
         if not _:
             raise ValueError(f"{path}: entry {tok!r} is not of the form re,im")
         vals.append(complex(float(re_s), float(im_s)))
-    mat = np.array(vals, dtype=complex).reshape(dim, dim)
-    return _validated_correlation(mat, "explicit", unit_diagonal=False)
+    return explicit_correlation(np.array(vals, dtype=complex).reshape(dim, dim))
 
 
 def wishart_sample(m: int, n: int, sigma: CorrelationMatrix, trials: int,
@@ -194,111 +195,46 @@ def wishart_sample(m: int, n: int, sigma: CorrelationMatrix, trials: int,
     return EigenvalueVector(np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2)))
 
 
-def _prep(name: str, vals) -> np.ndarray:
+def _prep(vals) -> np.ndarray:
     """vals sorted descending along the last axis, each vector positive, finite and untied."""
     arr = np.asarray(vals, dtype=float)
     if arr.size == 0 or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be positive and finite, got {vals}")
+        raise ValueError(f"eigenvalues must be positive and finite, got {vals}")
     if not np.all(arr[..., :-1] >= arr[..., 1:]):  # the fit's grids come sorted
         arr = np.sort(arr, axis=-1)[..., ::-1]
     gap = arr[..., :-1] - arr[..., 1:]
     tied = gap <= TIE_TOL * np.maximum(arr[..., :1], 1.0)
     if np.any(tied):
         raise DegenerateEigenvaluesError(
-            f"{name} eigenvalues nearly tied (min gap {gap[tied].min():.3e}); density is singular there"
+            f"eigenvalues nearly tied (min gap {gap[tied].min():.3e}); density is singular there"
         )
     return arr
 
 
-# The Xi matrix and the log-Vandermonde are written over scalar operations,
-# with exp and log passed in, so that the same code builds them from floats
-# (numpy) and from mpmath numbers (mp.exp, mp.log) in lemma_verify.
+# The log-Vandermonde is written over scalar operations, with log passed in,
+# so that the same code sums it over numpy arrays (the stacked density) and
+# over mpmath numbers (mp.log) in lemma_verify.
 
 def _log_vandermonde(vals, log=np.log):
     """sum over i < j of log |vals_i - vals_j|, in that pair order."""
     return sum(log(abs(a - b)) for i, a in enumerate(vals) for b in vals[i + 1 :])
 
 
-def xi_matrix(mu, lam, exp=np.exp) -> list:
-    """The mixed power/exponential matrix driving the n < m density, as rows.
+def log_density_identity(lam, m: int, n: int):
+    """Log of the ordered-eigenvalue density of W ~ W_m(n, I), constants
+    dropped: a float for lam of min(m, n) eigenvalues, or an array of shape
+    (...) for a stack (..., min(m, n)).
 
-    Rows follow mu; columns are mu^0 .. mu^(p-n-1) followed by
-    mu^(p-n-1) * exp(-lam_j / mu) for each of the n lambdas (p = len(mu)).
-    For p = n there are no pure power columns and the prefactor is 1/mu.
+    Eigenvalues closer than TIE_TOL (relative) are rejected: the density
+    vanishes there and its log diverges.
     """
-    p, n = len(mu), len(lam)
-    if p < n:
-        raise ValueError(f"need len(mu) >= len(lam), got {p} < {n}")
-    return [[x**e for e in range(p - n)] + [x ** (p - n - 1) * exp(-y / x) for y in lam]
-            for x in mu]
-
-
-def log_density_unnormalized(kind: str, mu, lam, *, m: int | None = None, n: int | None = None):
-    """Log of the ordered-eigenvalue density, constants dropped: a float.
-
-    kind selects the regime:
-
-    * "full_rank_n_ge_m": W ~ W_m(n, Sigma) with n >= m; mu are the m
-      eigenvalues of Sigma, lam the m eigenvalues of W; pass n.
-    * "n_lt_m": n < m; mu has m entries, lam has n.
-    * "identity": Sigma = I; pass both m and n, lam has min(m, n) entries.
-      lam may also be a stack (..., min(m, n)), giving an array of shape (...).
-    * "rank_deficient": Sigma with l positive eigenvalues (mu) and the rest
-      zero, l >= len(lam); the zero eigenvalues drop out of the shape.
-
-    Eigenvalues closer than TIE_TOL (relative) are rejected: the formulas
-    divide by their differences.
-    """
-    if kind not in DENSITY_KINDS:
-        raise ValueError(f"unknown density kind {kind!r}; expected one of {DENSITY_KINDS}")
-
-    if isinstance(lam, EigenvalueVector):
-        lam = lam.values
-    if isinstance(mu, EigenvalueVector):
-        mu = mu.values
-
-    if kind == "identity":
-        lam = _prep("lam", lam)
-        if m is None or n is None:
-            raise ValueError("identity kind needs both m and n")
-        q = min(m, n)
-        if lam.shape[-1] != q:
-            raise ValueError(f"expected {q} eigenvalues, got {lam.shape[-1]}")
-        logp = (-np.sum(lam, axis=-1) + abs(m - n) * np.sum(np.log(lam), axis=-1)
-                + 2.0 * _log_vandermonde(np.moveaxis(lam, -1, 0)))
-        return float(logp) if lam.ndim == 1 else logp
-
-    lam = _prep("lam", lam)
-    mu = _prep("mu", mu)
-    if lam.ndim != 1 or mu.ndim != 1:
-        raise ValueError(f"the {kind} density takes one vector of lam and one of mu, not stacks")
-
-    if kind == "full_rank_n_ge_m":
-        mm = mu.size
-        if lam.size != mm:
-            raise ValueError(f"expected {mm} eigenvalues of W, got {lam.size}")
-        if n is None or n < mm:
-            raise ValueError(f"full-rank kind needs degrees of freedom n >= m = {mm}")
-        sign, logdet = np.linalg.slogdet(np.exp(-lam[None, :] / mu[:, None]))
-        if sign == 0:
-            raise DegenerateEigenvaluesError("exp-matrix determinant underflowed to zero")
-        return float(
-            logdet
-            + (mm - n - 1) * np.sum(np.log(mu))
-            + (n - mm) * np.sum(np.log(lam))
-            + _log_vandermonde(lam)
-            - _log_vandermonde(mu)
-        )
-
-    # "n_lt_m" and "rank_deficient" share the Xi-based shape; the only
-    # difference is whether mu carries all m eigenvalues or just the
-    # positive ones of a rank-deficient correlation.
-    if kind == "n_lt_m" and lam.size >= mu.size:
-        raise ValueError(f"n_lt_m kind needs len(lam) < len(mu), got {lam.size} >= {mu.size}")
-    sign, logdet = np.linalg.slogdet(np.array(xi_matrix(mu, lam)))
-    if sign == 0:
-        raise DegenerateEigenvaluesError("Xi determinant underflowed to zero")
-    return float(logdet - _log_vandermonde(mu) + _log_vandermonde(lam))
+    lam = _prep(lam)
+    q = min(m, n)
+    if lam.shape[-1] != q:
+        raise ValueError(f"expected {q} eigenvalues, got {lam.shape[-1]}")
+    logp = (-np.sum(lam, axis=-1) + abs(m - n) * np.sum(np.log(lam), axis=-1)
+            + 2.0 * _log_vandermonde(np.moveaxis(lam, -1, 0)))
+    return float(logp) if lam.ndim == 1 else logp
 
 
 def singular_values(a) -> EigenvalueVector:
@@ -336,7 +272,7 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
         lam = eig[:, 0]
         top = float(np.quantile(lam, 0.999)) * 1.2
         grid = np.linspace(top / 4000.0, top, 4000)
-        logpdf = log_density_unnormalized("identity", None, grid[:, None], m=m, n=n)
+        logpdf = log_density_identity(grid[:, None], m, n)
         pdf = np.exp(logpdf - logpdf.max())
         weights = pdf * np.gradient(grid)
         edges = _equal_mass_edges(grid, weights, bins)
@@ -352,8 +288,7 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         mask = x1 > x2
         logs = np.full((g, g), -np.inf)
-        logs[mask] = log_density_unnormalized("identity", None, np.stack((x1[mask], x2[mask]), -1),
-                                              m=m, n=n)
+        logs[mask] = log_density_identity(np.stack((x1[mask], x2[mask]), -1), m, n)
         cell = np.exp(logs - logs[mask].max())
         nb = 8
         edges = np.linspace(0.0, top, nb + 1)

@@ -1,7 +1,9 @@
 """The Wishart density fit as it was before it sampled through
-``randmat.wishart_sample`` and evaluated ``randmat.log_density_unnormalized``,
-kept as it was: its own stacked sampler and the Sigma = I density written out
-inline for q = 1 and q = 2.  Only the name is new.
+``randmat.wishart_sample`` and evaluated the stacked Sigma = I density, then
+``randmat.log_density_unnormalized("identity", ...)`` and now
+``randmat.log_density_identity``.  Kept as it was: its own stacked sampler
+and the Sigma = I density written out inline for q = 1 and q = 2.  Only the
+name is new.
 
 The oracle of ``tests/test_randmat.py``'s differential test: the package's
 ``density_gof_identity`` must return the same report, bit for bit, on every

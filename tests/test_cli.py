@@ -252,6 +252,16 @@ class TestSim:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_corr_file_usage_error(self, bad, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "corr.txt"
+        path.write_text(f"2\n1,0 {bad},0 {bad},0 1,0\n")
+        code = run_cli(["sim", "--triple", "2,2,2", "--r", "1", "--snr-db", "10:30:10",
+                        "--trials", "20000", "--corr", f"file:{path}"], tmp_path, monkeypatch)
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "dmt_sim.csv").exists()
+
 
 class TestVerify:
     def test_lemma4_suite(self, tmp_path, monkeypatch, capsys):
@@ -345,6 +355,22 @@ def test_console_script_wired():
                          capture_output=True, text=True, env=subprocess_env())
     assert out.returncode == 0
     assert out.stdout.startswith("dmt ")
+
+
+def test_crosscheck_imports_no_numerics():
+    # numpy, scipy and mpmath load only with the commands that use them
+    code = (
+        "import sys\n"
+        "from dsdmt.cli import run_crosscheck\n"
+        "assert not run_crosscheck(2, True)['mismatches']\n"
+        "print(sorted({'numpy', 'scipy', 'mpmath'} & set(sys.modules)))\n"
+        "import dsdmt.outage_sim, dsdmt.lemma_verify\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "False"]
 
 
 def test_module_entrypoint_curve(tmp_path):

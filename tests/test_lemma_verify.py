@@ -9,7 +9,7 @@ from mpmath import mp
 
 from dsdmt import cli
 from dsdmt import lemma_verify as lv
-from dsdmt.randmat import _log_vandermonde, complex_gaussian, singular_values, stream, xi_matrix
+from dsdmt.randmat import _log_vandermonde, complex_gaussian, singular_values, stream
 
 
 # Reference oracles: the trial suites as one draw, one check and one SVD per
@@ -375,14 +375,14 @@ class TestLemma2:
 
 class TestSharedXi:
     def test_float_and_mpf_paths_agree(self):
-        # one builder serves the numpy density and the mpmath lemma checks
+        # the mpmath lemma checks' builder, fed floats and np.exp, gives a float reference
         (m, _, l), mu_pos, lam = lv.LEMMA3_CASES["m4l2n2"]
         mu = list(mu_pos) + [1e-2 * c for c in lv._EPS_MULTIPLIERS[: m - l]]
-        _, logdet = np.linalg.slogdet(np.array(xi_matrix(mu, lam)))
+        _, logdet = np.linalg.slogdet(np.array(lv.xi_matrix(mu, lam, np.exp)))
         as_float = logdet - _log_vandermonde(mu)
         with mp.workdps(40):
             mu_mp, lam_mp = [mp.mpf(v) for v in mu], [mp.mpf(v) for v in lam]
-            det = mp.det(mp.matrix(xi_matrix(mu_mp, lam_mp, mp.exp)))
+            det = mp.det(mp.matrix(lv.xi_matrix(mu_mp, lam_mp, mp.exp)))
             as_mpf = float(mp.log(abs(det)) - _log_vandermonde(mu_mp, mp.log))
         assert as_float == pytest.approx(as_mpf, rel=1e-12)
 

@@ -1,4 +1,4 @@
-"""Sampling, correlation matrices, and unnormalized density evaluation."""
+"""Sampling, correlation matrices, and the unnormalized Sigma = I density."""
 
 import math
 
@@ -84,6 +84,12 @@ class TestCorrelationMatrices:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             rm.explicit_correlation([[1.0, 0.5], [0.1, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares False both ways, so the Hermitian and definiteness checks let it through
+        with pytest.raises(ValueError, match="non-finite"):
+            rm.explicit_correlation([[1.0, bad], [bad, 1.0]])
 
     def test_rejects_non_pd_and_reports_eigenvalue(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -176,21 +182,33 @@ class TestEigenvalueVector:
             rm.EigenvalueVector(np.array([[1.0, 0.5], [np.nan, 0.5]]))
 
 
+def full_rank_log_density(mu, lam, n):
+    """The general-Sigma density of W ~ W_m(n, Sigma), n >= m, constants
+    dropped: mu the m eigenvalues of Sigma, lam the m eigenvalues of W, both
+    descending.  An independent oracle for the Sigma = I shape."""
+    mu, lam = np.asarray(mu, dtype=float), np.asarray(lam, dtype=float)
+    m = mu.size
+    sign, logdet = np.linalg.slogdet(np.exp(-lam[None, :] / mu[:, None]))
+    assert sign != 0
+    return float(logdet + (m - n - 1) * np.sum(np.log(mu)) + (n - m) * np.sum(np.log(lam))
+                 + rm._log_vandermonde(lam) - rm._log_vandermonde(mu))
+
+
 class TestDensities:
     def test_identity_scalar_is_exponential(self):
         for lam in (0.3, 1.0, 2.5):
-            got = rm.log_density_unnormalized("identity", None, [lam], m=1, n=1)
+            got = rm.log_density_identity([lam], 1, 1)
             assert got == pytest.approx(-lam)
 
     def test_identity_2x2_hand_ratio(self):
         # p(2,1)/p(3,1) = e^{-3+4} * (1/4) = e/4, by direct substitution
-        lp1 = rm.log_density_unnormalized("identity", None, [2.0, 1.0], m=2, n=2)
-        lp2 = rm.log_density_unnormalized("identity", None, [3.0, 1.0], m=2, n=2)
+        lp1 = rm.log_density_identity([2.0, 1.0], 2, 2)
+        lp2 = rm.log_density_identity([3.0, 1.0], 2, 2)
         assert math.exp(lp1 - lp2) == pytest.approx(math.e / 4)
 
     def test_identity_rectangular_power(self):
         # m=1, n=2: density ~ lam * e^-lam
-        got = rm.log_density_unnormalized("identity", None, [2.0], m=1, n=2)
+        got = rm.log_density_identity([2.0], 1, 2)
         assert got == pytest.approx(math.log(2.0) - 2.0)
 
     def test_full_rank_matches_identity_shape_in_limit(self):
@@ -199,49 +217,36 @@ class TestDensities:
         mu = [1.0 + 1e-5, 1.0 - 1e-5]
         pairs = [([2.0, 1.0], [3.0, 1.5]), ([1.3, 0.4], [2.0, 0.9])]
         for lam_a, lam_b in pairs:
-            diff_general = rm.log_density_unnormalized(
-                "full_rank_n_ge_m", mu, lam_a, n=2
-            ) - rm.log_density_unnormalized("full_rank_n_ge_m", mu, lam_b, n=2)
-            diff_id = rm.log_density_unnormalized(
-                "identity", None, lam_a, m=2, n=2
-            ) - rm.log_density_unnormalized("identity", None, lam_b, m=2, n=2)
+            diff_general = full_rank_log_density(mu, lam_a, 2) - full_rank_log_density(mu, lam_b, 2)
+            diff_id = rm.log_density_identity(lam_a, 2, 2) - rm.log_density_identity(lam_b, 2, 2)
             assert diff_general == pytest.approx(diff_id, abs=1e-4)
-
-    def test_n_lt_m_approaches_rank_deficient(self):
-        mu_pos = [3.0, 1.7]
-        lam = [2.2]
-        diffs = []
-        for eps in (1e-2, 1e-3, 1e-4):
-            full = rm.log_density_unnormalized("n_lt_m", mu_pos + [eps], lam)
-            reduced = rm.log_density_unnormalized("rank_deficient", mu_pos, lam)
-            diffs.append(abs(full - reduced))
-        assert diffs[0] < 1e-3
-        assert diffs[0] > diffs[1] > diffs[2]
 
     def test_tied_eigenvalues_rejected(self):
         with pytest.raises(rm.DegenerateEigenvaluesError):
-            rm.log_density_unnormalized("identity", None, [1.0, 1.0 + 1e-12], m=2, n=2)
-        with pytest.raises(rm.DegenerateEigenvaluesError):
-            rm.log_density_unnormalized("n_lt_m", [2.0, 2.0 + 1e-11, 1.0], [0.5])
+            rm.log_density_identity([1.0, 1.0 + 1e-12], 2, 2)
+
+    def test_wrong_length_rejected(self):
+        for lam, m, n in (([2.0, 1.0], 1, 3), ([2.0], 2, 2), ([[3.0, 2.0, 1.0]], 3, 2)):
+            with pytest.raises(ValueError, match="expected"):
+                rm.log_density_identity(lam, m, n)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2)])
     def test_identity_stack_is_the_scalar_calls(self, m, n):
         q = min(m, n)
         lam = rm.stream(14, (m, n)).uniform(0.01, 30.0, (4, 25, q))
-        got = rm.log_density_unnormalized("identity", None, lam, m=m, n=n)
+        got = rm.log_density_identity(lam, m, n)
         assert got.shape == (4, 25)
-        want = [[rm.log_density_unnormalized("identity", None, v, m=m, n=n) for v in row]
-                for row in lam]
+        want = [[rm.log_density_identity(v, m, n) for v in row] for row in lam]
         assert got.tolist() == want  # bit equality, vector by vector
 
     def test_prep_sorts_only_what_is_unsorted(self):
         lam = [[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [6.0, 5.0, 4.0]]
         want = [[3.0, 2.0, 1.0], [3.0, 2.0, 1.0], [6.0, 5.0, 4.0]]
-        assert rm._prep("lam", lam).tolist() == want
-        assert rm._prep("lam", lam[::2]).tolist() == want[::2]
-        assert rm._prep("lam", lam[0]).tolist() == want[0]
-        assert rm._prep("lam", lam[2]).tolist() == want[2]
-        assert rm._prep("lam", want).tolist() == want
+        assert rm._prep(lam).tolist() == want
+        assert rm._prep(lam[::2]).tolist() == want[::2]
+        assert rm._prep(lam[0]).tolist() == want[0]
+        assert rm._prep(lam[2]).tolist() == want[2]
+        assert rm._prep(want).tolist() == want
 
     @pytest.mark.parametrize("bad,error", [
         ([3.0, 3.0 + 1e-12], rm.DegenerateEigenvaluesError),
@@ -251,25 +256,8 @@ class TestDensities:
     def test_identity_stack_rejects_one_bad_vector(self, bad, error):
         lam = np.array([[2.0, 1.0], [5.0, 0.5], bad, [4.0, 3.0]])
         with pytest.raises(error):
-            rm.log_density_unnormalized("identity", None, lam, m=2, n=2)
-        assert np.all(np.isfinite(
-            rm.log_density_unnormalized("identity", None, lam[[0, 1, 3]], m=2, n=2)))
-
-    def test_other_regimes_reject_stacks(self):
-        with pytest.raises(ValueError, match="not stacks"):
-            rm.log_density_unnormalized("full_rank_n_ge_m", [2.0, 1.0], [[2.0, 1.0], [3.0, 1.0]], n=2)
-        with pytest.raises(ValueError, match="not stacks"):
-            rm.log_density_unnormalized("n_lt_m", [[3.0, 2.0, 1.0]], [0.5])
-        with pytest.raises(ValueError, match="not stacks"):
-            rm.log_density_unnormalized("rank_deficient", [3.0, 1.7], [[2.2], [1.1]])
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError, match="unknown density kind"):
-            rm.log_density_unnormalized("bogus", None, [1.0])
-        with pytest.raises(ValueError):
-            rm.log_density_unnormalized("full_rank_n_ge_m", [2.0, 1.0], [2.0, 1.0], n=1)
-        with pytest.raises(ValueError):
-            rm.log_density_unnormalized("n_lt_m", [2.0], [1.0, 0.5])
+            rm.log_density_identity(lam, 2, 2)
+        assert np.all(np.isfinite(rm.log_density_identity(lam[[0, 1, 3]], 2, 2)))
 
 
 class TestSingularValues:
