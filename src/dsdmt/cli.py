@@ -46,6 +46,7 @@ INSUFFICIENT_DATA = 4
 VERIFICATION_FAILURE = 5
 
 MAX_SNR_POINTS = 10_000  # the most points an --snr-db grid may have
+MIN_SNR_STEP_DB = 1e-6  # the finest --snr-db step; far above the grid's 1e-9 dB rounding
 
 # the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
 VERIFY_SUITES = ("lemma1", "lemma2", "lemma3", "lemma4", "prop1", "wishart")
@@ -72,8 +73,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"non-numeric grid {text!r}") from None
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise argparse.ArgumentTypeError(f"lo, hi and step must be finite, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0, got {text!r}")
+    if step < MIN_SNR_STEP_DB or hi < lo:
+        raise argparse.ArgumentTypeError(f"need lo <= hi, step >= {MIN_SNR_STEP_DB} dB: {text!r}")
     if (hi - lo) / step >= MAX_SNR_POINTS or step < math.ulp(max(abs(lo), abs(hi))):
         raise argparse.ArgumentTypeError(f"grid {text!r} has over {MAX_SNR_POINTS} points"
                                          " or a step under one ulp of its ends")

@@ -5,7 +5,7 @@ The tradeoff d(r) equals the infimum of the exponent
     eps(alpha, beta) = sum a_i alpha_i + sum b_j beta_j + sum (alpha_i - beta_j)^+
 
 over the outage set {sum (1 - alpha_i)^+ <= r} with both exponent vectors
-non-decreasing and alpha_i >= beta_i >= 0 on the coupled range.  (alpha are
+non-decreasing and alpha_i >= beta_i >= 0 at every alpha index i.  (alpha are
 the eigenvalue exponents of the product channel's Gram matrix, beta those of
 the scatterer-side Wishart layer; the outage set is taken closed -- the
 infimum over the open set is the same and a closed set is LP-representable.)
@@ -19,34 +19,25 @@ Two solvers are provided and must agree exactly:
   while its running coefficient stays positive turns the objective into a
   plain weighted sum of alphas, which a threshold argument then minimizes.
 
-Coefficient layout depends on how the channel dimensions (m, n, l) compare
-(after enforcing n <= m by reciprocity):
-
-* case A, n >= l:      alpha and beta both have l components;
-* case B, n < l <= m:  alpha has n components, beta has l;
-* case C, n <= m < l:  as case B with l and m interchanged (the scatterer
-  layer is rank deficient, so beta has m components).
-
-In every case a_i = n - i + 1, and b_j = l + m - n - j for j <= n + 1 with
-the slope doubling to b_j = l + m + 1 - 2j beyond (indices 1-based here;
-the code stores 0-based tuples).
+With n <= m enforced by reciprocity, alpha has min(n, l) components and
+beta has min(m, l); the paper's three cases (n >= l, n < l <= m and
+n <= m < l) are these two minima.  a_i = n - i + 1, and b_j = l + m - n - j
+for j <= n + 1 with the slope doubling to b_j = l + m + 1 - 2j beyond
+(indices 1-based here; the code stores 0-based tuples).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import _simplex
 
 __all__ = [
-    "CaseId",
     "ExponentProgram",
     "ReducedObjective",
     "LpSolution",
     "ReductionInvariantError",
-    "classify_case",
     "build_program",
     "solve_lp",
     "greedy_reduce",
@@ -56,28 +47,9 @@ __all__ = [
 ]
 
 
-class CaseId(Enum):
-    A = "min(m,n) >= l"
-    B = "n < l <= m"
-    C = "n <= m < l"
-
-
 class ReductionInvariantError(RuntimeError):
     """The greedy elimination produced coefficients that are not
     non-negative and non-increasing; signals a bookkeeping bug."""
-
-
-def classify_case(m: int, n: int, l: int) -> CaseId:
-    """Classify (m, n, l) with n <= m already enforced by the caller."""
-    if min(m, n, l) < 1:
-        raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
-    if n > m:
-        raise ValueError(f"reciprocity not applied: n={n} > m={m}")
-    if n >= l:
-        return CaseId.A
-    if l <= m:
-        return CaseId.B
-    return CaseId.C
 
 
 @dataclass(frozen=True)
@@ -87,7 +59,6 @@ class ExponentProgram:
     m: int
     n: int
     l: int
-    case: CaseId
     alpha_dim: int
     beta_dim: int
     alpha_coeffs: tuple[int, ...]
@@ -105,27 +76,20 @@ class ExponentProgram:
             raise ValueError("coefficients out of range")
 
     @property
-    def plus_pairs(self) -> frozenset[tuple[int, int]]:
-        """0-based (i, j), i < j: each contributes (alpha_i - beta_j)^+ to the objective."""
-        return frozenset((i, j) for i in range(self.alpha_dim) for j in range(i + 1, self.beta_dim))
-
-    @property
-    def couple_range(self) -> int:
-        """alpha_i >= beta_i is enforced for i < couple_range."""
-        return self.alpha_dim
+    def plus_pairs(self) -> tuple[tuple[int, int], ...]:
+        """0-based (i, j), i < j, i first then j rising: each contributes
+        (alpha_i - beta_j)^+ to the objective."""
+        return tuple((i, j) for i in range(self.alpha_dim) for j in range(i + 1, self.beta_dim))
 
 
 def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
-    """Build the exact exponent program for (m, n, l) at multiplexing gain r."""
-    case = classify_case(m, n, l)
-    if case is CaseId.A:
-        alpha_dim, beta_dim = l, l
-    elif case is CaseId.B:
-        alpha_dim, beta_dim = n, l
-    else:
-        alpha_dim, beta_dim = n, m
-    # b_j below is written for cases B/C; in case A every j satisfies
-    # j <= l <= n + 1, so the same first branch reproduces m - n + l - j.
+    """Build the exact exponent program for (m, n, l) at multiplexing gain r,
+    with n <= m: alpha has min(n, l) components and beta min(m, l)."""
+    if min(m, n, l) < 1:
+        raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
+    if n > m:
+        raise ValueError(f"reciprocity not applied: n={n} > m={m}")
+    alpha_dim, beta_dim = min(n, l), min(m, l)
     s = l + m
     alpha_coeffs = tuple(n - i for i in range(alpha_dim))
     beta_coeffs = tuple(
@@ -136,7 +100,6 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
         m=m,
         n=n,
         l=l,
-        case=case,
         alpha_dim=alpha_dim,
         beta_dim=beta_dim,
         alpha_coeffs=alpha_coeffs,
@@ -163,7 +126,7 @@ def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
     if p.r < 0:
         raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
-    pairs = sorted(p.plus_pairs)
+    pairs = p.plus_pairs
     npair = len(pairs)
     nvar = na + nb + npair + na
     ofs_b, ofs_t, ofs_s = na, na + nb, na + nb + npair
@@ -187,7 +150,7 @@ def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
         add([(i, 1), (i + 1, -1)], 0)
     for j in range(nb - 1):  # beta chain
         add([(ofs_b + j, 1), (ofs_b + j + 1, -1)], 0)
-    for i in range(p.couple_range):  # beta_i <= alpha_i
+    for i in range(na):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
 
     try:
@@ -260,13 +223,10 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
 def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """The program for any role order of (m, n, l): n <= m by reciprocity,
     r checked against [0, min(m, n, l)]."""
-    if min(m, n, l) < 1:
-        raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
-    m, n = max(m, n), min(m, n)
-    r = Fraction(r)
-    if not 0 <= r <= min(m, n, l):
-        raise ValueError(f"r must lie in [0, {min(m, n, l)}], got {r}")
-    return build_program(m, n, l, r)
+    p = build_program(max(m, n), min(m, n), l, r)
+    if not 0 <= p.r <= p.alpha_dim:
+        raise ValueError(f"r must lie in [0, {p.alpha_dim}], got {p.r}")
+    return p
 
 
 def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:

@@ -391,16 +391,17 @@ LEMMA3_CASES = {
 }
 
 EXPONENT_TOL = 0.05
+LEMMA3_EPS_GRID = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def _exponent_suite(check: str, fits, digits: int, tol: float) -> dict:
-    """Report over (case name, AsymptoticFit) pairs; a case passes within tol."""
+def _exponent_suite(check: str, fits, digits: int) -> dict:
+    """Report over (case name, AsymptoticFit) pairs; a case passes within EXPONENT_TOL."""
     results = {
         name: {
             "measured": fit.measured_exponent,
             "predicted": fit.predicted_exponent,
             "residual": fit.residual,
-            "ok": fit.residual <= tol,
+            "ok": fit.residual <= EXPONENT_TOL,
         }
         for name, fit in fits
     }
@@ -414,21 +415,21 @@ def _exponent_suite(check: str, fits, digits: int, tol: float) -> dict:
     }
 
 
-def lemma1_suite(digits: int = 60, tol: float = EXPONENT_TOL) -> dict:
+def lemma1_suite(digits: int = 60) -> dict:
     fits = ((name, check_lemma1_exponent(ep, digits=digits)) for name, ep in LEMMA1_CASES.items())
-    return _exponent_suite("lemma1", fits, digits, tol)
+    return _exponent_suite("lemma1", fits, digits)
 
 
-def lemma2_suite(digits: int = 60, tol: float = EXPONENT_TOL) -> dict:
+def lemma2_suite(digits: int = 60) -> dict:
     fits = ((name, check_lemma2_exponent(beta, alpha, dims, digits=digits))
             for name, (dims, beta, alpha) in LEMMA2_CASES.items())
-    return _exponent_suite("lemma2", fits, digits, tol)
+    return _exponent_suite("lemma2", fits, digits)
 
 
-def lemma3_suite(digits: int = 60, eps_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)) -> dict:
+def lemma3_suite(digits: int = 60) -> dict:
     results = {}
     for name, (dims, mu_pos, lam) in LEMMA3_CASES.items():
-        rep = check_lemma3_limit(mu_pos, lam, dims, eps_grid, digits=digits)
+        rep = check_lemma3_limit(mu_pos, lam, dims, LEMMA3_EPS_GRID, digits=digits)
         results[name] = dict(rep, ok=rep["monotone_decreasing"] and rep["errors"][-1] < 1e-3)
     return {
         "check": "lemma3",

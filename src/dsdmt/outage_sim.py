@@ -58,6 +58,7 @@ __all__ = [
 BLOCK_TRIALS = 4096  # trials per RNG stream; fixed so counts don't depend on workers
 MIN_EVENTS_FOR_FIT = 20
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_SNR_MATCH_DB = 1e-9  # estimate_outage's grid match (dB); SimConfig keeps points this far apart
 
 
 class InsufficientDataError(RuntimeError):
@@ -115,8 +116,14 @@ class SimConfig:
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.snr_grid_db)
-        if len(grid) == 0 or any(a >= b for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"snr grid must be strictly ascending, got {grid}")
+        if len(grid) == 0 or any(b - a < _SNR_MATCH_DB for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"snr grid steps must be >= {_SNR_MATCH_DB} dB, got {grid}")
+        try:
+            linear = [10.0 ** (v / 10.0) for v in grid]
+        except OverflowError:
+            linear = [math.inf]
+        if not all(0.0 < x < math.inf for x in linear):
+            raise ValueError(f"snr grid has a linear SNR that is 0 or not finite: {grid}")
         object.__setattr__(self, "snr_grid_db", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -205,7 +212,8 @@ def _block_args(cfg: SimConfig, snr_db: float, snr_index: int):
         block += 1
 
 
-def wilson_interval(count: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(count: int, trials: int) -> tuple[float, float]:
+    z = _WILSON_Z
     p = count / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -223,7 +231,7 @@ def estimate_outage(cfg: SimConfig, snr_db: float, pool=None) -> OutageEstimate:
     The blocks run on pool when one is given, and in this process otherwise;
     run_simulation builds the pool of a multi-worker run.
     """
-    matches = [i for i, v in enumerate(cfg.snr_grid_db) if abs(v - snr_db) < 1e-9]
+    matches = [i for i, v in enumerate(cfg.snr_grid_db) if abs(v - snr_db) < _SNR_MATCH_DB]
     if not matches:
         raise ValueError(f"snr {snr_db} dB is not on the configured grid {cfg.snr_grid_db}")
     snr_index = matches[0]

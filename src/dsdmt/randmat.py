@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9
+_GOF_BINS = 20  # equal-mass bins of the q = 1 density fit, before pooling
 
 
 class DegenerateEigenvaluesError(ValueError):
@@ -251,7 +252,7 @@ def _equal_mass_edges(grid: np.ndarray, weights: np.ndarray, bins: int) -> np.nd
     return np.concatenate(([grid[0]], edges, [grid[-1]]))
 
 
-def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, bins: int = 20):
+def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator):
     """Chi-square goodness of fit of sampled ordered eigenvalues (Sigma = I)
     against the numerically normalized analytic density.
 
@@ -275,11 +276,11 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator, 
         logpdf = log_density_identity(grid[:, None], m, n)
         pdf = np.exp(logpdf - logpdf.max())
         weights = pdf * np.gradient(grid)
-        edges = _equal_mass_edges(grid, weights, bins)
+        edges = _equal_mass_edges(grid, weights, _GOF_BINS)
         observed, _ = np.histogram(lam, bins=edges)
         cell_prob = weights / weights.sum()
-        bin_idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, bins - 1)
-        expected_p = np.bincount(bin_idx, weights=cell_prob, minlength=bins)
+        bin_idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, _GOF_BINS - 1)
+        expected_p = np.bincount(bin_idx, weights=cell_prob, minlength=_GOF_BINS)
     else:
         lam1, lam2 = eig[:, 0], eig[:, 1]
         top = float(np.quantile(lam1, 0.999)) * 1.2

@@ -229,15 +229,20 @@ class TestSim:
         # a descending grid, a non-finite step or end, then r non-finite or
         # outside [0, min(triple)] = [0, 1], then grids of ~1e12 points;
         # without the finiteness check the nan step gives one point and the
-        # inf end never returns, so nan goes first
+        # inf end never returns, so nan goes first.  Then a linear SNR that
+        # overflows, one that underflows to 0, and a step under 1e-6 dB
+        # (points 1e-9 dB apart would rerun one point's RNG streams)
         for grid, r in (("20:10:5", "0.5"), ("10:30:nan", "0.5"), ("10:inf:5", "0.5"),
                         ("10:10:5", "nan"), ("10:10:5", "inf"), ("10:10:5", "5"),
-                        ("10:15:1e-12", "0.5"), ("10:1e300:1", "0.5")):
-            code = run_cli(["sim", "--triple", "1,1,1", "--r", r, "--snr-db", grid,
+                        ("10:15:1e-12", "0.5"), ("10:1e300:1", "0.5"),
+                        ("4000:4000:1", "0.5"), ("-4000:-3990:5", "0.5"),
+                        ("50:50.000000003:0.000000001", "0.9")):
+            code = run_cli(["sim", "--triple", "1,1,1", "--r", r, f"--snr-db={grid}",
                             "--trials", "100"], tmp_path, monkeypatch)
             err = capsys.readouterr().err
             assert code == 2, (grid, r)
-            assert "error" in err, (grid, r)
+            assert "error" in err and "Traceback" not in err, (grid, r)
+            assert "math domain" not in err, (grid, r)
 
     def test_grid_point_bound(self):
         top = cli.MAX_SNR_POINTS

@@ -9,14 +9,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsdmt.dmt_core import dmt_at, dmt_curve
 from dsdmt.exponent_solver import (
-    CaseId,
     ReducedObjective,
     ReductionInvariantError,
     build_program,
-    classify_case,
     dmt_via_greedy,
     dmt_via_lp,
     greedy_reduce,
@@ -25,47 +25,56 @@ from dsdmt.exponent_solver import (
 )
 
 
-class TestClassifyCase:
-    def test_examples(self):
-        assert classify_case(3, 3, 2) is CaseId.A
-        assert classify_case(4, 2, 3) is CaseId.B
-        assert classify_case(2, 2, 5) is CaseId.C
+def three_case_dims(m, n, l):
+    """(alpha_dim, beta_dim) by the paper's three cases, as the package once
+    classified them; n <= m."""
+    if n >= l:  # case A
+        return l, l
+    if l <= m:  # case B: n < l <= m
+        return n, l
+    return n, m  # case C: n <= m < l, the scatterer layer rank deficient
 
-    def test_boundaries(self):
-        assert classify_case(3, 2, 2) is CaseId.A  # n = l
-        assert classify_case(3, 2, 3) is CaseId.B  # l = m
-        assert classify_case(2, 2, 3) is CaseId.C  # n = m
 
-    def test_requires_reciprocity_applied(self):
-        with pytest.raises(ValueError):
-            classify_case(2, 3, 2)
-
-    def test_exactly_one_case_everywhere(self):
-        for m in range(1, 7):
-            for n in range(1, m + 1):
-                for l in range(1, 7):
-                    case = classify_case(m, n, l)
-                    matches = [n >= l, n < l <= m, n <= m < l]
-                    assert sum(matches) == 1
-                    assert matches[("A", "B", "C").index(case.name)]
+def three_case_coeffs(m, n, l):
+    alpha_dim, beta_dim = three_case_dims(m, n, l)
+    s = l + m
+    return (tuple(n - i for i in range(alpha_dim)),
+            tuple(s - n - (j + 1) if (j + 1) <= n + 1 else s + 1 - 2 * (j + 1)
+                  for j in range(beta_dim)))
 
 
 class TestBuildProgram:
     def test_2_2_2(self):
         p = build_program(2, 2, 2, 0)
-        assert p.case is CaseId.A
         assert p.alpha_coeffs == (2, 1)
         assert p.beta_coeffs == (1, 0)
-        assert p.plus_pairs == frozenset({(0, 1)})
-        assert p.couple_range == 2
+        assert p.plus_pairs == ((0, 1),)
+        assert p.alpha_dim == 2
 
     def test_3_1_2_case_b(self):
         p = build_program(3, 1, 2, 0)
-        assert p.case is CaseId.B
         assert p.alpha_coeffs == (1,)
         assert p.beta_coeffs == (3, 2)  # l + m - n - j for j = 1, 2
-        assert p.plus_pairs == frozenset({(0, 1)})
-        assert p.couple_range == 1
+        assert p.plus_pairs == ((0, 1),)
+        assert p.alpha_dim == 1
+
+    def test_requires_reciprocity_applied(self):
+        with pytest.raises(ValueError):
+            build_program(2, 3, 2, 0)
+
+    def test_zero_dim_rejected(self):
+        with pytest.raises(ValueError):
+            build_program(2, 2, 0, 0)
+
+    def test_matches_three_case_table(self):
+        for m in range(1, 9):
+            for n in range(1, m + 1):
+                for l in range(1, 9):
+                    p = build_program(m, n, l, 0)
+                    assert (p.alpha_dim, p.beta_dim) == three_case_dims(m, n, l)
+                    assert (p.alpha_coeffs, p.beta_coeffs) == three_case_coeffs(m, n, l)
+                    # the LP's coupling rows follow this order: i first, then j rising
+                    assert p.plus_pairs == tuple(sorted(set(p.plus_pairs)))
 
     def test_4_1_3_second_branch(self):
         # j = 3 >= n + 2 switches to the l + m + 1 - 2j slope
@@ -75,7 +84,6 @@ class TestBuildProgram:
     def test_case_c_swaps_l_and_m(self):
         p = build_program(2, 2, 5, 0)
         q = build_program(5, 2, 2, 0)
-        assert p.case is CaseId.C and q.case is CaseId.A
         assert p.beta_coeffs == q.beta_coeffs
         assert p.alpha_coeffs == q.alpha_coeffs
 
@@ -109,7 +117,7 @@ class TestSolveLp:
             assert all(x <= y for x, y in zip(a, a[1:]))
             assert all(x <= y for x, y in zip(b, b[1:]))
             assert all(b[i] >= 0 for i in range(len(b)))
-            assert all(a[i] >= b[i] for i in range(p.couple_range))
+            assert all(a[i] >= b[i] for i in range(p.alpha_dim))
             assert sum(max(1 - x, 0) for x in a) <= p.r
             # vertex reproduces the optimal objective
             value = sum(c * x for c, x in zip(p.alpha_coeffs, a))
@@ -212,6 +220,15 @@ class TestDmtViaLp:
                 dmt_via_lp(2, 2, 2, r, warm)
 
 
+@st.composite
+def triples_and_rates(draw):
+    """A triple with components up to 30 and a rational r in [0, min] with
+    denominator up to 12."""
+    m, n, l = (draw(st.integers(1, 30)) for _ in range(3))
+    q = draw(st.integers(1, 12))
+    return m, n, l, Fraction(draw(st.integers(0, min(m, n, l) * q)), q)
+
+
 class TestRouteAgreement:
     """Quick oracle sweep at small dims; the <=5 sweep is in acceptance."""
 
@@ -234,3 +251,9 @@ class TestRouteAgreement:
                     r = k + Fraction(num, 4)
                     expected = v0 + (v1 - v0) * Fraction(num, 4)
                     assert dmt_via_lp(m, n, l, r) == expected
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(triples_and_rates())
+    def test_greedy_matches_closed_form_dims_30(self, case):
+        m, n, l, r = case
+        assert dmt_via_greedy(m, n, l, r) == dmt_at(dmt_curve((m, n, l)), r)

@@ -219,6 +219,9 @@ class TestEstimateOutage:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             osim.SimConfig(spec=spec_111(), snr_grid_db=(10.0, 10.0), r=0.5, trials=10, seed=1)
+        with pytest.raises(ValueError):  # closer than estimate_outage matches a point by
+            osim.SimConfig(spec=spec_111(), snr_grid_db=(10.0, 10.0 + 1e-10), r=0.5, trials=10,
+                           seed=1)
         with pytest.raises(ValueError):
             osim.SimConfig(spec=spec_111(), snr_grid_db=(10.0,), r=0.5, trials=0, seed=1)
 
