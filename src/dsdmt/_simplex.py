@@ -13,9 +13,12 @@ tableau would, so the pivots, the optimum and x are the ones it would give.
 
 A warm dict carries the optimal tableau of one call on to the next with the
 same c and a_ub.  A move of b_i by delta adds delta times the slack-i column to
-the rhs of every row and of the cost row and leaves the reduced costs >= 0, so
-dual-simplex pivots end optimal or find the LP infeasible; they end optimal when
-b_i only rises (Murty, *Linear Programming*, 1983, on parametric programming).
+the rhs of every row and of the cost row and leaves the reduced costs >= 0.  If
+no row's rhs turns negative the basis stays optimal: value and x are read off
+the shifted rhs, and the tableau stays at its own b.  Else the rows move, and
+dual-simplex pivots end optimal or find the LP infeasible; optimal when b_i only
+rises (Murty, *Linear Programming*, 1983).  Rows stay primitive with a positive
+basic entry, so a move from an older b gives the rows of one move per call.
 """
 
 from __future__ import annotations
@@ -163,26 +166,31 @@ def _dual_iterate(rows, cost, basis, ncols):
 
 
 def _warm_tableau(c, a_ub, b_ub, warm):
-    """_optimal_tableau, moved by dual pivots from the one warm holds if that has
-    the same c and a_ub; warm then holds this one, or nothing if this raises."""
+    """The optimal tableau, from the one warm holds if that has the same c and
+    a_ub, with q > 0 and q times the rhs at b_ub of each row, then the cost row.
+    warm then holds the tableau at its own b, or nothing if this raises."""
     lp = ([*c], [[*row] for row in a_ub])
     b_ub = [_exact(b_ub[i]) for i in range(len(a_ub))]
+    ncols = len(c) + len(a_ub)
     last = warm.pop("last", None)
     if last is None or last[0] != lp:
-        tableau = _optimal_tableau(c, a_ub, b_ub)
-    else:
-        _, old, tableau = last
-        rows, cost, basis = tableau
-        ncols = len(c) + len(a_ub)
-        for slack, (a, b) in enumerate(zip(old, b_ub), len(c)):
-            if a != b:
-                p, q = (b - a).as_integer_ratio()
-                for tab in (*rows, cost):  # q*tab, plus p*tab[slack] in the rhs slot
-                    if tab[slack]:
-                        tab[:] = _combine(tab, q, -p * tab[slack], {ncols: 1}, (ncols,))
+        last = lp, b_ub, _optimal_tableau(c, a_ub, b_ub)
+    _, old, tableau = last
+    rows, cost, basis = tableau
+    moves = [(slack, *(b - a).as_integer_ratio())
+             for slack, (a, b) in enumerate(zip(old, b_ub), len(c)) if a != b]
+    q = lcm(*[d for _, _, d in moves])
+    rhs = [q * tab[ncols] + sum(p * (q // d) * tab[s] for s, p, d in moves)
+           for tab in (*rows, cost)]
+    if any(v < 0 for v in rhs[:-1]):  # the basis is no longer feasible: move to b_ub
+        for slack, p, d in moves:
+            for tab in (*rows, cost):  # d*tab, plus p*tab[slack] in the rhs slot
+                if tab[slack]:
+                    tab[:] = _combine(tab, d, -p * tab[slack], {ncols: 1}, (ncols,))
         _dual_iterate(rows, cost, basis, ncols)
-    warm["last"] = lp, b_ub, tableau
-    return tableau
+        last, q, rhs = (lp, b_ub, tableau), 1, [tab[ncols] for tab in (*rows, cost)]
+    warm["last"] = last
+    return tableau, q, rhs
 
 
 def solve_min(c, a_ub, b_ub, warm=None):
@@ -197,10 +205,11 @@ def solve_min(c, a_ub, b_ub, warm=None):
     """
     if warm is None:
         rows, cost, basis = _optimal_tableau(c, a_ub, b_ub)
+        q, rhs = 1, [row[-1] for row in rows] + [cost[-2]]
     else:
-        rows, cost, basis = _warm_tableau(c, a_ub, b_ub, warm)
+        (rows, cost, basis), q, rhs = _warm_tableau(c, a_ub, b_ub, warm)
     x = [Fraction(0)] * len(c)
     for i, b in enumerate(basis):
         if b < len(c):
-            x[b] = Fraction(rows[i][-1], rows[i][b])
-    return Fraction(-cost[-2], cost[-1]), x
+            x[b] = Fraction(rhs[i], q * rows[i][b])
+    return Fraction(-rhs[-1], q * cost[-1]), x

@@ -138,9 +138,10 @@ def _merge_config(parser, args, argv):
     before the command line's own flags, which therefore win.  The parser
     then reads both, so a config value is accepted exactly when the same
     text on the command line is, and a bad one exits 2 naming its flag, as
-    do an unreadable config file, one holding no JSON object, and a
-    non-integer DMT_SEED.
+    do an unreadable config file, one holding no JSON object, a non-integer
+    DMT_SEED, and a negative seed, named by where it came from.
     """
+    seed_from = "--seed" if getattr(args, "seed", None) is not None else f"--config {args.config}"
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -158,11 +159,13 @@ def _merge_config(parser, args, argv):
             flags.append(flag if value is True else f"{flag}={text}")
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        env = os.environ.get("DMT_SEED")
+        seed_from, env = "DMT_SEED", os.environ.get("DMT_SEED")
         try:
             args.seed = int(env) if env else 1
         except ValueError:
             parser.error(f"DMT_SEED must be an integer, got {env!r}")
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"{seed_from}: the seed must be >= 0, got {args.seed}")
     return args
 
 

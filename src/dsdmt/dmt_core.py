@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -129,7 +130,11 @@ class DmtCurve:
 
 def dmt_curve(t) -> DmtCurve:
     """Full tradeoff curve of a channel triple, in any component order."""
-    o = order_triple(t)
+    return _curve(order_triple(t))
+
+
+@lru_cache(maxsize=64)
+def _curve(o: OrderedTriple) -> DmtCurve:  # dmt_curve, once per ordered triple
     return DmtCurve(tuple((k, dmt_point(o, k)) for k in range(o.m_small + 1)))
 
 

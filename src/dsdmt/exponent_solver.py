@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _simplex
 
@@ -79,7 +80,11 @@ class ExponentProgram:
     def plus_pairs(self) -> tuple[tuple[int, int], ...]:
         """0-based (i, j), i < j, i first then j rising: each contributes
         (alpha_i - beta_j)^+ to the objective."""
-        return tuple((i, j) for i in range(self.alpha_dim) for j in range(i + 1, self.beta_dim))
+        return _plus_pairs(self.alpha_dim, self.beta_dim)
+
+
+def _plus_pairs(na: int, nb: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(na) for j in range(i + 1, nb))
 
 
 def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
@@ -115,35 +120,28 @@ class LpSolution:
     beta: tuple[Fraction, ...]
 
 
-def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
-    """Exact optimum of the exponent program; value equals d(r).
-
-    Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
-    with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
-    so minimization pins them to the plus parts.  r is only the rhs of the row
-    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l.
-    """
-    if p.r < 0:
-        raise ValueError(f"r must be nonnegative, got {p.r}")
-    na, nb = p.alpha_dim, p.beta_dim
-    pairs = p.plus_pairs
+@lru_cache(maxsize=64)
+def _lp_rows(alpha_coeffs, beta_coeffs):
+    """c, a_ub and b_ub's entries before and after the r of sum s_i <= r; tuples."""
+    na, nb = len(alpha_coeffs), len(beta_coeffs)
+    pairs = _plus_pairs(na, nb)
     npair = len(pairs)
     nvar = na + nb + npair + na
     ofs_b, ofs_t, ofs_s = na, na + nb, na + nb + npair
 
-    c = list(p.alpha_coeffs) + list(p.beta_coeffs) + [1] * npair + [0] * na
+    c = (*alpha_coeffs, *beta_coeffs, *[1] * npair, *[0] * na)
     rows, rhs = [], []
 
     def add(coeffs, bound):
         row = [0] * nvar
         for idx, v in coeffs:
             row[idx] += v
-        rows.append(row)
+        rows.append(tuple(row))
         rhs.append(bound)
 
     for k, (i, j) in enumerate(pairs):  # alpha_i - beta_j - t_ij <= 0
         add([(i, 1), (ofs_b + j, -1), (ofs_t + k, -1)], 0)
-    add([(ofs_s + i, 1) for i in range(na)], p.r)  # sum s_i <= r
+    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r
     for i in range(na):  # 1 - alpha_i - s_i <= 0
         add([(i, -1), (ofs_s + i, -1)], -1)
     for i in range(na - 1):  # alpha chain
@@ -152,16 +150,27 @@ def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
         add([(ofs_b + j, 1), (ofs_b + j + 1, -1)], 0)
     for i in range(na):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
+    return c, tuple(rows), tuple(rhs[:npair]), tuple(rhs[npair + 1 :])
 
+
+def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
+    """Exact optimum of the exponent program; value equals d(r).
+
+    Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
+    with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
+    so minimization pins them to the plus parts.  r is only the rhs of the row
+    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l,
+    and the rows are built once per (alpha_coeffs, beta_coeffs).
+    """
+    if p.r < 0:
+        raise ValueError(f"r must be nonnegative, got {p.r}")
+    na, nb = p.alpha_dim, p.beta_dim
+    c, rows, head, tail = _lp_rows(p.alpha_coeffs, p.beta_coeffs)
     try:
-        value, x = _simplex.solve_min(c, rows, rhs, warm)
+        value, x = _simplex.solve_min(c, rows, [*head, p.r, *tail], warm)
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
-    return LpSolution(
-        value=value,
-        alpha=tuple(x[:na]),
-        beta=tuple(x[ofs_b : ofs_b + nb]),
-    )
+    return LpSolution(value=value, alpha=tuple(x[:na]), beta=tuple(x[na : na + nb]))
 
 
 @dataclass(frozen=True)
@@ -189,17 +198,19 @@ def greedy_reduce(p: ExponentProgram) -> ReducedObjective:
     one whose coefficient hits 0 parks where it is.  The decrements are
     counted explicitly rather than taken from any closed-form final value.
     """
-    passes = [0] * p.alpha_dim
-    for j in range(p.beta_dim):
-        coeff = p.beta_coeffs[j]
-        for i in reversed(range(min(j, p.alpha_dim))):
+    return _greedy(p.alpha_coeffs, p.beta_coeffs)
+
+
+@lru_cache(maxsize=64)
+def _greedy(alpha_coeffs, beta_coeffs) -> ReducedObjective:  # once per coefficient pair
+    passes = [0] * len(alpha_coeffs)
+    for j, coeff in enumerate(beta_coeffs):
+        for i in reversed(range(min(j, len(alpha_coeffs)))):
             if coeff <= 0:
                 break
             passes[i] += 1
             coeff -= 1
-    return ReducedObjective(
-        tuple(a + extra for a, extra in zip(p.alpha_coeffs, passes))
-    )
+    return ReducedObjective(tuple(a + extra for a, extra in zip(alpha_coeffs, passes)))
 
 
 def minimize_threshold(ro: ReducedObjective, r) -> Fraction:

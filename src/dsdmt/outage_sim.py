@@ -59,6 +59,7 @@ BLOCK_TRIALS = 4096  # trials per RNG stream; fixed so counts don't depend on wo
 MIN_EVENTS_FOR_FIT = 20
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _SNR_MATCH_DB = 1e-9  # estimate_outage's grid match (dB); SimConfig keeps points this far apart
+MAX_SNR_DB = 1000.0  # the highest grid point: gain * gain * det stays finite for gains to 1e100
 
 
 class InsufficientDataError(RuntimeError):
@@ -118,11 +119,9 @@ class SimConfig:
         grid = tuple(float(v) for v in self.snr_grid_db)
         if len(grid) == 0 or any(b - a < _SNR_MATCH_DB for a, b in zip(grid, grid[1:])):
             raise ValueError(f"snr grid steps must be >= {_SNR_MATCH_DB} dB, got {grid}")
-        try:
-            linear = [10.0 ** (v / 10.0) for v in grid]
-        except OverflowError:
-            linear = [math.inf]
-        if not all(0.0 < x < math.inf for x in linear):
+        if any(v > MAX_SNR_DB for v in grid):
+            raise ValueError(f"snr grid points must be <= {MAX_SNR_DB} dB, got {grid}")
+        if not all(0.0 < 10.0 ** (v / 10.0) for v in grid):  # also false for nan
             raise ValueError(f"snr grid has a linear SNR that is 0 or not finite: {grid}")
         object.__setattr__(self, "snr_grid_db", grid)
         if self.trials < 1:

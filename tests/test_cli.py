@@ -244,6 +244,17 @@ class TestSim:
             assert "error" in err and "Traceback" not in err, (grid, r)
             assert "math domain" not in err, (grid, r)
 
+    def test_snr_ceiling(self, tmp_path, monkeypatch, capsys):
+        # above 1000 dB the (2,2,2) kernel overflowed and counted no outage;
+        # such a grid exits 2 and writes nothing, while 1000 dB still runs
+        argv = ["sim", "--triple", "2,2,2", "--r", "2", "--trials", "2000", "--seed", "1"]
+        assert run_cli(argv + ["--snr-db", "3000:3000:1"], tmp_path, monkeypatch) == 2
+        assert "1000.0 dB" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dmt_sim*"))
+        assert run_cli(argv + ["--snr-db", "1000:1000:1"], tmp_path, monkeypatch) == 4
+        capsys.readouterr()
+        assert (tmp_path / "dmt_sim.csv").read_text().splitlines()[1].split(",")[3] == "1904"
+
     def test_grid_point_bound(self):
         top = cli.MAX_SNR_POINTS
         assert len(cli._parse_snr_grid(f"0:{top - 1}:1")) == top
@@ -266,6 +277,28 @@ class TestSim:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "dmt_sim.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["--seed", "--config", "DMT_SEED"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--trials", "5"],
+    ["verify", "--suite", "lemma1", "--trials", "5"],
+    SIM_ARGV + ["--trials", "5"],
+], ids=["verify-all", "verify-lemma1", "sim"])
+def test_negative_seed_usage_error(argv, source, tmp_path, monkeypatch, capsys):
+    # rejected before any suite or trial runs, naming where the seed came from
+    if source == "--seed":
+        argv = argv + ["--seed", "-3"]
+    elif source == "--config":
+        (tmp_path / "run.json").write_text(json.dumps({"seed": -3}))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    else:
+        monkeypatch.setenv("DMT_SEED", "-3")
+    code = run_cli(argv, tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and source in err and "Traceback" not in err
+    assert list(tmp_path.glob("dmt_*")) == []
 
 
 class TestVerify:

@@ -224,6 +224,10 @@ class TestEstimateOutage:
                            seed=1)
         with pytest.raises(ValueError):
             osim.SimConfig(spec=spec_111(), snr_grid_db=(10.0,), r=0.5, trials=0, seed=1)
+        osim.SimConfig(spec=spec_111(), snr_grid_db=(osim.MAX_SNR_DB,), r=0.5, trials=10, seed=1)
+        with pytest.raises(ValueError, match="<= 1000.0 dB"):
+            osim.SimConfig(spec=spec_111(), snr_grid_db=(10.0, osim.MAX_SNR_DB + 1e-6), r=0.5,
+                           trials=10, seed=1)
 
     def test_determinism_and_worker_invariance(self):
         base = dict(spec=spec_111(), snr_grid_db=(15.0,), r=0.5, trials=20000)

@@ -332,3 +332,61 @@ def test_exponent_lps_warm_match_cold_solves():
                 warm_values = [exponent_solver.dmt_via_lp(*t, r, warm) for r in rs[::order]]
                 assert warm_values == cold[::order], t
     assert dual
+
+
+def test_crosscheck_pivot_count(monkeypatch):
+    # a warm call that stays inside its basis's range pivots nowhere, and a
+    # move from an older b takes the same pivots as moving one r at a time
+    pivots = []
+    pivot = _simplex._pivot
+    monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
+    report = cli.run_crosscheck(5, True)
+    assert report["cases"] == 1025 and not report["mismatches"]
+    assert len(pivots) == 1236
+
+
+def _rewritten(tableau, old, new, nvar):
+    """Every row with an entry in a moved slack taken to b = new, then dual
+    pivots: how a warm tableau moved on every call before the range test."""
+    rows, cost, basis = tableau
+    ncols = nvar + len(rows)
+    for slack, (a, b) in enumerate(zip(old, new), nvar):
+        if a != b:
+            p, q = Fraction(b - a).as_integer_ratio()
+            for tab in (*rows, cost):
+                if tab[slack]:
+                    tab[:] = _simplex._combine(tab, q, -p * tab[slack], {ncols: 1}, (ncols,))
+    _simplex._dual_iterate(rows, cost, basis, ncols)
+
+
+def test_warm_range_test_matches_a_rewrite_on_every_call():
+    # every triple with dims <= 5, r up and then down on one warm dict: each
+    # call gives the value and x of a tableau rewritten to its b on every
+    # call, and whenever the warm tableau sits at the call's b (it was solved
+    # cold or moved there) its int rows are that tableau's
+    moved = kept = 0
+    with dual_pivots_checked():
+        for m, n, l in itertools.product(range(1, 6), repeat=3):
+            p = exponent_solver.build_program(max(m, n), min(m, n), l, 0)
+            c, a_ub, head, tail = exponent_solver._lp_rows(p.alpha_coeffs, p.beta_coeffs)
+            rs = [Fraction(k, 4) for k in range(4 * min(m, n, l) + 1)]
+            warm, ref, old = {}, None, None
+            for r in rs + rs[-2::-1]:
+                b = [*head, r, *tail]
+                if ref is None:
+                    ref = _simplex._optimal_tableau(c, a_ub, b)
+                else:
+                    _rewritten(ref, old, b, len(c))
+                old = b
+                rows, cost, basis = ref
+                x = [Fraction(0)] * len(c)
+                for i, j in enumerate(basis):
+                    if j < len(c):
+                        x[j] = Fraction(rows[i][-1], rows[i][j])
+                assert _simplex.solve_min(c, a_ub, b, warm) == (Fraction(-cost[-2], cost[-1]), x)
+                if warm["last"][1] == b:
+                    assert warm["last"][2] == ref, (m, n, l, r)
+                    moved += 1
+                else:
+                    kept += 1
+    assert moved > 125 and kept > moved
