@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -47,6 +48,11 @@ VERIFICATION_FAILURE = 5
 
 MAX_SNR_POINTS = 10_000  # the most points an --snr-db grid may have
 MIN_SNR_STEP_DB = 1e-6  # the finest --snr-db step; far above the grid's 1e-9 dB rounding
+# caps on the work one run may ask for; each pinned workload stays well inside
+MAX_SIM_TRIALS = 10_000_000  # per SNR point; drawn in blocks, so memory stays flat
+MAX_VERIFY_TRIALS = 1_000_000  # a Wishart fit holds all of its trials at once
+MAX_DIM = 12  # crosscheck --max-dim; the exact sweep's time grows steeply with it
+MAX_DIGITS = 1_000  # verify --digits; the mpmath determinants' time grows steeply with it
 
 # the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
 VERIFY_SUITES = ("lemma1", "lemma2", "lemma3", "lemma4", "prop1", "wishart")
@@ -64,13 +70,10 @@ def _parse_triple(text: str) -> ChannelTriple:
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected lo:hi:step in dB, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric grid {text!r}") from None
+        lo, hi, step = (float(p) for p in text.split(":"))
+    except ValueError:  # not three parts, or one is not a number
+        raise argparse.ArgumentTypeError(f"expected lo:hi:step in dB, got {text!r}") from None
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise argparse.ArgumentTypeError(f"lo, hi and step must be finite, got {text!r}")
     if step < MIN_SNR_STEP_DB or hi < lo:
@@ -96,14 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="closed-form tradeoff curve")
     p_curve.add_argument("--triple", type=_parse_triple, required=True, metavar="T,S,R")
-    p_curve.add_argument("--output", default="dmt_curve", help="output prefix")
     p_curve.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
     p_cross = sub.add_parser("crosscheck", help="closed form vs LP vs greedy sweep")
     p_cross.add_argument("--max-dim", type=int, default=5)
     p_cross.add_argument("--fractional", action="store_true",
                          help="sweep quarter-integer multiplexing gains too")
-    p_cross.add_argument("--output", default="dmt_crosscheck")
 
     # --triple/--r/--snr-db are validated after --config merging, so a config
     # file can supply them
@@ -116,17 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed (falls back to DMT_SEED, then 1)")
     p_sim.add_argument("--corr", default="id", metavar="id|exp:RHO|file:PATH")
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--output", default="dmt_sim")
 
     p_ver = sub.add_parser("verify", help="lemma / density verification suites")
     p_ver.add_argument("--suite", default="all", choices=VERIFY_SUITES + ("all",))
     p_ver.add_argument("--trials", type=int, default=10000)
     p_ver.add_argument("--digits", type=int, default=60)
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--output", default="dmt_verify")
 
-    for p in (p_curve, p_cross, p_sim, p_ver):
+    for name, p in sub.choices.items():
+        p.add_argument("--output", default=f"dmt_{name}", help="output prefix")
         p.add_argument("--config", default=None, help="JSON config merged under explicit flags")
+        p.set_defaults(_parser=p)  # a usage error names its command: "dmt sim: error: ..."
     return parser
 
 
@@ -137,9 +138,9 @@ def _merge_config(parser, args, argv):
     (a list joined by commas; true gives a bare flag, false none), placed
     before the command line's own flags, which therefore win.  The parser
     then reads both, so a config value is accepted exactly when the same
-    text on the command line is, and a bad one exits 2 naming its flag, as
-    do an unreadable config file, one holding no JSON object, a non-integer
-    DMT_SEED, and a negative seed, named by where it came from.
+    text on the command line is, and a bad one exits 2 naming its flag.  An
+    unreadable config file, one holding no JSON object, a non-integer
+    DMT_SEED, and a negative seed, named by where it came from, raise ValueError.
     """
     seed_from = "--seed" if getattr(args, "seed", None) is not None else f"--config {args.config}"
     if args.config:
@@ -147,9 +148,9 @@ def _merge_config(parser, args, argv):
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
-            parser.error(f"--config {args.config}: {exc}")
+            raise ValueError(f"--config {args.config}: {exc}") from None
         if not isinstance(cfg, dict):
-            parser.error(f"--config {args.config}: expected a JSON object")
+            raise ValueError(f"--config {args.config}: expected a JSON object")
         flags = []
         for key, value in cfg.items():
             if not hasattr(args, key.replace("-", "_")) or value is False:
@@ -163,27 +164,47 @@ def _merge_config(parser, args, argv):
         try:
             args.seed = int(env) if env else 1
         except ValueError:
-            parser.error(f"DMT_SEED must be an integer, got {env!r}")
+            raise ValueError(f"DMT_SEED must be an integer, got {env!r}") from None
     if getattr(args, "seed", 0) < 0:
-        parser.error(f"{seed_from}: the seed must be >= 0, got {args.seed}")
+        raise ValueError(f"{seed_from}: the seed must be >= 0, got {args.seed}")
     return args
 
 
-def _manifest(command_argv, args, outputs) -> dict:
-    echo = {
-        k: (str(v) if isinstance(v, (Fraction, ChannelTriple)) else v)
-        for k, v in sorted(vars(args).items())
-        if k != "command" and not k.startswith("_")
-    }
-    if isinstance(getattr(args, "triple", None), ChannelTriple):
-        echo["triple"] = ",".join(map(str, args.triple.as_tuple()))
-    return {
-        "command": command_argv,
-        "config": echo,
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "outputs": [str(p) for p in outputs],
-    }
+def _check_range(flag, value, low, high):
+    if not low <= value <= high:
+        raise ValueError(f"{flag} must be {f'>= {low}' if value < low else f'<= {high}'}, "
+                         f"got {value}")
+
+
+def _check(args):
+    """The check phase, before any work starts or any file is opened: a bad
+    input raises ValueError.  Returns the command's run, bound to what it
+    runs on; for `sim`, a SimConfig, whose dataclasses own its checks."""
+    if not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise ValueError(f"--output {args.output}: its directory does not exist")
+    if args.command == "curve":
+        return functools.partial(cmd_curve, args)
+    if args.command == "crosscheck":
+        _check_range("--max-dim", args.max_dim, 1, MAX_DIM)
+        return functools.partial(cmd_crosscheck, args)
+    if args.command == "verify":
+        from .lemma_verify import MIN_DIGITS
+
+        _check_range("--trials", args.trials, 1, MAX_VERIFY_TRIALS)
+        _check_range("--digits", args.digits, MIN_DIGITS, MAX_DIGITS)
+        return functools.partial(cmd_verify, args)
+    from . import outage_sim
+
+    missing = [f"--{name}" for name in ("triple", "r", "snr-db")
+               if getattr(args, name.replace("-", "_")) is None]
+    if missing:
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
+    phis = [_parse_corr(args.corr, dim) for dim in args.triple.as_tuple()]
+    cfg = outage_sim.SimConfig(
+        spec=outage_sim.make_channel_spec(args.triple, *phis), snr_grid_db=args.snr_db,
+        r=args.r, trials=args.trials, seed=args.seed, workers=args.workers)
+    _check_range("--trials", cfg.trials, 1, MAX_SIM_TRIALS)  # SimConfig holds the floor
+    return functools.partial(cmd_sim, args, cfg)
 
 
 def _write_json(path, payload):
@@ -192,32 +213,36 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _finalize(command_argv, args, outputs, started, **detail):
-    man = _manifest(command_argv, args, outputs)
-    man.update(detail)
-    man["started"] = started
-    man["finished"] = _now()
-    path = f"{args.output}.manifest.json"
-    _write_json(path, man)
-    return path
+def _finalize(command_argv, args, started, entries):
+    echo = {k: v for k, v in sorted(vars(args).items())
+            if k != "command" and not k.startswith("_")}
+    if "triple" in echo:
+        echo["triple"] = ",".join(map(str, args.triple.as_tuple()))
+    _write_json(f"{args.output}.manifest.json", {
+        "command": command_argv,
+        "config": echo,
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        **entries,
+        "started": started,
+        "finished": _now(),
+    })
 
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def cmd_curve(args, argv) -> int:
-    started = _now()
+def cmd_curve(args) -> tuple[int, dict]:
     curve = dmt_curve(args.triple)
     o = order_triple(args.triple)
     md = max_diversity(args.triple)
+    rows = [f"{k},{d}" for k, d in curve.points]
     outputs = []
     if args.format in ("csv", "both"):
         path = f"{args.output}.csv"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,d\n")
-            for k, d in curve.points:
-                fh.write(f"{k},{d}\n")
+            fh.write("\n".join(["k,d", *rows]) + "\n")
         outputs.append(path)
     if args.format in ("json", "both"):
         path = f"{args.output}.json"
@@ -230,10 +255,8 @@ def cmd_curve(args, argv) -> int:
                               "attained": md.attained},
         })
         outputs.append(path)
-    _finalize(argv, args, outputs, started)
-    for k, d in curve.points:
-        print(f"{k},{d}")
-    return 0
+    print("\n".join(rows))
+    return 0, {"outputs": outputs}
 
 
 def run_crosscheck(max_dim: int, fractional: bool,
@@ -264,61 +287,35 @@ def run_crosscheck(max_dim: int, fractional: bool,
             "cases": cases, "mismatches": mismatches}
 
 
-def cmd_crosscheck(args, argv) -> int:
-    started = _now()
-    if args.max_dim < 1:
-        print("error: --max-dim must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_crosscheck(args) -> tuple[int, dict]:
     report = run_crosscheck(args.max_dim, args.fractional)
     path = f"{args.output}.json"
     _write_json(path, report)
-    _finalize(argv, args, [path], started)
     print(f"{len(report['mismatches'])} mismatches / {report['cases']} cases")
     if report["mismatches"]:
-        worst = report["mismatches"][0]
-        print(f"first counterexample: {worst}", file=sys.stderr)
-        return MISMATCH_ERROR
-    return 0
+        print(f"first counterexample: {report['mismatches'][0]}", file=sys.stderr)
+    return (MISMATCH_ERROR if report["mismatches"] else 0), {"outputs": [path]}
 
 
 def _parse_corr(spec: str, dim: int):
     from . import randmat
 
-    if spec == "id":
-        return randmat.identity_correlation(dim)
-    if spec.startswith("exp:"):
-        return randmat.exponential_correlation(dim, float(spec[4:]))
-    if spec.startswith("file:"):
-        corr = randmat.load_correlation_matrix(spec[5:])
-        if corr.dim != dim:
-            raise ValueError(f"correlation file is {corr.dim}x{corr.dim}, expected {dim}x{dim}")
-        return corr
+    kind, _, value = spec.partition(":")
+    try:
+        if spec == "id":
+            return randmat.identity_correlation(dim)
+        if kind == "exp":
+            return randmat.exponential_correlation(dim, float(value))
+        if kind == "file":
+            return randmat.load_correlation_matrix(value)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"--corr {spec}: {exc}") from None
     raise ValueError(f"bad --corr value {spec!r}; expected id, exp:RHO or file:PATH")
 
 
-def cmd_sim(args, argv) -> int:
+def cmd_sim(args, cfg) -> tuple[int, dict]:
     from . import outage_sim
 
-    started = _now()
-    missing = [name for name in ("triple", "r", "snr_db") if getattr(args, name) is None]
-    if missing:
-        print(f"error: missing required option(s): {', '.join(missing)}", file=sys.stderr)
-        return USAGE_ERROR
-    triple = args.triple
-    try:
-        spec = outage_sim.make_channel_spec(
-            triple,
-            phi_t=_parse_corr(args.corr, triple.n_t),
-            phi_s=_parse_corr(args.corr, triple.n_s),
-            phi_r=_parse_corr(args.corr, triple.n_r),
-        )
-        cfg = outage_sim.SimConfig(
-            spec=spec, snr_grid_db=args.snr_db, r=args.r,
-            trials=args.trials, seed=args.seed, workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     estimates = outage_sim.run_simulation(cfg)
     csv_path = f"{args.output}.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -327,12 +324,11 @@ def cmd_sim(args, argv) -> int:
     try:
         fit = outage_sim.fit_slope(estimates)
     except outage_sim.InsufficientDataError as exc:
-        _finalize(argv, args, outputs, started)
         print(f"insufficient tail data: {exc}", file=sys.stderr)
-        return INSUFFICIENT_DATA
+        return INSUFFICIENT_DATA, {"outputs": outputs}
     json_path = f"{args.output}.json"
     _write_json(json_path, {
-        "triple": list(triple.as_tuple()),
+        "triple": list(args.triple.as_tuple()),
         "r": args.r,
         "corr": args.corr,
         "slope": fit.slope,
@@ -345,22 +341,13 @@ def cmd_sim(args, argv) -> int:
         ],
     })
     outputs.append(json_path)
-    _finalize(argv, args, outputs, started)
     print(f"slope {fit.slope:.4f} +- {fit.stderr:.4f} over {fit.points_used} points")
-    return 0
+    return 0, {"outputs": outputs}
 
 
-def cmd_verify(args, argv) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     from . import lemma_verify
 
-    started = _now()
-    if args.trials < 1:
-        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.digits < lemma_verify.MIN_DIGITS:
-        print(f"error: --digits must be >= {lemma_verify.MIN_DIGITS}, got {args.digits}",
-              file=sys.stderr)
-        return USAGE_ERROR
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     report = {}
     suite_s = {}
@@ -378,15 +365,13 @@ def cmd_verify(args, argv) -> int:
             failed.append(name)
     path = f"{args.output}.json"
     _write_json(path, report)
-    _finalize(argv, args, [path], started, suite_s=suite_s)
     for name in suites:
         status = "FAIL" if name in failed else "ok"
         print(f"{name}: {status}")
     if failed:
         print(json.dumps({k: report[k] for k in failed}, indent=2, sort_keys=True,
                          default=str), file=sys.stderr)
-        return VERIFICATION_FAILURE
-    return 0
+    return (VERIFICATION_FAILURE if failed else 0), {"outputs": [path], "suite_s": suite_s}
 
 
 def main(argv=None) -> int:
@@ -394,25 +379,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _merge_config(parser, args, argv)
+        try:
+            args = _merge_config(parser, args, argv)
+            run = _check(args)
+        except ValueError as exc:
+            args._parser.error(str(exc))  # exit 2, after the command's usage line
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    handlers = {
-        "curve": cmd_curve,
-        "crosscheck": cmd_crosscheck,
-        "sim": cmd_sim,
-        "verify": cmd_verify,
-    }
+    started = _now()
     try:
-        return handlers[args.command](args, argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        code, entries = run()
+        _finalize(argv, args, started, entries)
+    except OSError as exc:  # a write that fails during the run
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-def entrypoint():
-    raise SystemExit(main())
+    return code
 
 
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

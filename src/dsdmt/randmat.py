@@ -171,6 +171,8 @@ def load_correlation_matrix(path) -> CorrelationMatrix:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty correlation file")
+    if not tokens[0].isdecimal() or int(tokens[0]) < 1:
+        raise ValueError(f"{path}: the first line must be a positive integer, got {tokens[0]!r}")
     dim = int(tokens[0])
     entries = tokens[1:]
     if len(entries) != dim * dim:

@@ -3,11 +3,14 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsdmt
 from dsdmt import cli
@@ -372,6 +375,197 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 5
         assert "precision" in err.lower()
+
+
+def checked(argv):
+    """The run that main's check phase builds for argv; its work is not started."""
+    parser = cli.build_parser()
+    return cli._check(cli._merge_config(parser, parser.parse_args(argv), argv))
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any command starts its work."""
+    from dsdmt import lemma_verify, outage_sim
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the command's work started")
+
+    monkeypatch.setattr(outage_sim, "run_simulation", fail)
+    monkeypatch.setattr(cli, "run_crosscheck", fail)
+    monkeypatch.setattr(cli, "dmt_curve", fail)
+    monkeypatch.setattr(lemma_verify, "SUITES", dict.fromkeys(lemma_verify.SUITES, fail))
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--triple", "2,2,2"],
+    ["crosscheck", "--max-dim", "2"],
+    SIM_ARGV + ["--trials", "5"],
+    ["verify", "--suite", "lemma4", "--trials", "5"],
+], ids=["curve", "crosscheck", "sim", "verify"])
+def test_missing_output_directory_exits_before_work(argv, no_work, tmp_path, monkeypatch,
+                                                    capsys):
+    code = run_cli(argv + ["--output", "missing/x"], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and "--output missing/x" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flag,cap,huge", [
+    (SIM_ARGV, "--trials", cli.MAX_SIM_TRIALS, "10000000000000"),
+    (["verify"], "--trials", cli.MAX_VERIFY_TRIALS, "10000000000000"),
+    (["verify", "--suite", "all", "--trials", "10"], "--digits", cli.MAX_DIGITS, "100000"),
+    (["crosscheck"], "--max-dim", cli.MAX_DIM, "100000"),
+], ids=["sim-trials", "verify-trials", "verify-digits", "crosscheck-max-dim"])
+def test_work_cap_boundary(argv, flag, cap, huge, no_work, tmp_path, monkeypatch, capsys):
+    # the cap itself passes the check phase; one above it, and the huge
+    # value, which ran past a 60 s timeout before the caps, exit 2 before
+    # any work, naming the flag and the cap
+    monkeypatch.chdir(tmp_path)
+    assert callable(checked(argv + [flag, str(cap)]))
+    with pytest.raises(ValueError, match=f"^{flag} must be <= {cap}, got {cap + 1}$"):
+        checked(argv + [flag, str(cap + 1)])
+    for value in (str(cap + 1), huge):
+        assert cli.main(argv + [flag, value]) == 2
+        assert f"{flag} must be <= {cap}, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("corr,named", [
+    ("file:zero.txt", "zero.txt: the first line must be a positive integer"),
+    ("file:negative.txt", "negative.txt: the first line must be a positive integer"),
+    ("file:word.txt", "word.txt: the first line must be a positive integer"),
+    ("file:missing.txt", "--corr file:missing.txt: [Errno 2] No such file"),
+    ("exp:abc", "--corr exp:abc"),
+    (None, "missing required option(s): --snr-db"),
+], ids=["header-0", "header-negative", "header-word", "file-missing", "corr-exp-word",
+        "missing-snr-db"])
+def test_usage_error_names_its_source(corr, named, tmp_path, monkeypatch, capsys):
+    # before, the headers printed numpy's "zero-size array ..." message,
+    # "expected 1 entries, found 0" and int()'s "invalid literal ...",
+    # exp:abc only float()'s message, and a missing option its attribute name
+    for name, header in (("zero.txt", "0"), ("negative.txt", "-1"), ("word.txt", "x")):
+        (tmp_path / name).write_text(f"{header}\n1,0\n")
+    argv = ["sim", "--triple", "1,1,1", "--r", "0.5", "--trials", "5"]
+    if corr is not None:
+        argv += ["--snr-db", "10:15:5", "--corr", corr]
+    code = run_cli(argv, tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and named in err and "Traceback" not in err
+    assert not list(tmp_path.glob("dmt_*"))
+
+
+# the flag grammar of each command: flag -> (valid values, edge values), with
+# None for a bare switch and OMIT for leaving a flag out.  The flags in
+# ALWAYS are given unless an edge omits them: the required ones, and those
+# whose default makes a long run.  Valid counts stay small, and valid trial
+# counts within one RNG block, so no run starts a process pool.
+OMIT = object()
+EDGES = ("nan", "inf", "-inf", "-1", "0", "")
+GRAMMAR = {
+    "curve": {
+        "--triple": (("2,3,4", "1,1,1"), (OMIT, "0,1,1", "-1,2,2", "1,1", "nan,1,1") + EDGES),
+        "--format": (("csv", "json", "both"), ("",)),
+    },
+    "crosscheck": {
+        "--max-dim": (("1", "2"), (str(cli.MAX_DIM + 1), "100000") + EDGES),
+        "--fractional": ((None,), ()),
+    },
+    "sim": {
+        "--triple": (("1,1,1", "2,1,2"), (OMIT, "0,1,1", "1,1") + EDGES),
+        "--r": (("0.5", "1"), (OMIT, "5", "1e308") + EDGES),
+        "--snr-db": (("10:20:5", "-10:0:10"),
+                     (OMIT, "20:10:5", "10:30:nan", "10:inf:5", "0:1:1e-12", "3000:3000:1",
+                      "0:1e300:1", "-4000:-3990:5") + EDGES),
+        "--trials": (("1", "50", "4096"), (str(cli.MAX_SIM_TRIALS + 1),) + EDGES),
+        "--seed": (("1", "99999999999999999999"), EDGES),
+        "--corr": (("id", "exp:0.5"),
+                   ("exp:abc", "exp:nan", "exp:1", "file:../fix/id2.txt", "file:../fix/zero.txt",
+                    "file:../fix/nan.txt", "file:missing.txt", "nonsense", "")),
+        "--workers": (("1", "2"), ("-1", "0")),
+    },
+    "verify": {
+        "--suite": (("lemma1", "lemma4", "prop1", "wishart"), (OMIT, "")),
+        "--trials": (("1", "3", "50"), (str(cli.MAX_VERIFY_TRIALS + 1),) + EDGES),
+        "--digits": (("13", "60"), ("12", str(cli.MAX_DIGITS + 1)) + EDGES),
+        "--seed": (("1",), ("-3",) + EDGES),
+    },
+}
+COMMON = {
+    "--output": (("out/run", "run", ""), ("missing/run",)),
+    "--config": (("../fix/good.json",),
+                 ("../fix/bad.json", "../fix/list.json", "missing.json")),
+}
+ALWAYS = {"--triple", "--r", "--snr-db", "--trials", "--max-dim", "--suite"}
+FIXTURES = {
+    "id2.txt": "2\n1,0 0,0 0,0 1,0\n", "zero.txt": "0\n", "nan.txt": "1\nnan,0\n",
+    "good.json": '{"trials": 3, "seed": 2}', "bad.json": '{"trials": ', "list.json": "[5]",
+}
+
+
+def edges(command):
+    """None, then every (flag, edge value) of the command's grammar."""
+    grammar = {**GRAMMAR[command], **COMMON}
+    return [None] + [(flag, value) for flag, (_, values) in grammar.items() for value in values]
+
+
+def grammar_argv(command, edge, pick):
+    """argv of the command with edge, a (flag, value) or None; every other
+    flag takes pick(flag, its valid values), which may be OMIT."""
+    argv = [command]
+    for flag, (valid, _) in {**GRAMMAR[command], **COMMON}.items():
+        value = edge[1] if edge and edge[0] == flag else pick(flag, valid)
+        if value is not OMIT:
+            argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+def test_fuzz_cli_exit_codes(tmp_path, monkeypatch):
+    # every edge value with the other flags at their first valid value, then
+    # random argv with at most one edge value: each ends in a documented
+    # exit code and no exception, and an exit of 2 writes nothing
+    import scipy.stats  # noqa: F401  (the Wishart fit's lazy import, off the deadline)
+
+    (tmp_path / "fix").mkdir()
+    for name, text in FIXTURES.items():
+        (tmp_path / "fix" / name).write_text(text)
+    work = tmp_path / "work"
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv):
+        (work / "out").mkdir(parents=True)
+        os.chdir(work)
+        try:
+            code = cli.main(argv)
+        finally:
+            os.chdir(tmp_path)
+        assert code in (0, 2, 3, 4, 5), argv
+        if code == 2:
+            assert [p.name for p in work.iterdir()] == ["out"], argv
+            assert list((work / "out").iterdir()) == [], argv
+        shutil.rmtree(work)
+
+    for command in GRAMMAR:
+        for edge in edges(command):
+            check(grammar_argv(command, edge, lambda flag, valid: valid[0] if flag in ALWAYS
+                               else OMIT))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=1000)
+    @given(st.data())
+    def run(data):
+        command = data.draw(st.sampled_from(sorted(GRAMMAR)), label="command")
+        edge = data.draw(st.sampled_from(edges(command)), label="edge")
+
+        def pick(flag, valid):
+            if flag in ALWAYS or data.draw(st.booleans(), label=f"give {flag}"):
+                return data.draw(st.sampled_from(valid), label=flag)
+            return OMIT
+
+        check(grammar_argv(command, edge, pick))
+
+    run()
 
 
 def subprocess_env():
