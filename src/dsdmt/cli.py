@@ -50,6 +50,7 @@ MAX_SNR_POINTS = 10_000  # the most points an --snr-db grid may have
 MIN_SNR_STEP_DB = 1e-6  # the finest --snr-db step; far above the grid's 1e-9 dB rounding
 # caps on the work one run may ask for; each pinned workload stays well inside
 MAX_SIM_TRIALS = 10_000_000  # per SNR point; drawn in blocks, so memory stays flat
+MAX_SIM_DIM = 16  # sim --triple dimensions; a block holds a few n x n x 4096 complex arrays
 MAX_VERIFY_TRIALS = 1_000_000  # a Wishart fit holds all of its trials at once
 MAX_DIM = 12  # crosscheck --max-dim; the exact sweep's time grows steeply with it
 MAX_DIGITS = 1_000  # verify --digits; the mpmath determinants' time grows steeply with it
@@ -199,10 +200,16 @@ def _check(args):
                if getattr(args, name.replace("-", "_")) is None]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
+    _check_range("--triple dimensions", max(args.triple.as_tuple()), 1, MAX_SIM_DIM)
     phis = [_parse_corr(args.corr, dim) for dim in args.triple.as_tuple()]
-    cfg = outage_sim.SimConfig(
-        spec=outage_sim.make_channel_spec(args.triple, *phis), snr_grid_db=args.snr_db,
-        r=args.r, trials=args.trials, seed=args.seed, workers=args.workers)
+    spec = outage_sim.make_channel_spec(args.triple, *phis)
+    try:
+        cfg = outage_sim.SimConfig(spec=spec, snr_grid_db=args.snr_db, r=args.r,
+                                   trials=args.trials, seed=args.seed, workers=args.workers)
+    except ValueError as exc:  # the message starts with the field; name its flag instead
+        field, _, rest = str(exc).partition(" ")
+        flag = "--snr-db" if field == "snr_grid_db" else f"--{field}"
+        raise ValueError(f"{flag} {rest}") from None
     _check_range("--trials", cfg.trials, 1, MAX_SIM_TRIALS)  # SimConfig holds the floor
     return functools.partial(cmd_sim, args, cfg)
 

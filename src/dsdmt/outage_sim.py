@@ -8,17 +8,19 @@ so outage counts are bit-reproducible and independent of the worker count.
 A multi-worker run spreads the blocks of all its grid points over one
 process pool.
 
-The batched kernel multiplies in only the square roots of non-identity
-correlations, each product written as a sum of rank-1 broadcast products
-over the inner index, which beats a batched matmul on tiny matrices.  The
-mutual information ln det(I + g G) uses the Gram matrix G on the smaller
-side, q = min(n_r, n_t).  For q <= 2 it is closed form: ln(1 + g tr G) for
-q = 1 and ln(1 + g tr G + g^2 det G) for q = 2, with det G taken by
-Cauchy-Binet as a sum of squared 2x2 minors of H, which is never negative
-and does not cancel.  For q >= 3 it sums ln(1 + g sigma^2) over the
-singular values sigma of H, whose squares are the eigenvalues of G; they
-lose relative accuracy in proportion to the condition number of H, while
-the eigenvalues of G lose it in proportion to its square.
+The batched kernel holds each matrix of a block trial-innermost, as a
+C-contiguous (rows, cols, count) array, so each elementwise op is one loop
+over the trials.  It multiplies in only the square roots of non-identity
+correlations, each product a sum of rank-1 broadcast products over the
+inner index, which beats a batched matmul on tiny matrices.  The mutual
+information ln det(I + g G) uses the Gram matrix G on the smaller side,
+q = min(n_r, n_t).  For q <= 2 it is closed form: ln(1 + g tr G) for q = 1
+and ln(1 + g tr G + g^2 det G) for q = 2, with det G taken by Cauchy-Binet
+as a sum of squared 2x2 minors of H, which is never negative and does not
+cancel.  For q >= 3 it sums ln(1 + g sigma^2) over the singular values
+sigma of H, whose squares are the eigenvalues of G; they lose relative
+accuracy in proportion to the condition number of H, while the eigenvalues
+of G lose it in proportion to its square.
 """
 
 from __future__ import annotations
@@ -118,11 +120,11 @@ class SimConfig:
     def __post_init__(self):
         grid = tuple(float(v) for v in self.snr_grid_db)
         if len(grid) == 0 or any(b - a < _SNR_MATCH_DB for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"snr grid steps must be >= {_SNR_MATCH_DB} dB, got {grid}")
+            raise ValueError(f"snr_grid_db steps must be >= {_SNR_MATCH_DB} dB, got {grid}")
         if any(v > MAX_SNR_DB for v in grid):
-            raise ValueError(f"snr grid points must be <= {MAX_SNR_DB} dB, got {grid}")
+            raise ValueError(f"snr_grid_db points must be <= {MAX_SNR_DB} dB, got {grid}")
         if not all(0.0 < 10.0 ** (v / 10.0) for v in grid):  # also false for nan
-            raise ValueError(f"snr grid has a linear SNR that is 0 or not finite: {grid}")
+            raise ValueError(f"snr_grid_db has a linear SNR that is 0 or not finite: {grid}")
         object.__setattr__(self, "snr_grid_db", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -151,44 +153,49 @@ class SlopeFit:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes, as a sum of rank-1 broadcast products
-    over the inner index; either factor may be a fixed 2-d matrix."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    """a @ b over the first two axes, trials on the last, as a sum of rank-1 broadcast
+    products over the inner index; a fixed matrix enters as (rows, cols, 1)."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j : j + 1] * b[j : j + 1]
     return out
 
 
 def _draw_block(spec: ChannelSpec, count: int, rng) -> np.ndarray:
-    """count channel matrices, shape (count, n_r, n_t); H1 is drawn before H2."""
+    """count channel matrices, shape (count, n_r, n_t), viewing C-contiguous (n_r, n_t, count)
+    memory; H1 is drawn before H2, each in the order of a (count, rows, cols) stack."""
     t = spec.triple
-    h = complex_gaussian((count, t.n_r, t.n_s), rng)
-    h2 = complex_gaussian((count, t.n_s, t.n_t), rng)
+    h = np.empty((t.n_r, t.n_s, count), dtype=complex)
+    h2 = np.empty((t.n_s, t.n_t, count), dtype=complex)
+    complex_gaussian((count, t.n_r, t.n_s), rng, out=h.transpose(2, 0, 1))
+    complex_gaussian((count, t.n_s, t.n_t), rng, out=h2.transpose(2, 0, 1))
     if spec.phi_r.kind != "identity":
-        h = _product(spec.phi_r.sqrt, h)
+        h = _product(spec.phi_r.sqrt[:, :, None], h)
     if spec.phi_s.kind != "identity":
-        h = _product(h, spec.phi_s.sqrt)
+        h = _product(h, spec.phi_s.sqrt[:, :, None])
     h = _product(h, h2)
     if spec.phi_t.kind != "identity":
-        h = _product(h, spec.phi_t.sqrt)
-    return h
+        h = _product(h, spec.phi_t.sqrt[:, :, None])
+    return h.transpose(2, 0, 1)
 
 
 def _mutual_information_block(hs: np.ndarray, gain: float) -> np.ndarray:
-    """ln det(I + gain * G) per matrix, G the Gram matrix on the smaller side."""
+    """ln det(I + gain * G) per matrix of hs, shape (count, n_r, n_t), G the Gram matrix
+    on the smaller side; q <= 2 sums over the matrix axes of its (n_r, n_t, count) view."""
     if min(hs.shape[1:]) > 2:  # the eigenvalues of G are the squared singular values of H
         sv = np.linalg.svd(hs, compute_uv=False)
         return np.sum(np.log1p(gain * sv**2), axis=1)
+    h = hs.transpose(1, 2, 0)  # np.add.reduce below: np.sum's wrapper costs ~2 us a call
     # the rows of the smaller side; G (or its conjugate, same tr and det) is rows @ rows^H
-    rows = hs if hs.shape[1] <= hs.shape[2] else np.swapaxes(hs, 1, 2)
-    trace = np.sum(rows.real**2 + rows.imag**2, axis=(1, 2))
-    if rows.shape[1] == 1:
+    rows = h if h.shape[0] <= h.shape[1] else h.transpose(1, 0, 2)
+    trace = np.add.reduce(rows.real**2 + rows.imag**2, axis=(0, 1))
+    if rows.shape[0] == 1:
         return np.log1p(gain * trace)
-    h0, h1 = rows[:, 0, :], rows[:, 1, :]
-    det = np.zeros(len(rows))
-    for k in range(1, rows.shape[2]):  # Cauchy-Binet: sum over j < k of |minor_jk|^2
-        minor = h0[:, :k] * h1[:, k : k + 1] - h0[:, k : k + 1] * h1[:, :k]
-        det += np.sum(minor.real**2 + minor.imag**2, axis=1)
+    h0, h1 = rows[0], rows[1]
+    det = np.zeros(rows.shape[2])
+    for k in range(1, rows.shape[1]):  # Cauchy-Binet: sum over j < k of |minor_jk|^2
+        minor = h0[:k] * h1[k : k + 1] - h0[k : k + 1] * h1[:k]
+        det += np.add.reduce(minor.real**2 + minor.imag**2, axis=0)
     return np.log1p(gain * trace + gain * gain * det)
 
 

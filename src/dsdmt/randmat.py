@@ -52,12 +52,13 @@ def stream(seed: int, stream_id=0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+def complex_gaussian(shape, rng: np.random.Generator, out=None) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussians of a given shape.
 
-    All real parts are drawn before all imaginary parts.
+    All real parts are drawn before all imaginary parts, each in C order of shape;
+    out, a complex array of that shape with any strides, is filled in place of a new one.
     """
-    out = np.empty(shape, dtype=complex)
+    out = np.empty(shape, dtype=complex) if out is None else out
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
     out *= np.sqrt(0.5)

@@ -432,24 +432,51 @@ def test_work_cap_boundary(argv, flag, cap, huge, no_work, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("corr,named", [
-    ("file:zero.txt", "zero.txt: the first line must be a positive integer"),
-    ("file:negative.txt", "negative.txt: the first line must be a positive integer"),
-    ("file:word.txt", "word.txt: the first line must be a positive integer"),
-    ("file:missing.txt", "--corr file:missing.txt: [Errno 2] No such file"),
-    ("exp:abc", "--corr exp:abc"),
+def test_sim_triple_cap_boundary(no_work, tmp_path, monkeypatch, capsys):
+    # the cap itself passes the check phase; one above it on any node, and
+    # 100000,1,1, whose identity correlations would ask for about 320 GB,
+    # exit 2 naming --triple before any correlation matrix is built
+    from dsdmt import randmat
+
+    monkeypatch.chdir(tmp_path)
+    cap, build = cli.MAX_SIM_DIM, randmat.identity_correlation
+
+    def bounded(dim):
+        assert dim <= cap, f"a {dim} x {dim} correlation matrix was built"
+        return build(dim)
+
+    monkeypatch.setattr(randmat, "identity_correlation", bounded)
+    assert callable(checked(SIM_ARGV + ["--triple", f"{cap},{cap},{cap}"]))
+    for triple in (f"{cap + 1},1,1", f"1,{cap + 1},1", f"1,1,{cap + 1}"):
+        with pytest.raises(ValueError, match=f"^--triple dimensions must be <= {cap}, "
+                                             f"got {cap + 1}$"):
+            checked(SIM_ARGV + ["--triple", triple])
+    assert cli.main(SIM_ARGV + ["--triple", "100000,1,1"]) == 2
+    assert f"--triple dimensions must be <= {cap}, got 100000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--corr", "file:zero.txt"], "zero.txt: the first line must be a positive integer"),
+    (["--corr", "file:negative.txt"], "negative.txt: the first line must be a positive integer"),
+    (["--corr", "file:word.txt"], "word.txt: the first line must be a positive integer"),
+    (["--corr", "file:missing.txt"], "--corr file:missing.txt: [Errno 2] No such file"),
+    (["--corr", "exp:abc"], "--corr exp:abc"),
     (None, "missing required option(s): --snr-db"),
+    (["--r", "1e308"], "--r must be a finite number in [0, 1], got 1e+308"),
+    (["--workers", "0"], "--workers must be >= 1, got 0"),
 ], ids=["header-0", "header-negative", "header-word", "file-missing", "corr-exp-word",
-        "missing-snr-db"])
-def test_usage_error_names_its_source(corr, named, tmp_path, monkeypatch, capsys):
+        "missing-snr-db", "r-huge", "workers-0"])
+def test_usage_error_names_its_source(flags, named, tmp_path, monkeypatch, capsys):
     # before, the headers printed numpy's "zero-size array ..." message,
     # "expected 1 entries, found 0" and int()'s "invalid literal ...",
-    # exp:abc only float()'s message, and a missing option its attribute name
+    # exp:abc only float()'s message, a missing option its attribute name,
+    # and --r and --workers SimConfig's field names ("r must be ...")
     for name, header in (("zero.txt", "0"), ("negative.txt", "-1"), ("word.txt", "x")):
         (tmp_path / name).write_text(f"{header}\n1,0\n")
     argv = ["sim", "--triple", "1,1,1", "--r", "0.5", "--trials", "5"]
-    if corr is not None:
-        argv += ["--snr-db", "10:15:5", "--corr", corr]
+    if flags is not None:
+        argv += ["--snr-db", "10:15:5", *flags]
     code = run_cli(argv, tmp_path, monkeypatch)
     err = capsys.readouterr().err
     assert code == 2
@@ -474,7 +501,7 @@ GRAMMAR = {
         "--fractional": ((None,), ()),
     },
     "sim": {
-        "--triple": (("1,1,1", "2,1,2"), (OMIT, "0,1,1", "1,1") + EDGES),
+        "--triple": (("1,1,1", "2,1,2"), (OMIT, "0,1,1", "1,1", "100000,1,1") + EDGES),
         "--r": (("0.5", "1"), (OMIT, "5", "1e308") + EDGES),
         "--snr-db": (("10:20:5", "-10:0:10"),
                      (OMIT, "20:10:5", "10:30:nan", "10:inf:5", "0:1:1e-12", "3000:3000:1",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import trial_first_kernel as trial_first
 from dsdmt import outage_sim as osim
 from dsdmt.dmt_core import ChannelTriple
 from dsdmt.randmat import complex_gaussian, explicit_correlation, exponential_correlation, stream
@@ -195,6 +196,66 @@ class TestKernelAgainstReference:
         got = osim._draw_block(spec, 500, stream(14, 0))
         want = reference_draw_block(spec, 500, stream(14, 0))
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestTrialInnermostLayout:
+    """The trial-innermost kernel against the trial-first one it replaced
+    (tests/trial_first_kernel.py): the layout moves where the numbers live,
+    not what they are, so there is no flip allowance."""
+
+    def test_pinned_block0_counts_equal_the_trial_first_kernel(self):
+        count = osim.BLOCK_TRIALS
+        for triple, rho, r, grid, seed in PINNED_RUNS:
+            spec = correlated_spec(triple, rho)
+            for i, snr_db in enumerate(grid):
+                snr = 10.0 ** (snr_db / 10.0)
+                got = osim._count_block(spec, r, snr, seed, i, 0, count)
+                hs = trial_first._draw_block(spec, count, stream(seed, (i, 0)))
+                mi = trial_first._mutual_information_block(hs, snr * spec.c_norm)
+                want = int(np.count_nonzero(mi <= r * math.log(snr)))
+                assert got == want, (triple, rho, seed, snr_db, got, want)
+
+    @pytest.mark.parametrize("rho", [None, 0.7], ids=["identity", "exp0.7"])
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (2, 2, 2)], ids=["111", "222"])
+    def test_mutual_information_is_bit_identical(self, triple, rho):
+        spec = correlated_spec(triple, rho)
+        hs = osim._draw_block(spec, osim.BLOCK_TRIALS, stream(15, (0, 0)))
+        old = trial_first._draw_block(spec, osim.BLOCK_TRIALS, stream(15, (0, 0)))
+        assert np.array_equal(np.ascontiguousarray(hs).view(np.uint64), old.view(np.uint64))
+        for snr_db in (10.0, 30.0, 50.0):
+            gain = 10.0 ** (snr_db / 10.0) * spec.c_norm
+            want = trial_first._mutual_information_block(old, gain).view(np.uint64)
+            # the kernel's own block, and a trial-first stack, which it still accepts
+            for block in (hs, old):
+                got = osim._mutual_information_block(block, gain)
+                assert np.array_equal(got.view(np.uint64), want), (snr_db, block.strides)
+
+    @pytest.mark.parametrize("rho", [None, 0.7], ids=["identity", "exp0.7"])
+    def test_block_trial_axis_is_innermost_in_memory(self, rho, monkeypatch):
+        # pins the layout that makes each elementwise op one loop over the
+        # trials: the draws fill trial-innermost memory, every product works
+        # on it, and the block is a view of it
+        count, layouts, osim_product = 64, [], osim._product
+
+        def trials_last(a):
+            return a.shape[-1] == count and a.flags.c_contiguous
+
+        def gaussian(shape, rng, out=None):
+            layouts.append(("draw", out is not None and trials_last(np.moveaxis(out, 0, -1))))
+            return complex_gaussian(shape, rng, out=out)
+
+        def product(a, b):
+            out = osim_product(a, b)
+            layouts.append(("product", trials_last(out)))
+            return out
+
+        monkeypatch.setattr(osim, "complex_gaussian", gaussian)
+        monkeypatch.setattr(osim, "_product", product)
+        hs = osim._draw_block(correlated_spec((2, 3, 4), rho), count, stream(16, 0))
+        products = 1 if rho is None else 4
+        assert layouts == [("draw", True)] * 2 + [("product", True)] * products
+        assert hs.shape == (count, 4, 2) and hs.strides[0] == hs.itemsize
+        assert trials_last(np.moveaxis(hs, 0, -1))
 
 
 class TestEstimateOutage:
