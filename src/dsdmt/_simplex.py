@@ -12,13 +12,13 @@ p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
 tableau would, so the pivots, the optimum and x are the ones it would give.
 
 A warm dict carries the optimal tableau of one call on to the next with the
-same c and a_ub.  A move of b_i by delta adds delta times the slack-i column to
-the rhs of every row and of the cost row and leaves the reduced costs >= 0.  If
-no row's rhs turns negative the basis stays optimal: value and x are read off
-the shifted rhs, and the tableau stays at its own b.  Else the rows move, and
-dual-simplex pivots end optimal or find the LP infeasible; optimal when b_i only
-rises (Murty, *Linear Programming*, 1983).  Rows stay primitive with a positive
-basic entry, so a move from an older b gives the rows of one move per call.
+same c and a_ub.  Moving b_i by delta adds delta times the slack-i column to
+every rhs, the cost row's too, and leaves the reduced costs >= 0.  If no row's
+rhs turns negative the basis stays optimal: the value, and x if asked for, are
+read off the shifted rhs, and the tableau stays at its own b.  Else the rows
+move, and dual-simplex pivots end optimal or find the LP infeasible; optimal
+when b_i only rises (Murty, *Linear Programming*, 1983).  Rows stay primitive
+with a positive basic entry, so a move from an older b gives one move's rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class Unbounded(Exception):
 
 
 def _exact(v):
-    return v if type(v) is int else Fraction(v)
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
 def _scaled(values):
@@ -169,7 +169,9 @@ def _warm_tableau(c, a_ub, b_ub, warm):
     """The optimal tableau, from the one warm holds if that has the same c and
     a_ub, with q > 0 and q times the rhs at b_ub of each row, then the cost row.
     warm then holds the tableau at its own b, or nothing if this raises."""
-    lp = ([*c], [[*row] for row in a_ub])
+    # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
+    frozen = type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
+    lp = (c, a_ub) if frozen else ([*c], [[*row] for row in a_ub])
     b_ub = [_exact(b_ub[i]) for i in range(len(a_ub))]
     ncols = len(c) + len(a_ub)
     last = warm.pop("last", None)
@@ -193,12 +195,22 @@ def _warm_tableau(c, a_ub, b_ub, warm):
     return tableau, q, rhs
 
 
-def solve_min(c, a_ub, b_ub, warm=None):
+def _point(rows, basis, rhs, q, nvar):
+    """x read off a tableau whose row i stands for rhs[i] / q: a list of Fractions."""
+    x = [Fraction(0)] * nvar
+    for i, b in enumerate(basis):
+        if b < nvar:
+            x[b] = Fraction(rhs[i], q * rows[i][b])
+    return x
+
+
+def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
     """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
 
     Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
-    with x a list of Fractions.  Raises :class:`Infeasible` /
-    :class:`Unbounded` accordingly.
+    with x a list of Fractions, or None if with_x is false: then only the
+    value is made, one Fraction from the final tableau, with the same pivots.
+    Raises :class:`Infeasible` / :class:`Unbounded` accordingly.
 
     warm, if given, is a dict that keeps the optimal tableau for the next call
     (see above); x may then be another optimal point than a cold solve's.
@@ -208,8 +220,5 @@ def solve_min(c, a_ub, b_ub, warm=None):
         q, rhs = 1, [row[-1] for row in rows] + [cost[-2]]
     else:
         (rows, cost, basis), q, rhs = _warm_tableau(c, a_ub, b_ub, warm)
-    x = [Fraction(0)] * len(c)
-    for i, b in enumerate(basis):
-        if b < len(c):
-            x[b] = Fraction(rhs[i], q * rows[i][b])
+    x = _point(rows, basis, rhs, q, len(c)) if with_x else None
     return Fraction(-rhs[-1], q * cost[-1]), x

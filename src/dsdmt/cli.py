@@ -51,6 +51,7 @@ MIN_SNR_STEP_DB = 1e-6  # the finest --snr-db step; far above the grid's 1e-9 dB
 # caps on the work one run may ask for; each pinned workload stays well inside
 MAX_SIM_TRIALS = 10_000_000  # per SNR point; drawn in blocks, so memory stays flat
 MAX_SIM_DIM = 16  # sim --triple dimensions; a block holds a few n x n x 4096 complex arrays
+MAX_CURVE_DIM = 1_000  # curve --triple dimensions; the curve has min(triple) + 1 points
 MAX_VERIFY_TRIALS = 1_000_000  # a Wishart fit holds all of its trials at once
 MAX_DIM = 12  # crosscheck --max-dim; the exact sweep's time grows steeply with it
 MAX_DIGITS = 1_000  # verify --digits; the mpmath determinants' time grows steeply with it
@@ -184,6 +185,7 @@ def _check(args):
     if not os.path.isdir(os.path.dirname(args.output) or "."):
         raise ValueError(f"--output {args.output}: its directory does not exist")
     if args.command == "curve":
+        _check_range("--triple dimensions", max(args.triple.as_tuple()), 1, MAX_CURVE_DIM)
         return functools.partial(cmd_curve, args)
     if args.command == "crosscheck":
         _check_range("--max-dim", args.max_dim, 1, MAX_DIM)

@@ -140,16 +140,16 @@ def _curve(o: OrderedTriple) -> DmtCurve:  # dmt_curve, once per ordered triple
 
 def dmt_at(c: DmtCurve, r) -> Fraction:
     """Evaluate the curve at rational multiplexing gain r by exact interpolation."""
-    r = Fraction(r)
+    r = r if isinstance(r, Fraction) else Fraction(r)
     m = c.max_gain
-    if not 0 <= r <= m:
+    num, den = r.numerator, r.denominator  # interpolated in ints, one Fraction at the end
+    if not 0 <= num <= m * den:
         raise ValueError(f"r must lie in [0, {m}], got {r}")
-    k = int(r)  # floor for nonnegative r
+    k = num // den
     if k == m:
         return Fraction(c.points[m][1])
-    d_lo = c.points[k][1]
-    d_hi = c.points[k + 1][1]
-    return d_lo + (d_hi - d_lo) * (r - k)
+    (_, d_lo), (_, d_hi) = c.points[k : k + 2]
+    return Fraction(d_lo * den + (d_hi - d_lo) * (num - k * den), den)
 
 
 def rayleigh_dmt(m: int, n: int, k: int) -> int:

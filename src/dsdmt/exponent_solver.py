@@ -90,34 +90,28 @@ def _plus_pairs(na: int, nb: int) -> tuple[tuple[int, int], ...]:
 def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """Build the exact exponent program for (m, n, l) at multiplexing gain r,
     with n <= m: alpha has min(n, l) components and beta min(m, l)."""
+    shape = _shape(m, n, l)  # checks the dimensions before r
+    return ExponentProgram(m, n, l, *shape, r if isinstance(r, Fraction) else Fraction(r))
+
+
+@lru_cache(maxsize=64)
+def _shape(m: int, n: int, l: int):  # build_program's r-free part, once per shape
     if min(m, n, l) < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
     if n > m:
         raise ValueError(f"reciprocity not applied: n={n} > m={m}")
     alpha_dim, beta_dim = min(n, l), min(m, l)
-    s = l + m
     alpha_coeffs = tuple(n - i for i in range(alpha_dim))
-    beta_coeffs = tuple(
-        s - n - (j + 1) if (j + 1) <= n + 1 else s + 1 - 2 * (j + 1)
-        for j in range(beta_dim)
-    )
-    return ExponentProgram(
-        m=m,
-        n=n,
-        l=l,
-        alpha_dim=alpha_dim,
-        beta_dim=beta_dim,
-        alpha_coeffs=alpha_coeffs,
-        beta_coeffs=beta_coeffs,
-        r=Fraction(r),
-    )
+    beta_coeffs = tuple(l + m - n - j if j <= n + 1 else l + m + 1 - 2 * j
+                        for j in range(1, beta_dim + 1))  # j 1-based, as in the module note
+    return alpha_dim, beta_dim, alpha_coeffs, beta_coeffs
 
 
 @dataclass(frozen=True)
 class LpSolution:
     value: Fraction
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
+    alpha: tuple[Fraction, ...] | None = None  # None unless solve_lp was asked for x
+    beta: tuple[Fraction, ...] | None = None
 
 
 @lru_cache(maxsize=64)
@@ -153,24 +147,25 @@ def _lp_rows(alpha_coeffs, beta_coeffs):
     return c, tuple(rows), tuple(rhs[:npair]), tuple(rhs[npair + 1 :])
 
 
-def solve_lp(p: ExponentProgram, warm=None) -> LpSolution:
+def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
     """Exact optimum of the exponent program; value equals d(r).
 
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
     so minimization pins them to the plus parts.  r is only the rhs of the row
     sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l,
-    and the rows are built once per (alpha_coeffs, beta_coeffs).
+    and the rows are built once per (alpha_coeffs, beta_coeffs).  With with_x
+    false the solve builds no x, and alpha and beta are None.
     """
     if p.r < 0:
         raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
     c, rows, head, tail = _lp_rows(p.alpha_coeffs, p.beta_coeffs)
     try:
-        value, x = _simplex.solve_min(c, rows, [*head, p.r, *tail], warm)
+        value, x = _simplex.solve_min(c, rows, [*head, p.r, *tail], warm, with_x=with_x)
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
-    return LpSolution(value=value, alpha=tuple(x[:na]), beta=tuple(x[na : na + nb]))
+    return LpSolution(value, tuple(x[:na]), tuple(x[na : na + nb])) if with_x else LpSolution(value)
 
 
 @dataclass(frozen=True)
@@ -219,16 +214,16 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     With non-increasing coefficients the optimum zeroes the first floor(r)
     alphas, puts the next at 1 - frac(r), and pins the rest at 1.
     """
-    r = Fraction(r)
+    r = r if isinstance(r, Fraction) else Fraction(r)
     dim = len(ro.coeffs)
-    if not 0 <= r <= dim:
+    num, den = r.numerator, r.denominator  # the sum below is value * den, in ints
+    if not 0 <= num <= dim * den:
         raise ValueError(f"r must lie in [0, {dim}], got {r}")
-    k = int(r)
-    frac = r - k
-    value = Fraction(sum(ro.coeffs[k + 1 :]))
+    k = num // den
+    value = sum(ro.coeffs[k + 1 :]) * den
     if k < dim:
-        value += ro.coeffs[k] * (1 - frac)
-    return value
+        value += ro.coeffs[k] * ((k + 1) * den - num)
+    return Fraction(value, den)
 
 
 def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
@@ -243,7 +238,7 @@ def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
 def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
     """d(r) by the exact linear program, for any role order of (m, n, l);
     warm as in :func:`solve_lp`."""
-    return solve_lp(_reciprocal_program(m, n, l, r), warm).value
+    return solve_lp(_reciprocal_program(m, n, l, r), warm, with_x=False).value
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:

@@ -456,6 +456,23 @@ def test_sim_triple_cap_boundary(no_work, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_curve_triple_cap_boundary(no_work, tmp_path, monkeypatch, capsys):
+    # the cap itself passes the check phase; one above it in any position
+    # exits 2 naming --triple, and so does 10^9 in each, which ran past a
+    # 20 s timeout before the cap (100000 in each wrote a 4.2 MB JSON)
+    monkeypatch.chdir(tmp_path)
+    cap = cli.MAX_CURVE_DIM
+    assert callable(checked(["curve", "--triple", f"{cap},{cap},{cap}"]))
+    for triple in (f"{cap + 1},1,1", f"1,{cap + 1},1", f"1,1,{cap + 1}"):
+        with pytest.raises(ValueError, match=f"^--triple dimensions must be <= {cap}, "
+                                             f"got {cap + 1}$"):
+            checked(["curve", "--triple", triple])
+    huge = 1_000_000_000
+    assert cli.main(["curve", "--triple", f"{huge},{huge},{huge}"]) == 2
+    assert f"--triple dimensions must be <= {cap}, got {huge}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--corr", "file:zero.txt"], "zero.txt: the first line must be a positive integer"),
     (["--corr", "file:negative.txt"], "negative.txt: the first line must be a positive integer"),
@@ -493,7 +510,9 @@ OMIT = object()
 EDGES = ("nan", "inf", "-inf", "-1", "0", "")
 GRAMMAR = {
     "curve": {
-        "--triple": (("2,3,4", "1,1,1"), (OMIT, "0,1,1", "-1,2,2", "1,1", "nan,1,1") + EDGES),
+        "--triple": (("2,3,4", "1,1,1"), (OMIT, "0,1,1", "-1,2,2", "1,1", "nan,1,1",
+                                           f"{cli.MAX_CURVE_DIM + 1},1,1",
+                                           "1000000000,1000000000,1000000000") + EDGES),
         "--format": (("csv", "json", "both"), ("",)),
     },
     "crosscheck": {

@@ -121,6 +121,28 @@ class TestDmtAt:
             dmt_at(c, Fraction(9, 4))
 
 
+    @pytest.mark.parametrize("r", [-1, 3, -0.25, 2.25, Fraction(-1, 4), Fraction(9, 4)])
+    def test_out_of_range_r_of_any_type(self, r):
+        with pytest.raises(ValueError, match=rf"^r must lie in \[0, 2\], got {Fraction(r)}$"):
+            dmt_at(dmt_curve((2, 2, 2)), r)
+
+    def test_matches_the_fraction_formula(self):
+        # the int interpolation over r's numerator and denominator against
+        # the formula in Fraction arithmetic, for r of every type
+        for t in ((1, 1, 1), (2, 2, 2), (2, 3, 4), (3, 5, 5), (4, 4, 9)):
+            c = dmt_curve(t)
+            m = c.max_gain
+            for den in (1, 2, 3, 4, 7):
+                for num in range(m * den + 1):
+                    r = Fraction(num, den)
+                    k = int(r)
+                    d_lo, d_hi = c.points[k][1], c.points[min(k + 1, m)][1]
+                    value = d_lo + (d_hi - d_lo) * (r - k)
+                    for given in (r, str(r)) if den > 1 else (r, num // den, float(r)):
+                        got = dmt_at(c, given)
+                        assert type(got) is Fraction and got == value, (t, given)
+
+
 class TestRayleighDmt:
     def test_2x3_full(self):
         assert rayleigh_dmt(2, 3, 0) == 6

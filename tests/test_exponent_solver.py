@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dsdmt.dmt_core import dmt_at, dmt_curve
 from dsdmt.exponent_solver import (
+    ExponentProgram,
     ReducedObjective,
     ReductionInvariantError,
     build_program,
@@ -99,6 +100,67 @@ class TestBuildProgram:
         assert minimize_threshold(greedy_reduce(p), 2) == 0
 
 
+def fresh_program(m, n, l, r):
+    """build_program as it was before its per-shape memo: every call builds
+    and checks the whole program."""
+    if min(m, n, l) < 1:
+        raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
+    if n > m:
+        raise ValueError(f"reciprocity not applied: n={n} > m={m}")
+    alpha_dim, beta_dim = min(n, l), min(m, l)
+    s = l + m
+    alpha_coeffs = tuple(n - i for i in range(alpha_dim))
+    beta_coeffs = tuple(
+        s - n - (j + 1) if (j + 1) <= n + 1 else s + 1 - 2 * (j + 1)
+        for j in range(beta_dim)
+    )
+    return ExponentProgram(m=m, n=n, l=l, alpha_dim=alpha_dim, beta_dim=beta_dim,
+                           alpha_coeffs=alpha_coeffs, beta_coeffs=beta_coeffs, r=Fraction(r))
+
+
+class TestProgramMemo:
+    def test_memoized_equals_fresh(self):
+        # every shape with dims <= 8 and quarter-step r, twice, so the second
+        # pass reads the memo: equal to a program built from scratch, r a
+        # Fraction in either case, and the coefficient tuples shared per shape
+        for _ in range(2):
+            for m in range(1, 9):
+                for n in range(1, m + 1):
+                    for l in range(1, 9):
+                        first = build_program(m, n, l, 0)
+                        for k in range(4 * min(n, l) + 1):
+                            r = Fraction(k, 4)
+                            for given_r in (r, float(r)) if k % 2 else (r, k // 4, str(r)):
+                                p = build_program(m, n, l, given_r)
+                                assert p == fresh_program(m, n, l, given_r), (m, n, l, given_r)
+                                assert type(p.r) is Fraction
+                                assert p.alpha_coeffs is first.alpha_coeffs
+                                assert p.beta_coeffs is first.beta_coeffs
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (1, 2, 1), (0, 0, 1), (2, 2, 0), (2, 0, 2),
+                                      (-1, -1, 3)])
+    def test_warm_memo_still_checks(self, dims):
+        build_program(2, 2, 2, 0)
+        build_program(3, 2, 2, 0)
+        for _ in range(2):  # a raise is not memoized
+            with pytest.raises(ValueError) as raised:
+                build_program(*dims, 0)
+            with pytest.raises(ValueError) as expected:
+                fresh_program(*dims, 0)
+            assert str(raised.value) == str(expected.value)
+
+    def test_dimensions_checked_before_r(self):
+        with pytest.raises(ValueError, match="reciprocity"):
+            build_program(2, 3, 2, "not a number")
+
+    def test_post_init_still_checks(self):
+        p = build_program(3, 2, 2, 1)
+        with pytest.raises(ValueError, match="alpha_dim"):
+            ExponentProgram(3, 2, 2, 1, p.beta_dim, p.alpha_coeffs[:1], p.beta_coeffs, p.r)
+        with pytest.raises(ValueError, match="out of range"):
+            ExponentProgram(3, 2, 2, p.alpha_dim, p.beta_dim, (2, 0), p.beta_coeffs, p.r)
+
+
 class TestSolveLp:
     def test_2_2_2_values(self):
         assert solve_lp(build_program(2, 2, 2, 0)).value == 3
@@ -176,6 +238,27 @@ class TestMinimizeThreshold:
             minimize_threshold(ro, -Fraction(1, 2))
         with pytest.raises(ValueError):
             minimize_threshold(ro, Fraction(5, 2))
+
+    @pytest.mark.parametrize("r", [-1, 3, -0.25, 2.25, Fraction(-1, 4), Fraction(9, 4)])
+    def test_out_of_range_r_of_any_type(self, r):
+        with pytest.raises(ValueError, match=rf"^r must lie in \[0, 2\], got {Fraction(r)}$"):
+            minimize_threshold(ReducedObjective((2, 1)), r)
+
+    def test_matches_the_fraction_formula(self):
+        # the int arithmetic over r's numerator and denominator against the
+        # formula in Fraction arithmetic, for r of every type the routes pass
+        for coeffs in ((7,), (2, 1), (4, 2, 1), (9, 9, 3, 0)):
+            ro, dim = ReducedObjective(coeffs), len(coeffs)
+            for den in (1, 2, 3, 4, 7):
+                for num in range(dim * den + 1):
+                    r = Fraction(num, den)
+                    k = int(r)
+                    value = Fraction(sum(coeffs[k + 1 :]))
+                    if k < dim:
+                        value += coeffs[k] * (1 - (r - k))
+                    for given in (r, str(r)) if den > 1 else (r, num // den, float(r)):
+                        got = minimize_threshold(ro, given)
+                        assert type(got) is Fraction and got == value, (coeffs, given)
 
     def test_matches_brute_force_grid(self):
         # independent oracle: dense grid search over feasible alphas

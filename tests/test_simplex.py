@@ -136,9 +136,9 @@ def test_crosscheck_lps_match_oracle(monkeypatch):
     lps = []
     solve = _simplex.solve_min
 
-    def recording(c, a_ub, b_ub, warm=None):  # crosscheck's solves are warm
+    def recording(c, a_ub, b_ub, warm=None, **kw):  # crosscheck's solves are warm
         lps.append((c, a_ub, b_ub))
-        return solve(c, a_ub, b_ub, warm)
+        return solve(c, a_ub, b_ub, warm, **kw)
 
     monkeypatch.setattr(_simplex, "solve_min", recording)
     report = cli.run_crosscheck(3, True)
@@ -291,6 +291,23 @@ def test_warm_hand_lp():
     assert warm["last"][0] == ([1, 1], [[-1, -1]])
 
 
+def test_warm_rows_changed_in_place_are_seen():
+    # only tuple rows in a tuple are kept uncopied: a list row of a tuple
+    # a_ub, or a list c, changed in place between calls, is a new LP
+    for c, a_ub in (((-1, -2), ([1, 1], [0, 1])), ([-1, -2], ((1, 1), (0, 1)))):
+        warm = {}
+        assert _simplex.solve_min(c, a_ub, [3, 1], warm)[0] == -4
+        if type(c) is list:
+            c[1] = -3
+        else:
+            a_ub[1][1] = 2  # y <= 1/2
+        assert _simplex.solve_min(c, a_ub, [3, 1], warm) == _simplex.solve_min(c, a_ub, [3, 1])
+    frozen = ((-1, -2), ((1, 1), (0, 1)))  # kept as given: the next compare is by identity
+    warm = {}
+    _simplex.solve_min(*frozen, [3, 1], warm)
+    assert warm["last"][0][0] is frozen[0] and warm["last"][0][1] is frozen[1]
+
+
 @st.composite
 def lp_paths(draw):
     """Small LPs, a row k and 2-10 distinct quarter-step values for b_k in any
@@ -343,6 +360,22 @@ def test_crosscheck_pivot_count(monkeypatch):
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
     assert len(pivots) == 1236
+
+
+def test_crosscheck_reads_no_x(monkeypatch):
+    # dmt_via_lp asks for the value only, so no solve of a crosscheck reads
+    # x off its tableau; solve_lp still does by default, through the same spy
+    points = []
+    point = _simplex._point
+    monkeypatch.setattr(_simplex, "_point", lambda *a: (points.append(a[-1]), point(*a))[1])
+    report = cli.run_crosscheck(3, True)
+    assert report["cases"] == 171 and not report["mismatches"]
+    assert points == []
+    p = exponent_solver.build_program(2, 2, 2, Fraction(1, 2))
+    sol = exponent_solver.solve_lp(p)
+    assert points == [7]  # x: two alphas, two betas, one t, two s
+    assert exponent_solver.solve_lp(p, with_x=False) == exponent_solver.LpSolution(sol.value)
+    assert points == [7]
 
 
 def _rewritten(tableau, old, new, nvar):
