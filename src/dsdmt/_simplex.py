@@ -11,20 +11,22 @@ kept > 0, and the cost row ends in its own scale.  Pivots are fraction-free
 p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
 tableau would, so the pivots, the optimum and x are the ones it would give.
 
-A warm dict carries the optimal tableau of one call on to the next with the
-same c and a_ub.  Moving b_i by delta adds delta times the slack-i column to
-every rhs, the cost row's too, and leaves the reduced costs >= 0.  If no row's
-rhs turns negative the basis stays optimal: the value, and x if asked for, are
-read off the shifted rhs, and the tableau stays at its own b.  Else the rows
-move, and dual-simplex pivots end optimal or find the LP infeasible; optimal
-when b_i only rises (Murty, *Linear Programming*, 1983).  Rows stay primitive
-with a positive basic entry, so a move from an older b gives one move's rows.
+A warm dict serves calls with one c and a_ub that move b's last entry t only;
+another LP or another b[:-1] is solved cold.  Moving t adds its change times
+the slack column to each rhs and keeps the reduced costs, so a basis stays
+optimal while no rhs is negative: on a t-range, from the dual ratio test.  Each
+optimal basis reached is kept as a piece: that range, and the rhs and slack
+columns that give the value and x in it.  A t in no piece moves the newest
+tableau, the one kept whole, and dual-simplex pivots end optimal or find the
+LP infeasible (Murty, *Linear Programming*, 1983).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, inf, lcm
 
 __all__ = ["Infeasible", "Unbounded", "solve_min"]
 
@@ -74,11 +76,11 @@ def _pivot(rows, cost, basis, pr, pc):
 
 
 def _iterate(rows, cost, basis, ncols):
-    """Run Bland-rule pivots until the cost row has no negative reduced cost."""
-    while True:
+    """Run Bland-rule pivots until the cost row has no negative reduced cost; count them."""
+    for pivots in count():
         pc = next((j for j in range(ncols) if cost[j] < 0), None)
         if pc is None:
-            return
+            return pivots
         pr = None
         for i, row in enumerate(rows):
             a = row[pc]
@@ -94,7 +96,7 @@ def _iterate(rows, cost, basis, ncols):
 
 
 def _optimal_tableau(c, a_ub, b_ub):
-    """(rows, cost, basis) at the optimum; the columns are x, then the slacks."""
+    """(rows, cost, basis, pivots) at the optimum; the columns are x, then the slacks."""
     nvar = len(c)
     m = len(a_ub)
     c = [_exact(v) for v in c]
@@ -105,7 +107,7 @@ def _optimal_tableau(c, a_ub, b_ub):
     need_art = [i for i in range(m) if b_ub[i] < 0]
     nart = len(need_art)
     ncols = nvar + m + nart
-    rows = []
+    rows, pivots = [], 0
     basis = [nvar + i for i in range(m)]
     for i in range(m):
         row = [_exact(v) for v in a_ub[i]]
@@ -127,7 +129,7 @@ def _optimal_tableau(c, a_ub, b_ub):
         for i in need_art:
             cost = _combine(cost, rows[i][basis[i]], cost[-1], rows[i], range(ncols + 1))
         cost[nvar + m : ncols] = [0] * nart
-        _iterate(rows, cost, basis, ncols)
+        pivots = _iterate(rows, cost, basis, ncols)
         if cost[-2] != 0:
             raise Infeasible(f"phase-1 optimum {Fraction(-cost[-2], cost[-1])} > 0")
         # Drive leftover artificials out of the basis.  The slack block of the
@@ -136,6 +138,7 @@ def _optimal_tableau(c, a_ub, b_ub):
             if basis[i] >= nvar + m:
                 pc = next(j for j in range(nvar + m) if rows[i][j])
                 _pivot(rows, cost, basis, i, pc)
+                pivots += 1
         rows = [row[: nvar + m] + row[-1:] for row in rows]
         ncols = nvar + m
 
@@ -145,15 +148,18 @@ def _optimal_tableau(c, a_ub, b_ub):
     for i, row in enumerate(rows):
         if cost[basis[i]]:
             cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
-    _iterate(rows, cost, basis, ncols)
-    return rows, cost, basis
+    pivots += _iterate(rows, cost, basis, ncols)
+    return rows, cost, basis, pivots
 
 
 def _dual_iterate(rows, cost, basis, ncols):
     """Run dual Bland pivots until no right-hand side is negative: the
     negative-rhs row of smallest basic index leaves, and the column of least
-    cost[j] / |a_j| over a_j < 0 enters, the lowest j on ties."""
-    while neg := [i for i, row in enumerate(rows) if row[-1] < 0]:
+    cost[j] / |a_j| over a_j < 0 enters, the lowest j on ties; count them."""
+    for pivots in count():
+        neg = [i for i, row in enumerate(rows) if row[-1] < 0]
+        if not neg:
+            return pivots
         pr = min(neg, key=basis.__getitem__)
         prow = rows[pr]
         pc = None
@@ -165,43 +171,52 @@ def _dual_iterate(rows, cost, basis, ncols):
         _pivot(rows, cost, basis, pr, pc)
 
 
-def _warm_tableau(c, a_ub, b_ub, warm):
-    """The optimal tableau, from the one warm holds if that has the same c and
-    a_ub, with q > 0 and q times the rhs at b_ub of each row, then the cost row.
-    warm then holds the tableau at its own b, or nothing if this raises."""
-    # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
-    frozen = type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
-    lp = (c, a_ub) if frozen else ([*c], [[*row] for row in a_ub])
-    b_ub = [_exact(b_ub[i]) for i in range(len(a_ub))]
-    ncols = len(c) + len(a_ub)
-    last = warm.pop("last", None)
-    if last is None or last[0] != lp:
-        last = lp, b_ub, _optimal_tableau(c, a_ub, b_ub)
-    _, old, tableau = last
+def _piece(tableau, slack, t0):
+    """The basis as a piece along the b entry of column slack, t0 there: (lo, hi, t0,
+    basis, piv, rhs, col), the last three per row, then the cost row's; at b = t
+    row i is (rhs + (t - t0) col) / piv, and none is negative for t in [lo, hi]."""
     rows, cost, basis = tableau
-    moves = [(slack, *(b - a).as_integer_ratio())
-             for slack, (a, b) in enumerate(zip(old, b_ub), len(c)) if a != b]
-    q = lcm(*[d for _, _, d in moves])
-    rhs = [q * tab[ncols] + sum(p * (q // d) * tab[s] for s, p, d in moves)
-           for tab in (*rows, cost)]
-    if any(v < 0 for v in rhs[:-1]):  # the basis is no longer feasible: move to b_ub
-        for slack, p, d in moves:
+    rhs, col = [*(row[-1] for row in rows), cost[-2]], [tab[slack] for tab in (*rows, cost)]
+    down = up = None  # the least rhs / |col| over the rows with col > 0, and with col < 0
+    for v, s in zip(rhs, col[:-1]):
+        if s > 0 and (down is None or v * down[1] < down[0] * s):
+            down = v, s
+        elif s < 0 and (up is None or v * up[1] < up[0] * -s):
+            up = v, -s
+    return (t0 - Fraction(*down) if down else -inf, t0 + Fraction(*up) if up else inf,
+            t0, tuple(basis), [*map(list.__getitem__, rows, basis), cost[-1]], rhs, col)
+
+
+def _warm_piece(c, a_ub, b_ub, warm):
+    """(piece, t), t the last entry of b_ub: a stored piece that holds t, else the
+    newest tableau's, moved to t.  warm keeps its counts, the rest unless this raises."""
+    counts = warm.get("counts") or warm.setdefault("counts", Counter())
+    held, fixed, tableau, pieces = warm.pop("last", (None,) * 4)
+    # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
+    lp = held if held and held[0] is c and held[1] is a_ub else (c, a_ub) if (
+        type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
+    ) else ([*c], [[*row] for row in a_ub])
+    *fix, t = [*b_ub[: len(a_ub)]] or [0]  # no rows: t = 0 stands in, its column the rhs
+    if held != lp or fix != fixed:  # reads c and b in order, raising as a lone cold solve would
+        *tableau, pivots = _optimal_tableau(c, a_ub, b_ub)
+        fixed, pieces = fix, []
+        counts.update(cold_solves=1, pivots=pivots)
+    t, slack = _exact(t), len(c) + len(fix)
+    if piece := next((kept for kept in pieces if kept[0] <= t <= kept[1]), None):
+        counts["piece_hits"] += 1
+    else:
+        if pieces:  # move the newest tableau: rhs += (t - t0) times the slack column
+            rows, cost, basis = tableau
+            ncols = len(cost) - 2
+            p, d = (t - pieces[-1][2]).as_integer_ratio()
             for tab in (*rows, cost):  # d*tab, plus p*tab[slack] in the rhs slot
                 if tab[slack]:
                     tab[:] = _combine(tab, d, -p * tab[slack], {ncols: 1}, (ncols,))
-        _dual_iterate(rows, cost, basis, ncols)
-        last, q, rhs = (lp, b_ub, tableau), 1, [tab[ncols] for tab in (*rows, cost)]
-    warm["last"] = last
-    return tableau, q, rhs
-
-
-def _point(rows, basis, rhs, q, nvar):
-    """x read off a tableau whose row i stands for rhs[i] / q: a list of Fractions."""
-    x = [Fraction(0)] * nvar
-    for i, b in enumerate(basis):
-        if b < nvar:
-            x[b] = Fraction(rhs[i], q * rows[i][b])
-    return x
+            counts["pivots"] += _dual_iterate(rows, cost, basis, ncols)
+        pieces.append(piece := _piece(tableau, slack, t))
+        counts["pieces"] += 1
+    warm["last"] = lp, fixed, tableau, pieces
+    return piece, t
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
@@ -212,13 +227,13 @@ def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
     value is made, one Fraction from the final tableau, with the same pivots.
     Raises :class:`Infeasible` / :class:`Unbounded` accordingly.
 
-    warm, if given, is a dict that keeps the optimal tableau for the next call
-    (see above); x may then be another optimal point than a cold solve's.
+    warm, if given, is a dict that keeps the pieces (see above) and counts the cold
+    solves, pivots, pieces and piece hits; x may then be another optimal point.
     """
-    if warm is None:
-        rows, cost, basis = _optimal_tableau(c, a_ub, b_ub)
-        q, rhs = 1, [row[-1] for row in rows] + [cost[-2]]
-    else:
-        (rows, cost, basis), q, rhs = _warm_tableau(c, a_ub, b_ub, warm)
-    x = _point(rows, basis, rhs, q, len(c)) if with_x else None
-    return Fraction(-rhs[-1], q * cost[-1]), x
+    (_, _, t0, basis, piv, rhs, col), t = _warm_piece(c, a_ub, b_ub, {} if warm is None else warm)
+    p, q = (t - t0).as_integer_ratio()  # row i stands for (q rhs + p col) / (q piv)
+    x = [Fraction(0)] * len(c) if with_x else None
+    for i, j in enumerate(basis if with_x else ()):
+        if j < len(c):
+            x[j] = Fraction(q * rhs[i] + p * col[i], q * piv[i])
+    return Fraction(-q * rhs[-1] - p * col[-1], q * piv[-1]), x

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -272,15 +273,18 @@ def run_crosscheck(max_dim: int, fractional: bool,
                    closed_form=None, lp=None, greedy=None) -> dict:
     """Sweep all triples with components <= max_dim; the three routes must
     agree exactly.  The route callables are injectable for fault-testing;
-    lp(m, n, l, r, warm) gets one fresh warm dict per triple."""
+    lp(m, n, l, r, warm) gets one warm dict per exponent LP, which (m, n, l)
+    and (n, m, l) share, and "lp" holds the counts the dicts kept."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
     step = Fraction(1, 4) if fractional else Fraction(1)
     cases = 0
     mismatches = []
+    counts, shared = Counter(piece_hits=0), {}  # shared: the dicts of pairs half swept
     for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
-        warm = {}  # the LP's optimal tableau, moved on from each r to the next
+        key, fresh = (max(m, n), min(m, n), l), {"counts": counts}  # m >= n: the pair's last
+        warm = shared.pop(key, fresh) if m >= n else shared.setdefault(key, fresh)
         for k in range(int(min(m, n, l) / step) + 1):
             r = k * step
             a = closed_form((m, n, l), r)
@@ -293,17 +297,18 @@ def run_crosscheck(max_dim: int, fractional: bool,
                     "closed_form": str(a), "lp": str(b), "greedy": str(c),
                 })
     return {"max_dim": max_dim, "fractional": fractional,
-            "cases": cases, "mismatches": mismatches}
+            "cases": cases, "mismatches": mismatches, "lp": dict(counts)}
 
 
 def cmd_crosscheck(args) -> tuple[int, dict]:
     report = run_crosscheck(args.max_dim, args.fractional)
+    lp = report.pop("lp")  # the sweep's LP counts go to the manifest
     path = f"{args.output}.json"
     _write_json(path, report)
     print(f"{len(report['mismatches'])} mismatches / {report['cases']} cases")
     if report["mismatches"]:
         print(f"first counterexample: {report['mismatches'][0]}", file=sys.stderr)
-    return (MISMATCH_ERROR if report["mismatches"] else 0), {"outputs": [path]}
+    return (MISMATCH_ERROR if report["mismatches"] else 0), {"outputs": [path], "lp": lp}
 
 
 def _parse_corr(spec: str, dim: int):
@@ -360,6 +365,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     report = {}
     suite_s = {}
+    margins = {}  # the trial suites' smallest margins to the inequality slack, signed
     failed = []
     for name in suites:
         t0 = time.perf_counter()
@@ -369,6 +375,8 @@ def cmd_verify(args) -> tuple[int, dict]:
             rep = {"check": name, "precision_error": str(exc),
                    "violations": [f"precision loss at {args.digits} digits"]}
         suite_s[name] = time.perf_counter() - t0
+        if "margin" in rep:
+            margins[name] = rep.pop("margin")
         report[name] = rep
         if rep.get("violations"):
             failed.append(name)
@@ -380,7 +388,8 @@ def cmd_verify(args) -> tuple[int, dict]:
     if failed:
         print(json.dumps({k: report[k] for k in failed}, indent=2, sort_keys=True,
                          default=str), file=sys.stderr)
-    return (VERIFICATION_FAILURE if failed else 0), {"outputs": [path], "suite_s": suite_s}
+    return (VERIFICATION_FAILURE if failed else 0), {"outputs": [path], "suite_s": suite_s,
+                                                     "ineq_margin": margins}
 
 
 def main(argv=None) -> int:

@@ -116,7 +116,7 @@ class LpSolution:
 
 @lru_cache(maxsize=64)
 def _lp_rows(alpha_coeffs, beta_coeffs):
-    """c, a_ub and b_ub's entries before and after the r of sum s_i <= r; tuples."""
+    """c, a_ub and b_ub but for its last entry, the r of sum s_i <= r; tuples."""
     na, nb = len(alpha_coeffs), len(beta_coeffs)
     pairs = _plus_pairs(na, nb)
     npair = len(pairs)
@@ -135,7 +135,6 @@ def _lp_rows(alpha_coeffs, beta_coeffs):
 
     for k, (i, j) in enumerate(pairs):  # alpha_i - beta_j - t_ij <= 0
         add([(i, 1), (ofs_b + j, -1), (ofs_t + k, -1)], 0)
-    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r
     for i in range(na):  # 1 - alpha_i - s_i <= 0
         add([(i, -1), (ofs_s + i, -1)], -1)
     for i in range(na - 1):  # alpha chain
@@ -144,7 +143,8 @@ def _lp_rows(alpha_coeffs, beta_coeffs):
         add([(ofs_b + j, 1), (ofs_b + j + 1, -1)], 0)
     for i in range(na):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
-    return c, tuple(rows), tuple(rhs[:npair]), tuple(rhs[npair + 1 :])
+    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r, last: warm moves it
+    return c, tuple(rows), tuple(rhs[:-1])
 
 
 def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
@@ -160,9 +160,9 @@ def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
     if p.r < 0:
         raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
-    c, rows, head, tail = _lp_rows(p.alpha_coeffs, p.beta_coeffs)
+    c, rows, fixed = _lp_rows(p.alpha_coeffs, p.beta_coeffs)
     try:
-        value, x = _simplex.solve_min(c, rows, [*head, p.r, *tail], warm, with_x=with_x)
+        value, x = _simplex.solve_min(c, rows, [*fixed, p.r], warm, with_x=with_x)
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
     return LpSolution(value, tuple(x[:na]), tuple(x[na : na + nb])) if with_x else LpSolution(value)

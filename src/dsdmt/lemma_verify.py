@@ -97,6 +97,7 @@ class CheckReport:
     cases: int
     violations: list = field(default_factory=list)
     worst_residual: float = 0.0
+    top_residual: float = -math.inf  # the largest residual, signed; -inf if no trial was tested
 
     @property
     def passed(self) -> bool:
@@ -123,9 +124,10 @@ def _report(check, skip, skip_reason, cases, rel, violations) -> CheckReport:
     found = [{"trial": t, "skipped": skip_reason} for t in np.flatnonzero(skip).tolist()]
     found += [{"trial": t, "violations": v} for t, v in violations.items()]
     # a NaN residual (0/0 at a zero singular value of M) compares with nothing
+    top = float(np.fmax.reduce(rel[keep], axis=None, initial=-np.inf))
     return CheckReport(check=check, cases=cases * int(keep.sum()),
                        violations=sorted(found, key=lambda v: v["trial"]),
-                       worst_residual=float(np.fmax.reduce(rel[keep], axis=None, initial=0.0)))
+                       worst_residual=max(0.0, top), top_residual=top)
 
 
 def check_lemma4(a, b, rel_slack: float = INEQ_SLACK) -> CheckReport:
@@ -444,17 +446,18 @@ def _trial_suite(check: str, run, trials: int, shapes, rng, **shape) -> dict:
     """Run run(*stacks) on chunks of up to _CHUNK trials, each chunk drawn
     with one complex_gaussian_trials call; the trial indices of its
     violations are offset to the whole run.  A skipped trial counts no cases
-    and is a violation."""
+    and is a violation.  "margin" is INEQ_SLACK less the largest residual, None
+    if no trial was tested; `dmt verify` moves it to its manifest."""
     cases = 0
     violations = []
-    worst = 0.0
+    worst, top = 0.0, -math.inf
     for first in range(0, trials, _CHUNK):
         rep = run(*randmat.complex_gaussian_trials(min(_CHUNK, trials - first), shapes, rng))
         cases += rep.cases
-        worst = max(worst, rep.worst_residual)
+        worst, top = max(worst, rep.worst_residual), max(top, rep.top_residual)
         violations += [dict(v, trial=first + v["trial"]) for v in rep.violations]
-    return {"check": check, "trials": trials, **shape, "cases": cases,
-            "violations": violations, "worst_residual": worst}
+    return {"check": check, "trials": trials, **shape, "cases": cases, "violations": violations,
+            "worst_residual": worst, "margin": INEQ_SLACK - top if cases else None}
 
 
 def lemma4_suite(trials: int, dim: int, rng) -> dict:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsdmt
-from dsdmt import cli
+from dsdmt import cli, lemma_verify
 
 
 def run_cli(argv, tmp_path, monkeypatch):
@@ -53,7 +53,12 @@ class TestCrosscheck:
         assert code == 0
         assert out.startswith("0 mismatches / 63 cases")
         report = json.loads((tmp_path / "dmt_crosscheck.json").read_text())
-        assert report["cases"] == 63 and report["mismatches"] == []
+        assert report == {"max_dim": 3, "fractional": False, "cases": 63, "mismatches": []}
+        # the LP counts go to the manifest: (m, n, l) and (n, m, l) share a cold solve
+        manifest = json.loads((tmp_path / "dmt_crosscheck.manifest.json").read_text())
+        assert manifest["lp"] == cli.run_crosscheck(3, False)["lp"]
+        assert manifest["lp"]["cold_solves"] == 18 and manifest["lp"].keys() == {
+            "cold_solves", "pivots", "pieces", "piece_hits"}
 
     def test_max_dim_one(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["crosscheck", "--max-dim", "1"], tmp_path, monkeypatch)
@@ -316,7 +321,11 @@ class TestVerify:
         manifest = json.loads((tmp_path / "dmt_verify.manifest.json").read_text())
         assert list(manifest["suite_s"]) == ["lemma4"]
         assert manifest["suite_s"]["lemma4"] > 0
-        assert "suite_s" not in report["lemma4"]
+        assert "suite_s" not in report["lemma4"] and "margin" not in report["lemma4"]
+        # the suite's smallest margin to the slack goes to the manifest, not the report
+        assert manifest["ineq_margin"] == {
+            "lemma4": lemma_verify.SUITES["lemma4"](200, 60, 1)["margin"]}
+        assert manifest["ineq_margin"]["lemma4"] > lemma_verify.INEQ_SLACK
 
     def test_manifest_times_every_suite(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["verify", "--suite", "all", "--trials", "50"], tmp_path, monkeypatch)
@@ -325,6 +334,7 @@ class TestVerify:
         manifest = json.loads((tmp_path / "dmt_verify.manifest.json").read_text())
         assert list(manifest["suite_s"]) == list(cli.VERIFY_SUITES)
         assert all(s >= 0 for s in manifest["suite_s"].values())
+        assert list(manifest["ineq_margin"]) == ["lemma4", "prop1"]
         report = json.loads((tmp_path / "dmt_verify.json").read_text())
         assert list(report) == list(cli.VERIFY_SUITES)
 

@@ -44,6 +44,7 @@ def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport
             rel_up = float(desc[i + j - 2] / hi - 1.0)
             rel_dn = float(1.0 - asc[i + j - 2] / lo)
             report.worst_residual = max(report.worst_residual, rel_up, rel_dn)
+            report.top_residual = max(report.top_residual, rel_up, rel_dn)
             if rel_up > rel_slack:
                 found.append(
                     {"kind": "upper", "i": i, "j": j, "lhs": float(desc[i + j - 2]), "rhs": float(hi)})
@@ -69,6 +70,7 @@ def reference_check_prop1(m_mat, t_mat, rel_slack=lv.INEQ_SLACK, t=0) -> lv.Chec
         lo, hi = s * st[-1], s * st[0]
         rel = max(float(lo / s_prod - 1.0), float(s_prod / hi - 1.0))
         report.worst_residual = max(report.worst_residual, rel)
+        report.top_residual = max(report.top_residual, rel)
         if rel > rel_slack:
             found.append({"i": i, "lhs": float(lo), "mid": float(s_prod), "rhs": float(hi)})
     if found:
@@ -80,13 +82,16 @@ def reference_trial_suite(check, run, trials, draw, **shape) -> dict:
     cases = 0
     violations = []
     worst = 0.0
+    top = -math.inf
     for t in range(trials):
         rep = run(*draw(), t=t)
         cases += rep.cases
         worst = max(worst, rep.worst_residual)
+        top = max(top, rep.top_residual)
         violations += rep.violations
     return {"check": check, "trials": trials, **shape, "cases": cases,
-            "violations": violations, "worst_residual": worst}
+            "violations": violations, "worst_residual": worst,
+            "margin": lv.INEQ_SLACK - top if cases else None}
 
 
 def reference_lemma4_suite(trials, dim, rng, rel_slack=lv.INEQ_SLACK) -> dict:
@@ -212,6 +217,19 @@ class TestBatchedSuites:
         per_trial = dim * (dim + 1) if suite is lv.lemma4_suite else min(shape)
         assert got["cases"] == per_trial * (80 - len(skipped))
 
+    def test_margin_is_signed_and_none_without_a_tested_trial(self, monkeypatch):
+        # the report's worst_residual is clamped at 0; the margin to the slack is
+        # not, and a suite whose every trial is skipped has none
+        rep = lv.lemma4_suite(50, 3, stream(9, 0))
+        assert rep["worst_residual"] == 0.0 and rep["margin"] > lv.INEQ_SLACK
+        top = lv.INEQ_SLACK - lv.prop1_suite(50, 3, 5, stream(9, 1))["margin"]  # < 0
+        monkeypatch.setattr(lv, "INEQ_SLACK", top - 1.0)  # read by the suite, not the checks
+        rep = lv.prop1_suite(50, 3, 5, stream(9, 1))
+        assert top < 0 and not rep["violations"] and rep["margin"] == pytest.approx(-1.0)
+        monkeypatch.setattr(lv, "COND_LIMIT", 0.5)  # every condition number is >= 1
+        rep = lv.lemma4_suite(20, 3, stream(9, 2))
+        assert rep["cases"] == 0 and rep["margin"] is None
+
     def test_skipped_trial_fails_verify(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(lv, "COND_LIMIT", 10.0)
         monkeypatch.chdir(tmp_path)
@@ -251,6 +269,7 @@ class TestStackedChecks:
         assert rep.violations == [v for p in pairs for v in p.violations]
         assert rep.cases == sum(p.cases for p in pairs)
         assert rep.worst_residual == max(p.worst_residual for p in pairs)
+        assert rep.top_residual == max(p.top_residual for p in pairs)
         assert "skipped" in pairs[5].violations[0]
         for t in range(12):
             assert check(x[t : t + 1], y[t : t + 1], slack) == reference(x[t], y[t], slack)

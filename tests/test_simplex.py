@@ -168,15 +168,22 @@ def test_crosscheck_lps_match_oracle(monkeypatch):
     ([1, 1], [[1, math.inf]], [1]),
     ([1, 1], [[1, 1]], [-math.inf]),
     ([1, 1], [[1, "x"]], [math.nan]),  # b is read first
+    ([math.nan], [[1]], ["x"]),  # c before b
     ([1, None], [[1, 1]], [1]),
     ([1, 1], [[1]], [1]),  # short row
     ([1, 1], [[1, 1], [1, 1]], [1]),  # short b
 ], ids=["beale", "redundant", "two-equalities", "empty", "empty-unbounded", "no-vars",
         "negative-rhs", "infeasible", "infeasible-fraction", "unbounded", "mixed-types",
-        "numpy-int", "numpy-float", "nan-c", "inf-a", "inf-b", "nan-b-first", "none",
-        "short-row", "short-b"])
+        "numpy-int", "numpy-float", "nan-c", "inf-a", "inf-b", "nan-b-first", "nan-c-first",
+        "none", "short-row", "short-b"])
 def test_hand_lps_match_oracle(lp):
     assert_same_as_oracle(lp)
+    # a first warm call is a cold solve: the same outcome and pivots, or the same
+    # exception; the warm dict counts those pivots, the phase-1 drive-outs too
+    warm = {}
+    outcome = _outcome(_simplex, (*lp, warm))
+    assert outcome == _outcome(_simplex, lp)
+    assert "last" not in warm or warm["counts"]["pivots"] == len(outcome[1])
 
 
 def test_narrow_numpy_ints_are_exact():
@@ -277,15 +284,20 @@ def _outcomes(c, a_ub, b_ub, k, values, warm=None):
 
 
 def test_warm_hand_lp():
-    # min -x - 2y  s.t. x + y <= b, y <= 1: -2 - (b - 1) for b >= 1, -2b below
-    lp = ([-1, -2], [[1, 1], [0, 1]], [None, 1], 0)
+    # min -x - 2y  s.t. y <= 1, x + y <= b: -2 - (b - 1) for b >= 1, -2b below
+    lp = ([-1, -2], [[0, 1], [1, 1]], [1, None], 1)
     warm = {}
     with dual_pivots_checked() as dual:
-        values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0, -1], warm)
+        values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0], warm)
+        # 3 -> 1/2 leaves the first basis; 1 and 0 lie in the piece of 1/2, 7/3 in that of 3
+        assert [piece[:3] for piece in warm["last"][3]] == [(1, math.inf, 3), (0, 1, Fraction(1, 2))]
+        values += _outcomes(*lp, [-1], warm)  # in no piece: from 1/2 the dual pivots find no point
     assert values == [-4, -1, -2, Fraction(-10, 3), 0, _simplex.Infeasible]
-    assert len(dual) == 3  # every move but 1/2 -> 1 leaves the optimal basis
-    assert warm == {}  # a raise leaves nothing to start from
+    assert len(dual) == 1
+    assert "last" not in warm  # a raise leaves nothing to start from
+    assert warm["counts"] == {"cold_solves": 1, "pivots": 3, "pieces": 2, "piece_hits": 3}
     assert _outcomes(*lp, [2], warm) == [-3]
+    assert warm["counts"]["cold_solves"] == 2
     # another LP in the same dict is solved cold, and replaces the first
     assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm)[0] == 3
     assert warm["last"][0] == ([1, 1], [[-1, -1]])
@@ -332,9 +344,14 @@ def lp_paths(draw):
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(lp_paths())
 def test_warm_matches_cold_solves(lp):
-    cold = _outcomes(*lp)
-    with dual_pivots_checked():
-        assert _outcomes(*lp, warm={}) == cold
+    # warm moves the last entry of b only, and solves a path that moves another
+    # entry cold on every call; so each path also runs with its row k moved last
+    c, a, b, k, values = lp
+    last = c, [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :], b[k]], len(a) - 1, values
+    for path in (lp, last):
+        cold = _outcomes(*path)
+        with dual_pivots_checked():
+            assert _outcomes(*path, warm={}) == cold
 
 
 def test_exponent_lps_warm_match_cold_solves():
@@ -352,35 +369,44 @@ def test_exponent_lps_warm_match_cold_solves():
 
 
 def test_crosscheck_pivot_count(monkeypatch):
-    # a warm call that stays inside its basis's range pivots nowhere, and a
-    # move from an older b takes the same pivots as moving one r at a time
-    pivots = []
-    pivot = _simplex._pivot
+    # each exponent LP is solved cold once, for (m, n, l) and (n, m, l) alike; a
+    # call inside a stored piece pivots nowhere; the counts the warm dicts keep
+    # are the ones seen
+    pivots, colds = [], []
+    pivot, cold = _simplex._pivot, _simplex._optimal_tableau
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
+    monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (colds.append(a), cold(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 1236
+    assert len(pivots) == 779 and len(colds) == 75
+    assert report["lp"] == {"cold_solves": 75, "pivots": 779, "pieces": 160, "piece_hits": 865}
 
 
 def test_crosscheck_reads_no_x(monkeypatch):
-    # dmt_via_lp asks for the value only, so no solve of a crosscheck reads
-    # x off its tableau; solve_lp still does by default, through the same spy
-    points = []
-    point = _simplex._point
-    monkeypatch.setattr(_simplex, "_point", lambda *a: (points.append(a[-1]), point(*a))[1])
+    # dmt_via_lp asks for the value only, so no solve of a crosscheck builds x;
+    # solve_lp still does by default, through the same spy
+    asked = []
+    solve = _simplex.solve_min
+
+    def recording(*args, **kw):
+        value, x = solve(*args, **kw)
+        asked.append(x)
+        return value, x
+
+    monkeypatch.setattr(_simplex, "solve_min", recording)
     report = cli.run_crosscheck(3, True)
     assert report["cases"] == 171 and not report["mismatches"]
-    assert points == []
+    assert asked == [None] * 171
     p = exponent_solver.build_program(2, 2, 2, Fraction(1, 2))
     sol = exponent_solver.solve_lp(p)
-    assert points == [7]  # x: two alphas, two betas, one t, two s
+    assert len(asked[-1]) == 7  # x: two alphas, two betas, one t, two s
     assert exponent_solver.solve_lp(p, with_x=False) == exponent_solver.LpSolution(sol.value)
-    assert points == [7]
+    assert asked[-1] is None
 
 
 def _rewritten(tableau, old, new, nvar):
     """Every row with an entry in a moved slack taken to b = new, then dual
-    pivots: how a warm tableau moved on every call before the range test."""
+    pivots: how a warm tableau moved on every call before the pieces."""
     rows, cost, basis = tableau
     ncols = nvar + len(rows)
     for slack, (a, b) in enumerate(zip(old, new), nvar):
@@ -392,34 +418,134 @@ def _rewritten(tableau, old, new, nvar):
     _simplex._dual_iterate(rows, cost, basis, ncols)
 
 
-def test_warm_range_test_matches_a_rewrite_on_every_call():
+def _basic_point(a_ub, b, basis, nvar):
+    """x of the basic solution of basis, solved for in Fractions: zero off the
+    basis, and tight on each row whose slack is not basic; Gauss-Jordan on
+    those rows and the basic x columns, a square system as the basis is one."""
+    unknowns = [j for j in basis if j < nvar]
+    aug = [[row[j] for j in unknowns] + [bi]
+           for i, (row, bi) in enumerate(zip(a_ub, b)) if nvar + i not in basis]
+    for k in range(len(aug)):
+        piv = next(i for i in range(k, len(aug)) if aug[i][k])
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [Fraction(v, 1) / aug[k][k] for v in aug[k]]
+        for i in range(len(aug)):
+            if i != k and (f := aug[i][k]):
+                aug[i] = [v - f * w if w else v for v, w in zip(aug[i], aug[k])]
+    x = [Fraction(0)] * nvar
+    for j, row in zip(unknowns, aug):
+        x[j] = row[-1]
+    assert min(x) >= 0 and all(sum(a * v for a, v in zip(row, x) if a) <= bi
+                               for row, bi in zip(a_ub, b))  # feasible at b
+    return x
+
+
+def _exponent_lp(m, n, l):
+    """c, a_ub and the fixed entries of b of the exponent LP of (m, n, l)."""
+    p = exponent_solver.build_program(max(m, n), min(m, n), l, 0)
+    return exponent_solver._lp_rows(p.alpha_coeffs, p.beta_coeffs)
+
+
+def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
     # every triple with dims <= 5, r up and then down on one warm dict: each
-    # call gives the value and x of a tableau rewritten to its b on every
-    # call, and whenever the warm tableau sits at the call's b (it was solved
-    # cold or moved there) its int rows are that tableau's
-    moved = kept = 0
+    # call's value is that of a tableau rewritten to its b on every call, its x
+    # the basic point of the basis that answered, solved for anew; and whenever
+    # the call made a piece (it solved cold or moved the tableau), the warm
+    # tableau's int rows are the rewritten tableau's
+    answered = []
+    warm_piece = _simplex._warm_piece
+    monkeypatch.setattr(_simplex, "_warm_piece",
+                        lambda *a: (answered.append(warm_piece(*a)), answered[-1])[1])
+    made = hits = 0
     with dual_pivots_checked():
         for m, n, l in itertools.product(range(1, 6), repeat=3):
-            p = exponent_solver.build_program(max(m, n), min(m, n), l, 0)
-            c, a_ub, head, tail = exponent_solver._lp_rows(p.alpha_coeffs, p.beta_coeffs)
+            c, a_ub, fixed = _exponent_lp(m, n, l)
             rs = [Fraction(k, 4) for k in range(4 * min(m, n, l) + 1)]
             warm, ref, old = {}, None, None
             for r in rs + rs[-2::-1]:
-                b = [*head, r, *tail]
+                b = [*fixed, r]
                 if ref is None:
-                    ref = _simplex._optimal_tableau(c, a_ub, b)
+                    ref = _simplex._optimal_tableau(c, a_ub, b)[:3]
                 else:
                     _rewritten(ref, old, b, len(c))
                 old = b
                 rows, cost, basis = ref
-                x = [Fraction(0)] * len(c)
-                for i, j in enumerate(basis):
-                    if j < len(c):
-                        x[j] = Fraction(rows[i][-1], rows[i][j])
-                assert _simplex.solve_min(c, a_ub, b, warm) == (Fraction(-cost[-2], cost[-1]), x)
-                if warm["last"][1] == b:
-                    assert warm["last"][2] == ref, (m, n, l, r)
-                    moved += 1
+                pieces = warm.get("counts", {}).get("pieces", 0)
+                value, x = _simplex.solve_min(c, a_ub, b, warm)
+                assert value == Fraction(-cost[-2], cost[-1])
+                (*_, basis_used, _, _, _), t = answered[-1]
+                assert t == r and x == _basic_point(a_ub, b, basis_used, len(c))
+                if warm["counts"]["pieces"] > pieces:
+                    assert list(warm["last"][2]) == [rows, cost, basis], (m, n, l, r)
+                    made += 1
                 else:
-                    kept += 1
-    assert moved > 125 and kept > moved
+                    hits += 1
+    assert made == 254 and hits > made  # 125 cold solves and 129 moves
+
+
+def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
+    # dims <= 5: (m, n, l) and (n, m, l) pose one LP, and the pair's second
+    # triple is answered by the pieces of its first: no cold solve, no pivot
+    work, now = [], []
+    pivot, cold = _simplex._pivot, _simplex._optimal_tableau
+    monkeypatch.setattr(_simplex, "_pivot", lambda *a: (work.append(now[-1]), pivot(*a)))
+    monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (work.append(now[-1]), cold(*a))[1])
+
+    def lp(m, n, l, r, warm):
+        now.append((m, n, l))
+        return exponent_solver.dmt_via_lp(m, n, l, r, warm)
+
+    report = cli.run_crosscheck(5, True, lp=lp)
+    assert report["cases"] == 1025 and not report["mismatches"]
+    triples = set(itertools.product(range(1, 6), repeat=3))
+    seconds = {t for t in triples if t[0] > t[1]}
+    assert not seconds & set(work)
+    assert set(work) == triples - seconds  # every first triple solves cold, with pivots
+
+
+def test_pieces_cover_the_range_and_match_cold_solves():
+    # after a triple's sweep its pieces cover [0, min(m, n, l)] with no gap; at
+    # each piece's ends in that range, its midpoint, and r a third and a seventh
+    # of the way in (one of them off the quarter grid), the piece alone gives a
+    # cold solve's value, and a feasible optimal x
+    for m, n, l in itertools.product(range(1, 6), repeat=3):
+        if n > m:
+            continue
+        top = min(m, n, l)
+        warm = {}
+        for k in range(4 * top + 1):
+            exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4), warm)
+        lp, fixed, tableau, pieces = warm["last"]
+        ends = sorted((max(lo, 0), min(hi, top)) for lo, hi, *_ in pieces if lo <= top and hi >= 0)
+        assert ends[0][0] == 0 and ends[-1][1] == top, (m, n, l)
+        assert all(b[0] <= a[1] for a, b in zip(ends, ends[1:])), (m, n, l)
+        c, a_ub = lp
+        for piece in pieces:
+            lo, hi = Fraction(max(piece[0], 0)), Fraction(min(piece[1], top))
+            if lo > hi:
+                continue
+            rs = {lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) / 7}
+            assert lo == hi or any((4 * r).denominator > 1 for r in rs)
+            for r in rs:
+                one = {"last": (lp, fixed, tableau, [piece])}
+                value, x = _simplex.solve_min(c, a_ub, [*fixed, r], one)
+                assert one["counts"] == {"piece_hits": 1}
+                assert value == exponent_solver.dmt_via_lp(m, n, l, r), (m, n, l, r)
+                assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
+                assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
+                           for row, bi in zip(a_ub, [*fixed, r]))
+
+
+def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
+    # two successive sweeps make the same cold solves and the same pivots
+    seen = []
+    pivot, cold = _simplex._pivot, _simplex._optimal_tableau
+    monkeypatch.setattr(_simplex, "_pivot", lambda *a: (seen.append(a[3:]), pivot(*a)))
+    monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (seen.append(a), cold(*a))[1])
+    runs = []
+    for _ in range(2):
+        report = cli.run_crosscheck(3, True)
+        runs.append((seen[:], report["lp"]))
+        seen.clear()
+    assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(set(
+        (max(m, n), min(m, n), l) for m, n, l in itertools.product(range(1, 4), repeat=3)))
