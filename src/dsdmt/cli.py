@@ -183,8 +183,9 @@ def _check(args):
     """The check phase, before any work starts or any file is opened: a bad
     input raises ValueError.  Returns the command's run, bound to what it
     runs on; for `sim`, a SimConfig, whose dataclasses own its checks."""
-    if not os.path.isdir(os.path.dirname(args.output) or "."):
-        raise ValueError(f"--output {args.output}: its directory does not exist")
+    folder, name = os.path.split(args.output)  # an empty name would write ".csv"
+    if name in ("", ".", "..") or not os.path.isdir(folder or "."):
+        raise ValueError(f"--output {args.output}: not a file name in an existing directory")
     if args.command == "curve":
         _check_range("--triple dimensions", max(args.triple.as_tuple()), 1, MAX_CURVE_DIM)
         return functools.partial(cmd_curve, args)

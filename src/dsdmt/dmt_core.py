@@ -124,9 +124,6 @@ class DmtCurve:
     def max_gain(self) -> int:
         return self.points[-1][0]
 
-    def diversities(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.points)
-
 
 def dmt_curve(t) -> DmtCurve:
     """Full tradeoff curve of a channel triple, in any component order."""

@@ -76,14 +76,10 @@ class ExponentProgram:
         if any(b < 0 for b in self.beta_coeffs) or any(a <= 0 for a in self.alpha_coeffs):
             raise ValueError("coefficients out of range")
 
-    @property
-    def plus_pairs(self) -> tuple[tuple[int, int], ...]:
-        """0-based (i, j), i < j, i first then j rising: each contributes
-        (alpha_i - beta_j)^+ to the objective."""
-        return _plus_pairs(self.alpha_dim, self.beta_dim)
-
 
 def _plus_pairs(na: int, nb: int) -> tuple[tuple[int, int], ...]:
+    """0-based (i, j), i < j, i first then j rising: each contributes
+    (alpha_i - beta_j)^+ to the objective."""
     return tuple((i, j) for i in range(na) for j in range(i + 1, nb))
 
 

@@ -96,12 +96,11 @@ class CheckReport:
     check: str
     cases: int
     violations: list = field(default_factory=list)
-    worst_residual: float = 0.0
     top_residual: float = -math.inf  # the largest residual, signed; -inf if no trial was tested
 
     @property
-    def passed(self) -> bool:
-        return not self.violations
+    def worst_residual(self) -> float:
+        return max(0.0, self.top_residual)
 
 
 def _condition_numbers(sv) -> np.ndarray:
@@ -126,27 +125,27 @@ def _report(check, skip, skip_reason, cases, rel, violations) -> CheckReport:
     # a NaN residual (0/0 at a zero singular value of M) compares with nothing
     top = float(np.fmax.reduce(rel[keep], axis=None, initial=-np.inf))
     return CheckReport(check=check, cases=cases * int(keep.sum()),
-                       violations=sorted(found, key=lambda v: v["trial"]),
-                       worst_residual=max(0.0, top), top_residual=top)
+                       violations=sorted(found, key=lambda v: v["trial"]), top_residual=top)
 
 
-def check_lemma4(a, b, rel_slack: float = INEQ_SLACK) -> CheckReport:
+def check_lemma4(a, b) -> CheckReport:
     """sigma_{i+j-1}(AB) <= sigma_i(A) sigma_j(B) and the eta counterpart.
 
-    a and b are two stacks of m x m matrices with a leading trial axis.  A
-    trial with a condition number above COND_LIMIT is skipped.
+    a and b are two stacks of finite m x m matrices with a leading trial
+    axis.  A trial with a condition number above COND_LIMIT is skipped.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape:
         raise ValueError(f"need two stacks of square matrices of equal size, "
                          f"got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # the SVD would give NaN
+        raise ValueError("matrix entries must be finite")
     m = a.shape[-1]
-    sa, sb = singular_values(a).values, singular_values(b).values
+    sa, sb = singular_values(a), singular_values(b)
     skip = ~((_condition_numbers(sa) <= COND_LIMIT) & (_condition_numbers(sb) <= COND_LIMIT))
-    sab = singular_values(a @ b)
-    desc, asc = sab.values, sab.ascending()
-    ea, eb = sa[:, ::-1], sb[:, ::-1]
+    desc = singular_values(a @ b)
+    asc, ea, eb = desc[:, ::-1], sa[:, ::-1], sb[:, ::-1]
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 2 - i)]
     ii = np.array([i - 1 for i, _ in pairs])
     jj = np.array([j - 1 for _, j in pairs])
@@ -157,25 +156,25 @@ def check_lemma4(a, b, rel_slack: float = INEQ_SLACK) -> CheckReport:
         rel_up = up / hi - 1.0
         rel_dn = 1.0 - dn / lo
     violations = {}
-    bad = ~skip & ((rel_up > rel_slack) | (rel_dn > rel_slack)).any(axis=1)
+    bad = ~skip & ((rel_up > INEQ_SLACK) | (rel_dn > INEQ_SLACK)).any(axis=1)
     for t in np.flatnonzero(bad).tolist():
         found = violations[t] = []
         for p, (i, j) in enumerate(pairs):
-            if rel_up[t, p] > rel_slack:
+            if rel_up[t, p] > INEQ_SLACK:
                 found.append({"kind": "upper", "i": i, "j": j,
                               "lhs": float(up[t, p]), "rhs": float(hi[t, p])})
-            if rel_dn[t, p] > rel_slack:
+            if rel_dn[t, p] > INEQ_SLACK:
                 found.append({"kind": "lower", "i": i, "j": j,
                               "lhs": float(dn[t, p]), "rhs": float(lo[t, p])})
     return _report("lemma4", skip, f"condition number above {COND_LIMIT:.0e}",
                    2 * len(pairs), np.concatenate((rel_up, rel_dn), axis=1), violations)
 
 
-def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK) -> CheckReport:
+def check_prop1(m_mat, t_mat) -> CheckReport:
     """sigma_i(M) sigma_min(T) <= sigma_i(TM) <= sigma_i(M) sigma_max(T).
 
-    m_mat and t_mat are two stacks with a leading trial axis.  A trial whose
-    T has a condition number above COND_LIMIT is skipped.
+    m_mat and t_mat are two stacks of finite matrices with a leading trial
+    axis.  A trial whose T has a condition number above COND_LIMIT is skipped.
     """
     m_mat = np.asarray(m_mat)
     t_mat = np.asarray(t_mat)
@@ -183,17 +182,19 @@ def check_prop1(m_mat, t_mat, rel_slack: float = INEQ_SLACK) -> CheckReport:
             or t_mat.shape[2] != m_mat.shape[1] or t_mat.shape[0] != m_mat.shape[0]):
         raise ValueError(f"need a stack of square T conformable with the stack of M, "
                          f"got {t_mat.shape}, {m_mat.shape}")
-    sm, st = singular_values(m_mat).values, singular_values(t_mat).values
+    if not (np.isfinite(m_mat).all() and np.isfinite(t_mat).all()):
+        raise ValueError("matrix entries must be finite")
+    sm, st = singular_values(m_mat), singular_values(t_mat)
     skip = ~(_condition_numbers(st) <= COND_LIMIT)
-    stm = singular_values(t_mat @ m_mat).values
+    stm = singular_values(t_mat @ m_mat)
     lo, hi = sm * st[:, -1:], sm * st[:, :1]
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.fmax(lo / stm - 1.0, stm / hi - 1.0)
     violations = {}
-    for t in np.flatnonzero(~skip & (rel > rel_slack).any(axis=1)).tolist():
+    for t in np.flatnonzero(~skip & (rel > INEQ_SLACK).any(axis=1)).tolist():
         violations[t] = [{"i": i, "lhs": float(lo[t, i - 1]), "mid": float(stm[t, i - 1]),
                           "rhs": float(hi[t, i - 1])}
-                         for i in range(1, rel.shape[1] + 1) if rel[t, i - 1] > rel_slack]
+                         for i in range(1, rel.shape[1] + 1) if rel[t, i - 1] > INEQ_SLACK]
     return _report("prop1", skip, f"T condition number above {COND_LIMIT:.0e}",
                    rel.shape[1], rel, violations)
 
@@ -450,14 +451,14 @@ def _trial_suite(check: str, run, trials: int, shapes, rng, **shape) -> dict:
     if no trial was tested; `dmt verify` moves it to its manifest."""
     cases = 0
     violations = []
-    worst, top = 0.0, -math.inf
+    top = -math.inf
     for first in range(0, trials, _CHUNK):
         rep = run(*randmat.complex_gaussian_trials(min(_CHUNK, trials - first), shapes, rng))
         cases += rep.cases
-        worst, top = max(worst, rep.worst_residual), max(top, rep.top_residual)
+        top = max(top, rep.top_residual)
         violations += [dict(v, trial=first + v["trial"]) for v in rep.violations]
     return {"check": check, "trials": trials, **shape, "cases": cases, "violations": violations,
-            "worst_residual": worst, "margin": INEQ_SLACK - top if cases else None}
+            "worst_residual": max(0.0, top), "margin": INEQ_SLACK - top if cases else None}
 
 
 def lemma4_suite(trials: int, dim: int, rng) -> dict:

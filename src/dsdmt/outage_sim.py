@@ -36,7 +36,6 @@ from .dmt_core import ChannelTriple
 from .randmat import (
     CorrelationMatrix,
     complex_gaussian,
-    exponential_correlation,
     identity_correlation,
     stream,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "estimate_outage",
     "run_simulation",
     "fit_slope",
-    "correlation_invariance_experiment",
     "estimates_csv_lines",
 ]
 
@@ -284,37 +282,6 @@ def fit_slope(estimates) -> SlopeFit:
     y = np.array([-math.log10(e.p_out) for e in usable])
     res = stats.linregress(x, y)
     return SlopeFit(slope=float(res.slope), stderr=float(res.stderr), points_used=len(usable))
-
-
-@dataclass(frozen=True)
-class PairedSlopes:
-    identity: SlopeFit
-    correlated: SlopeFit
-    identity_estimates: tuple[OutageEstimate, ...]
-    correlated_estimates: tuple[OutageEstimate, ...]
-
-
-def correlation_invariance_experiment(triple, rho: float, r, snr_grid_db, trials: int,
-                                      seed: int, workers: int = 1) -> PairedSlopes:
-    """The same experiment with identity and exponential(rho) correlations.
-
-    The runs share seed and streams (common random numbers), so the slope
-    comparison isolates the effect of the correlation matrices.
-    """
-    if not 0 <= rho <= 0.9:
-        raise ValueError(f"rho must lie in [0, 0.9], got {rho}")
-    if not isinstance(triple, ChannelTriple):
-        triple = ChannelTriple(*triple)
-    correlated = [exponential_correlation(dim, rho) for dim in triple.as_tuple()]
-    results = []
-    for spec in (make_channel_spec(triple), make_channel_spec(triple, *correlated)):
-        cfg = SimConfig(spec=spec, snr_grid_db=tuple(snr_grid_db), r=float(r),
-                        trials=trials, seed=seed, workers=workers)
-        estimates = run_simulation(cfg)
-        results.append((fit_slope(estimates), tuple(estimates)))
-    (id_fit, id_est), (corr_fit, corr_est) = results
-    return PairedSlopes(identity=id_fit, correlated=corr_fit,
-                        identity_estimates=id_est, correlated_estimates=corr_est)
 
 
 def estimates_csv_lines(estimates, r: float) -> list[str]:

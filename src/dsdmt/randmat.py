@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "DegenerateEigenvaluesError",
-    "EigenvalueVector",
     "CorrelationMatrix",
     "stream",
     "complex_gaussian",
@@ -85,31 +84,6 @@ def complex_gaussian_trials(trials: int, shapes, rng: np.random.Generator) -> tu
         stacks.append(out)
         start += 2 * size
     return tuple(stacks)
-
-
-@dataclass(frozen=True)
-class EigenvalueVector:
-    """Nonnegative eigen/singular values sorted descending along the last
-    axis; leading axes, if any, index a stack of vectors."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 0 or vals.shape[-1] == 0 or not np.all(np.isfinite(vals)):
-            raise ValueError("values must be a finite array of 1-d vectors")
-        scale = np.maximum(np.max(np.abs(vals), axis=-1, keepdims=True), 1.0)
-        if np.any(vals < -1e-12 * scale):
-            raise ValueError(f"negative eigenvalue beyond roundoff: {vals.min()}")
-        vals = np.sort(np.clip(vals, 0.0, None), axis=-1)[..., ::-1].copy()
-        object.__setattr__(self, "values", vals)
-
-    def ascending(self) -> np.ndarray:
-        """eta_i = sigma_{n+1-i}: the same values, smallest first."""
-        return self.values[..., ::-1].copy()
-
-    def __len__(self) -> int:
-        return int(self.values.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -188,15 +162,27 @@ def load_correlation_matrix(path) -> CorrelationMatrix:
 
 
 def wishart_sample(m: int, n: int, sigma: CorrelationMatrix, trials: int,
-                   rng: np.random.Generator) -> EigenvalueVector:
+                   rng: np.random.Generator) -> np.ndarray:
     """Eigenvalues of W = H H^dagger for trials draws of H, m x n with columns
-    CN(0, sigma), all drawn by one complex_gaussian call: shape (trials, m)."""
+    CN(0, sigma), all drawn by one complex_gaussian call: shape (trials, m),
+    each row descending and non-negative."""
     if sigma.dim != m:
         raise ValueError(f"sigma is {sigma.dim}x{sigma.dim}, expected {m}x{m}")
     h = complex_gaussian((trials, m, n), rng)
     if sigma.kind != "identity":
         h = sigma.sqrt @ h
-    return EigenvalueVector(np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2)))
+    return _eigenvalue_vectors(np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2)))
+
+
+def _eigenvalue_vectors(w: np.ndarray) -> np.ndarray:
+    """eigvalsh output w, ascending along the last axis, reversed and clipped at 0;
+    a value not finite, or negative beyond roundoff of its vector's scale, raises."""
+    if not np.all(np.isfinite(w)):
+        raise ValueError("eigenvalues must be finite")
+    scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1.0)
+    if np.any(w < -1e-12 * scale):
+        raise ValueError(f"negative eigenvalue beyond roundoff: {w.min()}")
+    return np.clip(w[..., ::-1], 0.0, None)
 
 
 def _prep(vals) -> np.ndarray:
@@ -241,10 +227,10 @@ def log_density_identity(lam, m: int, n: int):
     return float(logp) if lam.ndim == 1 else logp
 
 
-def singular_values(a) -> EigenvalueVector:
-    """Descending singular values of a matrix, or of each matrix of a stack
-    (..., r, c); ascending order via .ascending()."""
-    return EigenvalueVector(np.linalg.svd(np.asarray(a), compute_uv=False))
+def singular_values(a) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix of a stack (..., r, c):
+    LAPACK's, descending and non-negative along the last axis."""
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def _equal_mass_edges(grid: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
@@ -270,7 +256,7 @@ def density_gof_identity(m: int, n: int, trials: int, rng: np.random.Generator):
     q = min(m, n)
     if q not in (1, 2):
         raise ValueError(f"goodness-of-fit check supports min(m, n) in {{1, 2}}, got {q}")
-    eig = wishart_sample(m, n, identity_correlation(m), trials, rng).values[:, :q]
+    eig = wishart_sample(m, n, identity_correlation(m), trials, rng)[:, :q]
 
     if q == 1:
         lam = eig[:, 0]

@@ -46,6 +46,7 @@ from dsdmt.dmt_core import dmt_at, dmt_curve, dmt_point, order_triple, rayleigh_
 from dsdmt.exponent_solver import dmt_via_greedy, dmt_via_lp
 
 import exact_outage
+from correlation_invariance import correlation_invariance_experiment
 
 
 def report(label, ok, detail=""):
@@ -88,7 +89,7 @@ def test_criterion_3_bound_tail_equivalence():
             if k >= o.m_small - o.delta - 1 and dmt_point(o, k) != ray[k]:
                 bad.append(("tail", t, k))
         condition = o.l_large + 1 >= o.m_small + o.n_mid
-        if condition != (curve.diversities() == ray):
+        if condition != (tuple(d for _, d in curve.points) == ray):
             bad.append(("equivalence", t))
     elapsed = time.time() - t0
     report("criterion 3: Rayleigh bound / tail / equivalence condition (dims <= 6)",
@@ -219,16 +220,16 @@ def _paired_detail(pair):
 
 
 def test_criterion_7c_correlation_invariance_rho05():
-    pair = osim.correlation_invariance_experiment((1, 1, 1), 0.5, 0.05,
-                                                  GRID_15_40, 300000, seed=21)
+    pair = correlation_invariance_experiment((1, 1, 1), 0.5, 0.05,
+                                             GRID_15_40, 300000, seed=21)
     gap, limit, detail = _paired_detail(pair)
     report("criterion 7c: (1,1,1) exp(0.5) vs identity within 2x combined stderr",
            gap <= limit, detail)
 
 
 def test_criterion_7d_correlation_invariance_rho07():
-    pair = osim.correlation_invariance_experiment((2, 2, 2), 0.7, 1.0,
-                                                  GRID_10_30, 300000, seed=22)
+    pair = correlation_invariance_experiment((2, 2, 2), 0.7, 1.0,
+                                             GRID_10_30, 300000, seed=22)
     gap, limit, detail = _paired_detail(pair)
     report("criterion 7d: (2,2,2) exp(0.7) vs identity within 2x combined stderr",
            gap <= limit, detail)

@@ -422,6 +422,24 @@ def test_missing_output_directory_exits_before_work(argv, no_work, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("output", ["", "out/", ".", "out/.."])
+@pytest.mark.parametrize("argv", [
+    ["curve", "--triple", "2,2,2"],
+    ["verify", "--suite", "lemma1", "--trials", "5"],
+], ids=["curve", "verify"])
+def test_output_without_a_file_name_exits_before_work(argv, output, no_work, tmp_path,
+                                                      monkeypatch, capsys):
+    # "" and "out/" used to write hidden files: .csv, .json and .manifest.json
+    (tmp_path / "out").mkdir()
+    code = run_cli(argv + [f"--output={output}"], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1
+    assert f"--output {output}: not a file name in an existing directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,flag,cap,huge", [
     (SIM_ARGV, "--trials", cli.MAX_SIM_TRIALS, "10000000000000"),
     (["verify"], "--trials", cli.MAX_VERIFY_TRIALS, "10000000000000"),
@@ -550,7 +568,7 @@ GRAMMAR = {
     },
 }
 COMMON = {
-    "--output": (("out/run", "run", ""), ("missing/run",)),
+    "--output": (("out/run", "run"), ("missing/run", "", "out/", ".", "out/..")),
     "--config": (("../fix/good.json",),
                  ("../fix/bad.json", "../fix/list.json", "missing.json")),
 }

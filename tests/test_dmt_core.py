@@ -91,7 +91,7 @@ class TestDmtCurve:
 
     def test_monotone_and_convex_exhaustive(self):
         for t in all_triples(6):
-            ds = dmt_curve(t).diversities()
+            ds = [d for _, d in dmt_curve(t).points]
             drops = [a - b for a, b in zip(ds, ds[1:])]
             assert all(a >= b for a, b in zip(ds, ds[1:]))
             assert all(a >= b for a, b in zip(drops, drops[1:]))
@@ -177,7 +177,7 @@ class TestRayleighEquivalence:
             o = order_triple(t)
             curve = dmt_curve(t)
             ray = tuple(rayleigh_dmt(o.m_small, o.n_mid, k) for k in range(o.m_small + 1))
-            equal = curve.diversities() == ray
+            equal = tuple(d for _, d in curve.points) == ray
             assert is_rayleigh_equivalent(t) == equal, t
 
 

@@ -17,6 +17,7 @@ from dsdmt.exponent_solver import (
     ExponentProgram,
     ReducedObjective,
     ReductionInvariantError,
+    _plus_pairs,
     build_program,
     dmt_via_greedy,
     dmt_via_lp,
@@ -49,14 +50,14 @@ class TestBuildProgram:
         p = build_program(2, 2, 2, 0)
         assert p.alpha_coeffs == (2, 1)
         assert p.beta_coeffs == (1, 0)
-        assert p.plus_pairs == ((0, 1),)
+        assert _plus_pairs(p.alpha_dim, p.beta_dim) == ((0, 1),)
         assert p.alpha_dim == 2
 
     def test_3_1_2_case_b(self):
         p = build_program(3, 1, 2, 0)
         assert p.alpha_coeffs == (1,)
         assert p.beta_coeffs == (3, 2)  # l + m - n - j for j = 1, 2
-        assert p.plus_pairs == ((0, 1),)
+        assert _plus_pairs(p.alpha_dim, p.beta_dim) == ((0, 1),)
         assert p.alpha_dim == 1
 
     def test_requires_reciprocity_applied(self):
@@ -75,7 +76,8 @@ class TestBuildProgram:
                     assert (p.alpha_dim, p.beta_dim) == three_case_dims(m, n, l)
                     assert (p.alpha_coeffs, p.beta_coeffs) == three_case_coeffs(m, n, l)
                     # the LP's coupling rows follow this order: i first, then j rising
-                    assert p.plus_pairs == tuple(sorted(set(p.plus_pairs)))
+                    pairs = _plus_pairs(p.alpha_dim, p.beta_dim)
+                    assert pairs == tuple(sorted(set(pairs)))
 
     def test_4_1_3_second_branch(self):
         # j = 3 >= n + 2 switches to the l + m + 1 - 2j slope
@@ -184,7 +186,7 @@ class TestSolveLp:
             # vertex reproduces the optimal objective
             value = sum(c * x for c, x in zip(p.alpha_coeffs, a))
             value += sum(c * x for c, x in zip(p.beta_coeffs, b))
-            value += sum(max(a[i] - b[j], 0) for i, j in p.plus_pairs)
+            value += sum(max(a[i] - b[j], 0) for i, j in _plus_pairs(p.alpha_dim, p.beta_dim))
             assert value == sol.value
 
 

@@ -1,6 +1,5 @@
 """Singular-value inequality checks and extended-precision asymptotics."""
 
-import functools
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from mpmath import mp
 
 from dsdmt import cli
 from dsdmt import lemma_verify as lv
-from dsdmt.randmat import _log_vandermonde, complex_gaussian, singular_values, stream
+from dsdmt.randmat import _log_vandermonde, complex_gaussian, stream
 
 
 # Reference oracles: the trial suites as one draw, one check and one SVD per
@@ -17,24 +16,26 @@ from dsdmt.randmat import _log_vandermonde, complex_gaussian, singular_values, s
 # reference check takes one pair and reports it as trial t of a stack: its
 # violations are one {"trial": t, "violations": [...]} entry if any case
 # fails, or {"trial": t, "skipped": reason} if the pair is too ill-conditioned
-# to test.
+# to test.  Singular values come from numpy directly, and a reference check
+# reads INEQ_SLACK when it runs, as the package's checks do.
+
+def svd(mat):
+    return np.linalg.svd(mat, compute_uv=False)
+
 
 def reference_condition_number(mat) -> float:
-    sv = singular_values(mat).values
+    sv = svd(mat)
     return float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
 
 
-def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport:
+def reference_check_lemma4(a, b, t=0) -> lv.CheckReport:
     m = a.shape[0]
     report = lv.CheckReport(check="lemma4", cases=0)
     if max(reference_condition_number(a), reference_condition_number(b)) > lv.COND_LIMIT:
         report.violations = [{"trial": t, "skipped": f"condition number above {lv.COND_LIMIT:.0e}"}]
         return report
-    sa = singular_values(a).values
-    sb = singular_values(b).values
-    sab = singular_values(a @ b)
-    desc, asc = sab.values, sab.ascending()
-    ea, eb = sa[::-1], sb[::-1]
+    sa, sb, desc = svd(a), svd(b), svd(a @ b)
+    asc, ea, eb = desc[::-1], sa[::-1], sb[::-1]
     found = []
     for i in range(1, m + 1):
         for j in range(1, m + 2 - i):
@@ -43,12 +44,11 @@ def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport
             lo = ea[i - 1] * eb[j - 1]
             rel_up = float(desc[i + j - 2] / hi - 1.0)
             rel_dn = float(1.0 - asc[i + j - 2] / lo)
-            report.worst_residual = max(report.worst_residual, rel_up, rel_dn)
             report.top_residual = max(report.top_residual, rel_up, rel_dn)
-            if rel_up > rel_slack:
+            if rel_up > lv.INEQ_SLACK:
                 found.append(
                     {"kind": "upper", "i": i, "j": j, "lhs": float(desc[i + j - 2]), "rhs": float(hi)})
-            if rel_dn > rel_slack:
+            if rel_dn > lv.INEQ_SLACK:
                 found.append(
                     {"kind": "lower", "i": i, "j": j, "lhs": float(asc[i + j - 2]), "rhs": float(lo)})
     if found:
@@ -56,22 +56,19 @@ def reference_check_lemma4(a, b, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport
     return report
 
 
-def reference_check_prop1(m_mat, t_mat, rel_slack=lv.INEQ_SLACK, t=0) -> lv.CheckReport:
+def reference_check_prop1(m_mat, t_mat, t=0) -> lv.CheckReport:
     report = lv.CheckReport(check="prop1", cases=0)
     if reference_condition_number(t_mat) > lv.COND_LIMIT:
         report.violations = [{"trial": t, "skipped": f"T condition number above {lv.COND_LIMIT:.0e}"}]
         return report
-    st = singular_values(t_mat).values
-    sm = singular_values(m_mat).values
-    stm = singular_values(t_mat @ m_mat).values
+    st, sm, stm = svd(t_mat), svd(m_mat), svd(t_mat @ m_mat)
     found = []
     for i, (s, s_prod) in enumerate(zip(sm, stm), start=1):
         report.cases += 1
         lo, hi = s * st[-1], s * st[0]
         rel = max(float(lo / s_prod - 1.0), float(s_prod / hi - 1.0))
-        report.worst_residual = max(report.worst_residual, rel)
         report.top_residual = max(report.top_residual, rel)
-        if rel > rel_slack:
+        if rel > lv.INEQ_SLACK:
             found.append({"i": i, "lhs": float(lo), "mid": float(s_prod), "rhs": float(hi)})
     if found:
         report.violations = [{"trial": t, "violations": found}]
@@ -94,32 +91,30 @@ def reference_trial_suite(check, run, trials, draw, **shape) -> dict:
             "margin": lv.INEQ_SLACK - top if cases else None}
 
 
-def reference_lemma4_suite(trials, dim, rng, rel_slack=lv.INEQ_SLACK) -> dict:
+def reference_lemma4_suite(trials, dim, rng) -> dict:
     def draw():  # A, then B
         return complex_gaussian((dim, dim), rng), complex_gaussian((dim, dim), rng)
 
-    run = functools.partial(reference_check_lemma4, rel_slack=rel_slack)
-    return reference_trial_suite("lemma4", run, trials, draw, dim=dim)
+    return reference_trial_suite("lemma4", reference_check_lemma4, trials, draw, dim=dim)
 
 
-def reference_prop1_suite(trials, dim, cols, rng, rel_slack=lv.INEQ_SLACK) -> dict:
+def reference_prop1_suite(trials, dim, cols, rng) -> dict:
     def draw():  # T, then M
         t_mat = complex_gaussian((dim, dim), rng)
         return complex_gaussian((dim, cols), rng), t_mat
 
-    run = functools.partial(reference_check_prop1, rel_slack=rel_slack)
-    return reference_trial_suite("prop1", run, trials, draw, dim=dim, cols=cols)
+    return reference_trial_suite("prop1", reference_check_prop1, trials, draw, dim=dim, cols=cols)
 
 
 class TestLemma4:
     def test_identity_equality(self):
         rep = lv.check_lemma4(np.eye(3)[None], np.eye(3)[None])
-        assert rep.passed and rep.cases == 12  # 6 (i,j) pairs, two bounds each
+        assert not rep.violations and rep.cases == 12  # 6 (i,j) pairs, two bounds each
 
     def test_diagonal_hand_case(self):
         # sigma2(AB) = 1 <= sigma1(A) sigma2(B) = 2; sigma1(AB) = 6 <= 6
         rep = lv.check_lemma4(np.diag([2.0, 1.0])[None], np.diag([3.0, 1.0])[None])
-        assert rep.passed
+        assert not rep.violations
 
     def test_random_batch(self):
         rep = lv.lemma4_suite(500, 4, stream(100, 0))
@@ -129,19 +124,19 @@ class TestLemma4:
     def test_singular_input_skipped(self):
         rep = lv.check_lemma4(np.diag([1.0, 0.0])[None], np.eye(2)[None])
         assert rep.violations == [{"trial": 0, "skipped": "condition number above 1e+08"}]
-        assert rep.cases == 0 and not rep.passed
+        assert rep.cases == 0
 
 
 class TestProp1:
     def test_identity_transform(self):
         m = np.arange(6, dtype=float).reshape(3, 2) + 1
         rep = lv.check_prop1(m[None], np.eye(3)[None])
-        assert rep.passed and rep.worst_residual <= 1e-12
+        assert not rep.violations and rep.worst_residual <= 1e-12
 
     def test_scalar_scaling(self):
         m = np.arange(6, dtype=float).reshape(3, 2) + 1
         rep = lv.check_prop1(m[None], 2.0 * np.eye(3)[None])
-        assert rep.passed
+        assert not rep.violations
 
     def test_random_batch(self):
         rep = lv.prop1_suite(500, 3, 5, stream(101, 0))
@@ -223,9 +218,10 @@ class TestBatchedSuites:
         rep = lv.lemma4_suite(50, 3, stream(9, 0))
         assert rep["worst_residual"] == 0.0 and rep["margin"] > lv.INEQ_SLACK
         top = lv.INEQ_SLACK - lv.prop1_suite(50, 3, 5, stream(9, 1))["margin"]  # < 0
-        monkeypatch.setattr(lv, "INEQ_SLACK", top - 1.0)  # read by the suite, not the checks
+        monkeypatch.setattr(lv, "INEQ_SLACK", top - 1.0)  # every residual is >= -1 > it
         rep = lv.prop1_suite(50, 3, 5, stream(9, 1))
-        assert top < 0 and not rep["violations"] and rep["margin"] == pytest.approx(-1.0)
+        assert top < 0 and len(rep["violations"]) == 50 and rep["margin"] == pytest.approx(-1.0)
+        assert rep["worst_residual"] == 0.0
         monkeypatch.setattr(lv, "COND_LIMIT", 0.5)  # every condition number is >= 1
         rep = lv.lemma4_suite(20, 3, stream(9, 2))
         assert rep["cases"] == 0 and rep["margin"] is None
@@ -239,12 +235,11 @@ class TestBatchedSuites:
     @pytest.mark.parametrize("suite,reference,shape", SUITE_CASES, ids=SUITE_IDS)
     def test_violations_carry_their_trial(self, suite, reference, shape, monkeypatch):
         # with a negative slack every case is a violation, so every trial is listed
-        name = "check_lemma4" if suite is lv.lemma4_suite else "check_prop1"
-        monkeypatch.setattr(lv, name, functools.partial(getattr(lv, name), rel_slack=-0.5))
+        monkeypatch.setattr(lv, "INEQ_SLACK", -0.5)
         monkeypatch.setattr(lv, "_CHUNK", 16)
         rng, ref_rng = stream(6, 7), stream(6, 7)
         got = suite(40, *shape, rng)
-        want = reference(40, *shape, ref_rng, rel_slack=-0.5)
+        want = reference(40, *shape, ref_rng)
         assert len(got["violations"]) == 40
         assert got == want
 
@@ -261,18 +256,19 @@ class TestStackedChecks:
         (lv.check_prop1, reference_check_prop1, ((3, 5), (3, 3))),
     ], ids=["lemma4", "prop1"])
     @pytest.mark.parametrize("slack", [lv.INEQ_SLACK, -0.5])
-    def test_stack_is_the_concatenated_pairs(self, check, reference, shapes, slack):
+    def test_stack_is_the_concatenated_pairs(self, check, reference, shapes, slack, monkeypatch):
+        monkeypatch.setattr(lv, "INEQ_SLACK", slack)
         x, y = _pairs(*shapes, 12, 1)
         y[5] = 0.0  # a singular second factor: this trial is skipped
-        pairs = [reference(x[t], y[t], slack, t) for t in range(12)]
-        rep = check(x, y, slack)
+        pairs = [reference(x[t], y[t], t) for t in range(12)]
+        rep = check(x, y)
         assert rep.violations == [v for p in pairs for v in p.violations]
         assert rep.cases == sum(p.cases for p in pairs)
         assert rep.worst_residual == max(p.worst_residual for p in pairs)
         assert rep.top_residual == max(p.top_residual for p in pairs)
         assert "skipped" in pairs[5].violations[0]
         for t in range(12):
-            assert check(x[t : t + 1], y[t : t + 1], slack) == reference(x[t], y[t], slack)
+            assert check(x[t : t + 1], y[t : t + 1]) == reference(x[t], y[t])
 
     @pytest.mark.parametrize("check,shapes", [
         (lv.check_lemma4, ((3, 3), (3, 3))),
@@ -280,12 +276,15 @@ class TestStackedChecks:
     ], ids=["lemma4", "prop1"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises(self, check, shapes, bad):
+        # rejected by the check itself: without it inf gives NaN singular
+        # values and no error, and NaN a LinAlgError from LAPACK
         x, y = _pairs(*shapes, 6, 2)
-        x[3, 1, 1] = bad
-        with pytest.raises(ValueError):
-            check(x[3:4], y[3:4])
-        with pytest.raises(ValueError):
-            check(x, y)
+        for k in range(2):  # the bad entry in either stack
+            pair = [x.copy(), y.copy()]
+            pair[k][3, 1, 1] = bad
+            for args in ([z[3:4] for z in pair], pair):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    check(*args)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_rank_deficient_m_as_one_pair(self):

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 import trial_first_kernel as trial_first
+from correlation_invariance import correlation_invariance_experiment
 from dsdmt import outage_sim as osim
 from dsdmt.dmt_core import ChannelTriple
 from dsdmt.randmat import complex_gaussian, explicit_correlation, exponential_correlation, stream
@@ -407,7 +408,7 @@ class TestEmpiricalReciprocity:
 
 class TestCorrelationExperiment:
     def test_rho_zero_identical_runs(self):
-        pair = osim.correlation_invariance_experiment(
+        pair = correlation_invariance_experiment(
             (1, 1, 1), 0.0, 0.3, (10.0, 15.0, 20.0), 20000, 77
         )
         assert pair.identity.slope == pair.correlated.slope
@@ -416,7 +417,7 @@ class TestCorrelationExperiment:
 
     def test_rho_range_enforced(self):
         with pytest.raises(ValueError):
-            osim.correlation_invariance_experiment((1, 1, 1), 0.95, 0.3, (10.0, 15.0), 100, 1)
+            correlation_invariance_experiment((1, 1, 1), 0.95, 0.3, (10.0, 15.0), 100, 1)
 
 
 class TestCsvLines:

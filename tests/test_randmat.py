@@ -118,7 +118,7 @@ class TestWishartSample:
     def test_scalar_is_unit_exponential(self):
         rng = rm.stream(5, 0)
         sigma = rm.identity_correlation(1)
-        vals = rm.wishart_sample(1, 1, sigma, 100000, rng).values[:, 0]
+        vals = rm.wishart_sample(1, 1, sigma, 100000, rng)[:, 0]
         assert abs(vals.mean() - 1.0) < 0.02
         # exponential shape via KS against the exact CDF
         assert stats.kstest(vals, "expon").pvalue > 0.001
@@ -126,14 +126,14 @@ class TestWishartSample:
     def test_rank_bound(self):
         rng = rm.stream(6, 0)
         ev = rm.wishart_sample(2, 1, rm.identity_correlation(2), 1000, rng)
-        assert len(ev) == 2
-        nonzero = np.sum(ev.values > 1e-10 * ev.values[:, :1], axis=-1)
+        assert ev.shape == (1000, 2)
+        nonzero = np.sum(ev > 1e-10 * ev[:, :1], axis=-1)
         assert np.all(nonzero == 1)
 
     def test_trace_mean(self):
         sigma = rm.exponential_correlation(3, 0.4)
         rng = rm.stream(7, 0)
-        total = rm.wishart_sample(3, 2, sigma, 20000, rng).values.sum(axis=-1).mean()
+        total = rm.wishart_sample(3, 2, sigma, 20000, rng).sum(axis=-1).mean()
         expected = 2 * np.trace(sigma.matrix).real
         assert abs(total - expected) < 0.06 * expected
 
@@ -141,7 +141,7 @@ class TestWishartSample:
         rng = rm.stream(8, 0)
         for m, n in [(3, 1), (3, 2), (4, 2)]:
             ev = rm.wishart_sample(m, n, rm.identity_correlation(m), 1000, rng)
-            assert np.all(np.sum(ev.values > 1e-10 * ev.values[:, :1], axis=-1) == n)
+            assert np.all(np.sum(ev > 1e-10 * ev[:, :1], axis=-1) == n)
 
     @pytest.mark.parametrize("sigma", [rm.identity_correlation(3), rm.exponential_correlation(3, 0.6)])
     def test_stack_is_one_draw_of_every_h(self, sigma):
@@ -150,8 +150,8 @@ class TestWishartSample:
         h = rm.complex_gaussian((50, 3, 2), rm.stream(9, 2))
         want = [np.sort(np.linalg.eigvalsh((sigma.sqrt @ x) @ (sigma.sqrt @ x).conj().T))[::-1]
                 for x in h]
-        assert ev.values.shape == (50, 3)
-        assert np.allclose(ev.values, np.clip(want, 0.0, None), rtol=1e-12, atol=1e-12)
+        assert ev.shape == (50, 3)
+        assert np.allclose(ev, np.clip(want, 0.0, None), rtol=1e-12, atol=1e-12)
 
     def test_sigma_must_match_m(self):
         with pytest.raises(ValueError, match="expected 3x3"):
@@ -159,27 +159,33 @@ class TestWishartSample:
 
 
 class TestEigenvalueVector:
-    def test_sorted_descending_and_clamped(self):
-        ev = rm.EigenvalueVector(np.array([1.0, 3.0, -1e-15]))
-        assert ev.values.tolist() == [3.0, 1.0, 0.0]
+    """wishart_sample's _eigenvalue_vectors: eigvalsh's ascending output per
+    vector, reversed, clipped at 0 and checked."""
 
-    def test_ascending_accessor(self):
-        ev = rm.EigenvalueVector(np.array([2.0, 1.0, 5.0]))
-        assert ev.ascending().tolist() == [1.0, 2.0, 5.0]
+    def test_sorted_descending_and_clamped(self):
+        ev = rm._eigenvalue_vectors(np.array([-1e-15, 1.0, 3.0]))
+        assert ev.tolist() == [3.0, 1.0, 0.0]
+        assert not np.signbit(ev).any()  # -1e-15 comes out as +0.0
 
     def test_rejects_genuinely_negative(self):
-        with pytest.raises(ValueError):
-            rm.EigenvalueVector(np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="negative eigenvalue beyond roundoff: -0.5"):
+            rm._eigenvalue_vectors(np.array([-0.5, 1.0]))
 
     def test_stack_is_checked_per_vector(self):
-        ev = rm.EigenvalueVector(np.array([[1.0, 3.0, -1e-15], [2.0, 5.0, 1.0]]))
-        assert ev.values.tolist() == [[3.0, 1.0, 0.0], [5.0, 2.0, 1.0]]
-        assert ev.ascending().tolist() == [[0.0, 1.0, 3.0], [1.0, 2.0, 5.0]]
-        assert len(ev) == 3
+        ev = rm._eigenvalue_vectors(np.array([[-1e-15, 1.0, 3.0], [1.0, 2.0, 5.0]]))
+        assert ev.tolist() == [[3.0, 1.0, 0.0], [5.0, 2.0, 1.0]]
+        # the roundoff bound is 1e-12 of each vector's own scale (at least 1)
+        big = np.array([[-1e-9, 1.0, 1e4], [-1e-9, 0.5, 1.0]])
+        assert rm._eigenvalue_vectors(big[:1]).tolist() == [[1e4, 1.0, 0.0]]
         with pytest.raises(ValueError, match="negative"):
-            rm.EigenvalueVector(np.array([[1.0, 0.5], [1.0, -0.5]]))
+            rm._eigenvalue_vectors(big)
+        with pytest.raises(ValueError, match="negative"):
+            rm._eigenvalue_vectors(np.array([[0.5, 1.0], [-0.5, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            rm.EigenvalueVector(np.array([[1.0, 0.5], [np.nan, 0.5]]))
+            rm._eigenvalue_vectors(np.array([[0.5, 1.0], [bad, 0.5]]))
 
 
 def full_rank_log_density(mu, lam, n):
@@ -262,21 +268,23 @@ class TestDensities:
 
 class TestSingularValues:
     def test_identity(self):
-        assert rm.singular_values(np.eye(3)).values.tolist() == [1.0, 1.0, 1.0]
+        assert rm.singular_values(np.eye(3)).tolist() == [1.0, 1.0, 1.0]
 
     def test_diagonal(self):
-        assert rm.singular_values(np.diag([2.0, 1.0])).values.tolist() == [2.0, 1.0]
+        assert rm.singular_values(np.diag([2.0, 1.0])).tolist() == [2.0, 1.0]
+        assert rm.singular_values(np.diag([1.0, -2.0])).tolist() == [2.0, 1.0]
 
     def test_stack_matches_each_matrix(self):
         stack = rm.complex_gaussian((5, 3, 4), rm.stream(9, 1))
-        sv = rm.singular_values(stack).values
+        sv = rm.singular_values(stack)
         assert sv.shape == (5, 3)
         for mat, row in zip(stack, sv):
-            assert row.tolist() == rm.singular_values(mat).values.tolist()
+            assert row.tolist() == np.linalg.svd(mat, compute_uv=False).tolist()
+            assert np.all(row[:-1] >= row[1:]) and row[-1] >= 0
 
     def test_matches_gram_eigenvalues(self):
         a = rm.complex_gaussian((3, 3), rm.stream(9, 0))
-        sv = rm.singular_values(a).values
+        sv = rm.singular_values(a)
         ew = np.sqrt(np.sort(np.linalg.eigvalsh(a @ a.conj().T))[::-1])
         assert np.allclose(sv, ew, atol=1e-10)
 
