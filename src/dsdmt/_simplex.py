@@ -12,13 +12,15 @@ p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
 tableau would, so the pivots, the optimum and x are the ones it would give.
 
 A warm dict serves calls with one c and a_ub that move b's last entry t only;
-another LP or another b[:-1] is solved cold.  Moving t adds its change times
+another LP or another b[:-1] is solved afresh.  Moving t adds its change times
 the slack column to each rhs and keeps the reduced costs, so a basis stays
 optimal while no rhs is negative: on a t-range, from the dual ratio test.  Each
 optimal basis reached is kept as a piece: that range, and the rhs and slack
 columns that give the value and x in it.  A t in no piece moves the newest
 tableau, the one kept whole, and dual-simplex pivots end optimal or find the
-LP infeasible (Murty, *Linear Programming*, 1983).
+LP infeasible (Murty, *Linear Programming*, 1983); with it popped, t is solved afresh.
+Warm dicts may share a table of the last optimum per a_ub held and b: another c
+there re-prices its tableau, phase 2 alone (Chvatal, *Linear Programming*, 1983).
 """
 
 from __future__ import annotations
@@ -97,8 +99,7 @@ def _iterate(rows, cost, basis, ncols):
 
 def _optimal_tableau(c, a_ub, b_ub):
     """(rows, cost, basis, pivots) at the optimum; the columns are x, then the slacks."""
-    nvar = len(c)
-    m = len(a_ub)
+    nvar, m = len(c), len(a_ub)
     c = [_exact(v) for v in c]
     b_ub = [_exact(b_ub[i]) for i in range(m)]
 
@@ -107,8 +108,7 @@ def _optimal_tableau(c, a_ub, b_ub):
     need_art = [i for i in range(m) if b_ub[i] < 0]
     nart = len(need_art)
     ncols = nvar + m + nart
-    rows, pivots = [], 0
-    basis = [nvar + i for i in range(m)]
+    rows, pivots, basis = [], 0, [nvar + i for i in range(m)]
     for i in range(m):
         row = [_exact(v) for v in a_ub[i]]
         if len(row) != nvar:
@@ -140,16 +140,18 @@ def _optimal_tableau(c, a_ub, b_ub):
                 _pivot(rows, cost, basis, i, pc)
                 pivots += 1
         rows = [row[: nvar + m] + row[-1:] for row in rows]
-        ncols = nvar + m
+    return _phase2(c, rows, basis, pivots)
 
-    # Phase 2: reduced costs of c over the current basis.
+
+def _phase2(c, rows, basis, pivots=0):
+    """Phase 2 for the exact c from a feasible basis: (rows, cost, basis, pivots)."""
+    ncols = len(c) + len(rows)
     cost, scale = _scaled(c)
-    cost += [0] * (m + 1) + [scale]
+    cost += [0] * (len(rows) + 1) + [scale]
     for i, row in enumerate(rows):
         if cost[basis[i]]:
             cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
-    pivots += _iterate(rows, cost, basis, ncols)
-    return rows, cost, basis, pivots
+    return rows, cost, basis, pivots + _iterate(rows, cost, basis, ncols)
 
 
 def _dual_iterate(rows, cost, basis, ncols):
@@ -188,24 +190,36 @@ def _piece(tableau, slack, t0):
 
 
 def _warm_piece(c, a_ub, b_ub, warm):
-    """(piece, t), t the last entry of b_ub: a stored piece that holds t, else the
-    newest tableau's, moved to t.  warm keeps its counts, the rest unless this raises."""
+    """(piece, t), t the last entry of b_ub: a stored piece that holds t, else the newest
+    tableau's, moved to t.  warm keeps its counts and table, the rest unless this raises."""
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
-    held, fixed, tableau, pieces = warm.pop("last", (None,) * 4)
+    (held, fixed, pieces), tableau = warm.pop("last", (None,) * 3), warm.pop("tableau", None)
     # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
     lp = held if held and held[0] is c and held[1] is a_ub else (c, a_ub) if (
         type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
     ) else ([*c], [[*row] for row in a_ub])
     *fix, t = [*b_ub[: len(a_ub)]] or [0]  # no rows: t = 0 stands in, its column the rhs
-    if held != lp or fix != fixed:  # reads c and b in order, raising as a lone cold solve would
-        *tableau, pivots = _optimal_tableau(c, a_ub, b_ub)
-        fixed, pieces = fix, []
-        counts.update(cold_solves=1, pivots=pivots)
-    t, slack = _exact(t), len(c) + len(fix)
+    if held != lp or fix != fixed:
+        fixed, pieces, tableau = fix, [], None
+    t, slack = _exact(t) if pieces else t, len(c) + len(fix)  # a new LP's solve reads t
     if piece := next((kept for kept in pieces if kept[0] <= t <= kept[1]), None):
         counts["piece_hits"] += 1
     else:
-        if pieces:  # move the newest tableau: rhs += (t - t0) times the slack column
+        if tableau is None:  # a new LP, or its tableau popped: from the table's, else cold
+            table, key = warm.get("table"), (id(lp[1]), *b_ub[: len(a_ub)])
+            if stored := table and table.get(key):  # it holds lp[1], so no other has that id
+                rows = [[0] * (len(c) + len(a_ub) + 1) for _ in a_ub]
+                for row, nonzero in zip(rows, stored[1]):
+                    for j, v in nonzero.items():
+                        row[j] = v
+                rows, cost, basis, pivots = _phase2([*map(_exact, c)], rows, [*stored[2]])
+            else:  # reads c, b and a_ub in order, raising as a lone cold solve would
+                rows, cost, basis, pivots = _optimal_tableau(c, a_ub, b_ub)
+            counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
+            if table is not None:  # sparse, as most entries are 0
+                table[key] = lp[1], [{j: v for j, v in enumerate(r) if v} for r in rows], basis[:]
+            tableau, t = (rows, cost, basis), _exact(t)
+        elif pieces:  # move the newest tableau: rhs += (t - t0) times the slack column
             rows, cost, basis = tableau
             ncols = len(cost) - 2
             p, d = (t - pieces[-1][2]).as_integer_ratio()
@@ -215,7 +229,7 @@ def _warm_piece(c, a_ub, b_ub, warm):
             counts["pivots"] += _dual_iterate(rows, cost, basis, ncols)
         pieces.append(piece := _piece(tableau, slack, t))
         counts["pieces"] += 1
-    warm["last"] = lp, fixed, tableau, pieces
+    warm["last"], warm["tableau"] = (lp, fixed, pieces), tableau
     return piece, t
 
 
@@ -227,8 +241,8 @@ def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
     value is made, one Fraction from the final tableau, with the same pivots.
     Raises :class:`Infeasible` / :class:`Unbounded` accordingly.
 
-    warm, if given, is a dict that keeps the pieces (see above) and counts the cold
-    solves, pivots, pieces and piece hits; x may then be another optimal point.
+    warm, if given, is a dict that keeps the pieces (see above) and counts the cold solves,
+    re-prices, pivots, pieces and piece hits; x may then be another optimal point.
     """
     (_, _, t0, basis, piv, rhs, col), t = _warm_piece(c, a_ub, b_ub, {} if warm is None else warm)
     p, q = (t - t0).as_integer_ratio()  # row i stands for (q rhs + p col) / (q piv)

@@ -275,17 +275,16 @@ def run_crosscheck(max_dim: int, fractional: bool,
     """Sweep all triples with components <= max_dim; the three routes must
     agree exactly.  The route callables are injectable for fault-testing;
     lp(m, n, l, r, warm) gets one warm dict per exponent LP, which (m, n, l)
-    and (n, m, l) share, and "lp" holds the counts the dicts kept."""
+    and (n, m, l) share, and all of them one table; "lp" holds their counts."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
     step = Fraction(1, 4) if fractional else Fraction(1)
-    cases = 0
-    mismatches = []
-    counts, shared = Counter(piece_hits=0), {}  # shared: the dicts of pairs half swept
+    cases, mismatches = 0, []
+    counts, shared, table = Counter(reprices=0, piece_hits=0), {}, {}  # shared: pairs half swept
     for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
-        key, fresh = (max(m, n), min(m, n), l), {"counts": counts}  # m >= n: the pair's last
-        warm = shared.pop(key, fresh) if m >= n else shared.setdefault(key, fresh)
+        key, fresh = (max(m, n), min(m, n), l), {"counts": counts, "table": table}
+        warm = shared.pop(key, fresh) if m >= n else shared.setdefault(key, fresh)  # m >= n: last
         for k in range(int(min(m, n, l) / step) + 1):
             r = k * step
             a = closed_form((m, n, l), r)
@@ -297,6 +296,7 @@ def run_crosscheck(max_dim: int, fractional: bool,
                     "m": m, "n": n, "l": l, "r": str(r),
                     "closed_form": str(a), "lp": str(b), "greedy": str(c),
                 })
+        warm.pop("tableau", None)  # its pieces cover [0, min(m, n, l)], all a second triple asks
     return {"max_dim": max_dim, "fractional": fractional,
             "cases": cases, "mismatches": mismatches, "lp": dict(counts)}
 

@@ -111,15 +111,17 @@ class LpSolution:
 
 
 @lru_cache(maxsize=64)
-def _lp_rows(alpha_coeffs, beta_coeffs):
-    """c, a_ub and b_ub but for its last entry, the r of sum s_i <= r; tuples."""
-    na, nb = len(alpha_coeffs), len(beta_coeffs)
+def _lp_cost(a, b):  # c: the coefficients a and b, then 1 per t and 0 per s
+    return (*a, *b, *[1] * len(_plus_pairs(len(a), len(b))), *[0] * len(a))
+
+
+@lru_cache(maxsize=128)  # every (na, nb) to dims 12: a warm table keys the rows by identity
+def _lp_rows(na, nb):
+    """a_ub and b_ub but for its last entry, the r of sum s_i <= r; one tuple each."""
     pairs = _plus_pairs(na, nb)
     npair = len(pairs)
     nvar = na + nb + npair + na
     ofs_b, ofs_t, ofs_s = na, na + nb, na + nb + npair
-
-    c = (*alpha_coeffs, *beta_coeffs, *[1] * npair, *[0] * na)
     rows, rhs = [], []
 
     def add(coeffs, bound):
@@ -140,7 +142,7 @@ def _lp_rows(alpha_coeffs, beta_coeffs):
     for i in range(na):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
     add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r, last: warm moves it
-    return c, tuple(rows), tuple(rhs[:-1])
+    return tuple(rows), tuple(rhs[:-1])
 
 
 def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
@@ -149,14 +151,14 @@ def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
     so minimization pins them to the plus parts.  r is only the rhs of the row
-    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l,
-    and the rows are built once per (alpha_coeffs, beta_coeffs).  With with_x
+    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l;
+    c is kept per (alpha_coeffs, beta_coeffs), the rows per size.  With with_x
     false the solve builds no x, and alpha and beta are None.
     """
     if p.r < 0:
         raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
-    c, rows, fixed = _lp_rows(p.alpha_coeffs, p.beta_coeffs)
+    c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, nb)
     try:
         value, x = _simplex.solve_min(c, rows, [*fixed, p.r], warm, with_x=with_x)
     except _simplex.Infeasible as exc:  # impossible for r >= 0

@@ -5,6 +5,7 @@ warm starts against cold solves, dual pivot by dual pivot."""
 import contextlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import fraction_simplex
@@ -290,7 +291,7 @@ def test_warm_hand_lp():
     with dual_pivots_checked() as dual:
         values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0], warm)
         # 3 -> 1/2 leaves the first basis; 1 and 0 lie in the piece of 1/2, 7/3 in that of 3
-        assert [piece[:3] for piece in warm["last"][3]] == [(1, math.inf, 3), (0, 1, Fraction(1, 2))]
+        assert [piece[:3] for piece in warm["last"][2]] == [(1, math.inf, 3), (0, 1, Fraction(1, 2))]
         values += _outcomes(*lp, [-1], warm)  # in no piece: from 1/2 the dual pivots find no point
     assert values == [-4, -1, -2, Fraction(-10, 3), 0, _simplex.Infeasible]
     assert len(dual) == 1
@@ -368,18 +369,27 @@ def test_exponent_lps_warm_match_cold_solves():
     assert dual
 
 
+def _row_sets(dims):
+    """The (alpha_dim, beta_dim) of the exponent LPs of a crosscheck sweep to dims."""
+    triples = itertools.product(range(1, dims + 1), repeat=3)
+    return {(min(m, n, l), min(max(m, n), l)) for m, n, l in triples}
+
+
 def test_crosscheck_pivot_count(monkeypatch):
-    # each exponent LP is solved cold once, for (m, n, l) and (n, m, l) alike; a
-    # call inside a stored piece pivots nowhere; the counts the warm dicts keep
-    # are the ones seen
-    pivots, colds = [], []
-    pivot, cold = _simplex._pivot, _simplex._optimal_tableau
+    # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: cold for
+    # the first LP of each of the 15 row sets, by phase 2 alone from the table for
+    # the other 60; a call inside a stored piece pivots nowhere; the counts the
+    # warm dicts keep are the ones seen
+    pivots, colds, phase2s = [], [], []
+    pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (colds.append(a), cold(*a))[1])
+    monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 779 and len(colds) == 75
-    assert report["lp"] == {"cold_solves": 75, "pivots": 779, "pieces": 160, "piece_hits": 865}
+    assert len(pivots) == 352 and len(colds) == len(_row_sets(5)) == 15 and len(phase2s) == 75
+    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 352, "pieces": 158,
+                            "piece_hits": 867}
 
 
 def test_crosscheck_reads_no_x(monkeypatch):
@@ -443,7 +453,8 @@ def _basic_point(a_ub, b, basis, nvar):
 def _exponent_lp(m, n, l):
     """c, a_ub and the fixed entries of b of the exponent LP of (m, n, l)."""
     p = exponent_solver.build_program(max(m, n), min(m, n), l, 0)
-    return exponent_solver._lp_rows(p.alpha_coeffs, p.beta_coeffs)
+    return (exponent_solver._lp_cost(p.alpha_coeffs, p.beta_coeffs),
+            *exponent_solver._lp_rows(p.alpha_dim, p.beta_dim))
 
 
 def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
@@ -476,7 +487,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                 (*_, basis_used, _, _, _), t = answered[-1]
                 assert t == r and x == _basic_point(a_ub, b, basis_used, len(c))
                 if warm["counts"]["pieces"] > pieces:
-                    assert list(warm["last"][2]) == [rows, cost, basis], (m, n, l, r)
+                    assert list(warm["tableau"]) == [rows, cost, basis], (m, n, l, r)
                     made += 1
                 else:
                     hits += 1
@@ -485,11 +496,12 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
 
 def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
     # dims <= 5: (m, n, l) and (n, m, l) pose one LP, and the pair's second
-    # triple is answered by the pieces of its first: no cold solve, no pivot
+    # triple is answered by the pieces of its first: no solve, no pivot
     work, now = [], []
-    pivot, cold = _simplex._pivot, _simplex._optimal_tableau
+    pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (work.append(now[-1]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (work.append(now[-1]), cold(*a))[1])
+    monkeypatch.setattr(_simplex, "_phase2", lambda *a: (work.append(now[-1]), phase2(*a))[1])
 
     def lp(m, n, l, r, warm):
         now.append((m, n, l))
@@ -500,7 +512,7 @@ def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
     triples = set(itertools.product(range(1, 6), repeat=3))
     seconds = {t for t in triples if t[0] > t[1]}
     assert not seconds & set(work)
-    assert set(work) == triples - seconds  # every first triple solves cold, with pivots
+    assert set(work) == triples - seconds  # every first triple solves cold or re-prices
 
 
 def test_pieces_cover_the_range_and_match_cold_solves():
@@ -515,7 +527,7 @@ def test_pieces_cover_the_range_and_match_cold_solves():
         warm = {}
         for k in range(4 * top + 1):
             exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4), warm)
-        lp, fixed, tableau, pieces = warm["last"]
+        lp, fixed, pieces = warm["last"]
         ends = sorted((max(lo, 0), min(hi, top)) for lo, hi, *_ in pieces if lo <= top and hi >= 0)
         assert ends[0][0] == 0 and ends[-1][1] == top, (m, n, l)
         assert all(b[0] <= a[1] for a, b in zip(ends, ends[1:])), (m, n, l)
@@ -527,7 +539,7 @@ def test_pieces_cover_the_range_and_match_cold_solves():
             rs = {lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) / 7}
             assert lo == hi or any((4 * r).denominator > 1 for r in rs)
             for r in rs:
-                one = {"last": (lp, fixed, tableau, [piece])}
+                one = {"last": (lp, fixed, [piece])}
                 value, x = _simplex.solve_min(c, a_ub, [*fixed, r], one)
                 assert one["counts"] == {"piece_hits": 1}
                 assert value == exponent_solver.dmt_via_lp(m, n, l, r), (m, n, l, r)
@@ -537,15 +549,92 @@ def test_pieces_cover_the_range_and_match_cold_solves():
 
 
 def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
-    # two successive sweeps make the same cold solves and the same pivots
+    # two successive sweeps make the same cold solves, re-prices and pivots: the
+    # table lives for one run, so each run solves the first LP of a row set cold
     seen = []
-    pivot, cold = _simplex._pivot, _simplex._optimal_tableau
+    pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (seen.append(a[3:]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (seen.append(a), cold(*a))[1])
+    monkeypatch.setattr(_simplex, "_phase2", lambda *a: (seen.append(a[0]), phase2(*a))[1])
     runs = []
     for _ in range(2):
         report = cli.run_crosscheck(3, True)
         runs.append((seen[:], report["lp"]))
         seen.clear()
-    assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(set(
-        (max(m, n), min(m, n), l) for m, n, l in itertools.product(range(1, 4), repeat=3)))
+    assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(_row_sets(3)) == 6
+
+
+# The table: the last optimal tableau per rows held and b, shared by the warm
+# dicts of a run.  Another c at that b starts from a copy of it, re-priced, and
+# runs phase 2 only; its value must be a cold solve's.
+
+def test_exponent_lps_repriced_match_cold_solves():
+    # every exponent LP with dims <= 6, at every quarter r, each call on a fresh
+    # warm dict and all on one table: the first LP of a row set at an r is solved
+    # cold, and each later one re-prices the optimum the one before it left there
+    table, counts = {}, Counter()
+    lps = {_exponent_lp(m, n, l) for m, n, l in itertools.product(range(1, 7), repeat=3)}
+    for c, a_ub, fixed in sorted(lps):
+        for k in range(4 * fixed.count(-1) + 1):  # r in [0, alpha_dim]
+            b = [*fixed, Fraction(k, 4)]
+            _, cost, _, _ = _simplex._optimal_tableau(c, a_ub, b)
+            value, _ = _simplex.solve_min(c, a_ub, b, {"table": table, "counts": counts})
+            assert value == Fraction(-cost[-2], cost[-1]), (c, b)
+    assert counts["cold_solves"] == sum(4 * na + 1 for na, _ in _row_sets(6))
+    assert counts["reprices"] > 2 * counts["cold_solves"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(random_lps(), st.data())
+def test_random_lps_repriced_match_cold_solves(lp, data):
+    # the optimum of LP(c1), re-priced for c2 at the same rows and b, gives the
+    # cold solve's value for c2, or raises Unbounded as it does; rows and c are
+    # tuples, so every warm dict holds the one a_ub the table is keyed by
+    c1, a, b = lp
+    c2 = data.draw(st.lists(_ENTRIES, min_size=len(c1), max_size=len(c1)))
+    a_ub, table = tuple(map(tuple, a)), {}
+    try:
+        _simplex.solve_min(tuple(c1), a_ub, b, {"table": table})
+    except (_simplex.Infeasible, _simplex.Unbounded, ValueError, TypeError, OverflowError):
+        return  # no optimum, or an entry Fraction rejects: nothing to re-price
+    try:
+        cold = _simplex.solve_min(c2, a, b)
+    except _simplex.Unbounded:
+        cold = _simplex.Unbounded
+    warm = {"table": table}
+    try:
+        repriced = _simplex.solve_min(tuple(c2), a_ub, b, warm)
+    except _simplex.Unbounded:
+        repriced = _simplex.Unbounded
+    assert "cold_solves" not in warm["counts"]
+    if cold is _simplex.Unbounded:
+        assert repriced is cold
+    else:
+        assert repriced[0] == cold[0] and warm["counts"]["reprices"] == 1
+        x = repriced[1]
+        assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c2, x)) == cold[0]
+        assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
+                   for row, bi in zip(a, b))
+
+
+def test_a_popped_tableau_answers_a_miss_afresh():
+    # min -x - 2y  s.t. y <= 1, x <= 2, x + y <= t: -2t on [0, 1], -1 - t on [1, 3],
+    # -4 above.  Once the tableau is popped, as the crosscheck does once a triple's
+    # pieces cover its range, a t in no piece is solved afresh: re-priced from the
+    # table where it holds a tableau at that b, else cold; a t in a piece still hits
+    c, a_ub, table = (-1, -2), ((0, 1), (1, 0), (1, 1)), {}
+    warm = {"table": table}
+    assert _simplex.solve_min(c, a_ub, [1, 2, Fraction(1, 2)], warm) == (-1, [0, Fraction(1, 2)])
+    assert [piece[:2] for piece in warm["last"][2]] == [(0, 1)]
+    _simplex.solve_min((-1, -1), a_ub, [1, 2, 2], {"table": table})  # another c, at t = 2
+    for t, route in ((2, "reprices"), (Fraction(5, 2), "piece_hits"), (7, "cold_solves"),
+                     (Fraction(1, 3), "piece_hits")):
+        warm.pop("tableau")
+        before = warm["counts"].copy()
+        assert _simplex.solve_min(c, a_ub, [1, 2, t], warm) == _simplex.solve_min(c, a_ub, [1, 2, t])
+        made = warm["counts"] - before
+        assert made[route] == 1 and made["reprices"] + made["cold_solves"] == (route != "piece_hits")
+    assert [piece[:2] for piece in warm["last"][2]] == [(0, 1), (1, 3), (3, math.inf)]
+    warm.pop("tableau")
+    with pytest.raises(_simplex.Infeasible):  # below 0 no point is feasible
+        _simplex.solve_min(c, a_ub, [1, 2, -1], warm)
