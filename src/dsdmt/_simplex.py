@@ -15,12 +15,14 @@ A warm dict serves calls with one c and a_ub that move b's last entry t only;
 another LP or another b[:-1] is solved afresh.  Moving t adds its change times
 the slack column to each rhs and keeps the reduced costs, so a basis stays
 optimal while no rhs is negative: on a t-range, from the dual ratio test.  Each
-optimal basis reached is kept as a piece: that range, and the rhs and slack
-columns that give the value and x in it.  A t in no piece moves the newest
-tableau, the one kept whole, and dual-simplex pivots end optimal or find the
+optimal basis reached is kept as a piece: that range, its ends int pairs, and the
+rhs and slack columns that give the value and x in it.  A t in no piece moves the
+newest tableau, the one kept whole, and dual-simplex pivots end optimal or find the
 LP infeasible (Murty, *Linear Programming*, 1983); with it popped, t is solved afresh.
 Warm dicts may share a table of the last optimum per a_ub held and b: another c
-there re-prices its tableau, phase 2 alone (Chvatal, *Linear Programming*, 1983).
+there re-prices its tableau, phase 2 alone (Chvatal, *Linear Programming*, 1983);
+a miss with c >= 0 starts at the slack basis, dual feasible, and runs dual pivots
+only, with no phase 1 (Lemke, *Naval Res. Logist. Q.* 1, 1954).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import count
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
 __all__ = ["Infeasible", "Unbounded", "solve_min"]
 
@@ -97,30 +99,37 @@ def _iterate(rows, cost, basis, ncols):
         _pivot(rows, cost, basis, pr, pc)
 
 
-def _optimal_tableau(c, a_ub, b_ub):
-    """(rows, cost, basis, pivots) at the optimum; the columns are x, then the slacks."""
+def _slack_rows(c, a_ub, b_ub):
+    """c, b and a_ub read exactly, in order: c, the rows [A | slack I | rhs], the slack basis."""
     nvar, m = len(c), len(a_ub)
     c = [_exact(v) for v in c]
     b_ub = [_exact(b_ub[i]) for i in range(m)]
-
-    # Rows: [A | slack I | artificials... | rhs].  Rows with negative rhs are
-    # negated (slack entry becomes -1) and get an artificial basis column.
-    need_art = [i for i in range(m) if b_ub[i] < 0]
-    nart = len(need_art)
-    ncols = nvar + m + nart
-    rows, pivots, basis = [], 0, [nvar + i for i in range(m)]
+    rows = []
     for i in range(m):
         row = [_exact(v) for v in a_ub[i]]
         if len(row) != nvar:
             raise ValueError(f"row {i} has {len(row)} entries, expected {nvar}")
         row, scale = _scaled(row + [b_ub[i]])
-        row[nvar:nvar] = [0] * (m + nart)
+        row[nvar:nvar] = [0] * m
         row[nvar + i] = scale
-        if b_ub[i] < 0:
-            basis[i] = nvar + m + need_art.index(i)
-            row = [-v for v in row]
-            row[basis[i]] = scale
         rows.append(row)
+    return c, rows, [nvar + i for i in range(m)]
+
+
+def _optimal_tableau(c, a_ub, b_ub):
+    """(rows, cost, basis, pivots) at the optimum; the columns are x, then the slacks."""
+    c, rows, basis = _slack_rows(c, a_ub, b_ub)
+    # Rows with negative rhs are negated (slack entry becomes -1) and get an
+    # artificial basis column, after the slacks.
+    need_art = [i for i, row in enumerate(rows) if row[-1] < 0]
+    nvar, m, nart, pivots = len(c), len(rows), len(need_art), 0
+    ncols = nvar + m + nart
+    for i, row in enumerate(rows):
+        row[-1:-1] = [0] * nart
+        if row[-1] < 0:
+            basis[i] = nvar + m + need_art.index(i)
+            rows[i] = row = [-v for v in row]
+            row[basis[i]] = -row[nvar + i]
 
     if nart:
         # Phase 1: minimize the sum of artificials, expressed over the
@@ -143,15 +152,15 @@ def _optimal_tableau(c, a_ub, b_ub):
     return _phase2(c, rows, basis, pivots)
 
 
-def _phase2(c, rows, basis, pivots=0):
-    """Phase 2 for the exact c from a feasible basis: (rows, cost, basis, pivots)."""
-    ncols = len(c) + len(rows)
+def _phase2(c, rows, basis, pivots=0, dual=False):
+    """Phase 2, or dual pivots if dual, for the exact c from basis: (rows, cost, basis, pivots)."""
+    ncols, iterate = len(c) + len(rows), _dual_iterate if dual else _iterate
     cost, scale = _scaled(c)
     cost += [0] * (len(rows) + 1) + [scale]
     for i, row in enumerate(rows):
         if cost[basis[i]]:
             cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
-    return rows, cost, basis, pivots + _iterate(rows, cost, basis, ncols)
+    return rows, cost, basis, pivots + iterate(rows, cost, basis, ncols)
 
 
 def _dual_iterate(rows, cost, basis, ncols):
@@ -174,9 +183,10 @@ def _dual_iterate(rows, cost, basis, ncols):
 
 
 def _piece(tableau, slack, t0):
-    """The basis as a piece along the b entry of column slack, t0 there: (lo, hi, t0,
-    basis, piv, rhs, col), the last three per row, then the cost row's; at b = t
-    row i is (rhs + (t - t0) col) / piv, and none is negative for t in [lo, hi]."""
+    """The basis as a piece along the b entry of column slack, t0 there: (lo, hi, t0, basis,
+    piv, rhs, col), the first three int pairs (num, den), not reduced, (-1, 0) and (1, 0) for
+    -inf and inf, the last three per row, then the cost row's; at b = t row i is (rhs + (t -
+    t0) col) / piv, and none is negative for t in [lo, hi]."""
     rows, cost, basis = tableau
     rhs, col = [*(row[-1] for row in rows), cost[-2]], [tab[slack] for tab in (*rows, cost)]
     down = up = None  # the least rhs / |col| over the rows with col > 0, and with col < 0
@@ -185,13 +195,14 @@ def _piece(tableau, slack, t0):
             down = v, s
         elif s < 0 and (up is None or v * up[1] < up[0] * -s):
             up = v, -s
-    return (t0 - Fraction(*down) if down else -inf, t0 + Fraction(*up) if up else inf,
+    return ((t0[0] * down[1] - down[0] * t0[1], t0[1] * down[1]) if down else (-1, 0),
+            (t0[0] * up[1] + up[0] * t0[1], t0[1] * up[1]) if up else (1, 0),
             t0, tuple(basis), [*map(list.__getitem__, rows, basis), cost[-1]], rhs, col)
 
 
 def _warm_piece(c, a_ub, b_ub, warm):
-    """(piece, t), t the last entry of b_ub: a stored piece that holds t, else the newest
-    tableau's, moved to t.  warm keeps its counts and table, the rest unless this raises."""
+    """(piece, t as (num, den)), t the last entry of b_ub: a stored piece that holds t, else the
+    newest tableau's, moved to t.  warm keeps its counts and table, the rest unless this raises."""
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
     (held, fixed, pieces), tableau = warm.pop("last", (None,) * 3), warm.pop("tableau", None)
     # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
@@ -201,8 +212,10 @@ def _warm_piece(c, a_ub, b_ub, warm):
     *fix, t = [*b_ub[: len(a_ub)]] or [0]  # no rows: t = 0 stands in, its column the rhs
     if held != lp or fix != fixed:
         fixed, pieces, tableau = fix, [], None
-    t, slack = _exact(t) if pieces else t, len(c) + len(fix)  # a new LP's solve reads t
-    if piece := next((kept for kept in pieces if kept[0] <= t <= kept[1]), None):
+    tn, td = map(int, _exact(t).as_integer_ratio()) if pieces else (0, 1)  # new LP: solve reads t
+    slack = len(c) + len(fix)
+    if piece := next((kept for kept in pieces if kept[0][0] * td <= tn * kept[0][1]
+                      and tn * kept[1][1] <= kept[1][0] * td), None):  # lo <= t <= hi
         counts["piece_hits"] += 1
     else:
         if tableau is None:  # a new LP, or its tableau popped: from the table's, else cold
@@ -213,24 +226,26 @@ def _warm_piece(c, a_ub, b_ub, warm):
                     for j, v in nonzero.items():
                         row[j] = v
                 rows, cost, basis, pivots = _phase2([*map(_exact, c)], rows, [*stored[2]])
-            else:  # reads c, b and a_ub in order, raising as a lone cold solve would
+            elif table is None or min(map(_exact, c), default=0) < 0:  # two phases
                 rows, cost, basis, pivots = _optimal_tableau(c, a_ub, b_ub)
+            else:  # c >= 0: the slack basis is dual feasible; reads c, b, a_ub as a solve does
+                rows, cost, basis, pivots = _phase2(*_slack_rows(c, a_ub, b_ub), 0, True)
             counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
-            if table is not None:  # sparse, as most entries are 0
+            if table is not None and (pivots or not stored):  # sparse; unchanged if no pivot
                 table[key] = lp[1], [{j: v for j, v in enumerate(r) if v} for r in rows], basis[:]
-            tableau, t = (rows, cost, basis), _exact(t)
+            tableau, (tn, td) = (rows, cost, basis), map(int, _exact(t).as_integer_ratio())
         elif pieces:  # move the newest tableau: rhs += (t - t0) times the slack column
             rows, cost, basis = tableau
-            ncols = len(cost) - 2
-            p, d = (t - pieces[-1][2]).as_integer_ratio()
+            ncols, (t0, t0_d) = len(cost) - 2, pieces[-1][2]
+            p, d = tn * t0_d - t0 * td, td * t0_d
             for tab in (*rows, cost):  # d*tab, plus p*tab[slack] in the rhs slot
                 if tab[slack]:
                     tab[:] = _combine(tab, d, -p * tab[slack], {ncols: 1}, (ncols,))
             counts["pivots"] += _dual_iterate(rows, cost, basis, ncols)
-        pieces.append(piece := _piece(tableau, slack, t))
+        pieces.append(piece := _piece(tableau, slack, (tn, td)))
         counts["pieces"] += 1
     warm["last"], warm["tableau"] = (lp, fixed, pieces), tableau
-    return piece, t
+    return piece, (tn, td)
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
@@ -244,8 +259,9 @@ def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
     warm, if given, is a dict that keeps the pieces (see above) and counts the cold solves,
     re-prices, pivots, pieces and piece hits; x may then be another optimal point.
     """
-    (_, _, t0, basis, piv, rhs, col), t = _warm_piece(c, a_ub, b_ub, {} if warm is None else warm)
-    p, q = (t - t0).as_integer_ratio()  # row i stands for (q rhs + p col) / (q piv)
+    piece, (tn, td) = _warm_piece(c, a_ub, b_ub, {} if warm is None else warm)
+    _, _, (t0, t0_d), basis, piv, rhs, col = piece
+    p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q; row i is (q rhs + p col) / (q piv)
     x = [Fraction(0)] * len(c) if with_x else None
     for i, j in enumerate(basis if with_x else ()):
         if j < len(c):

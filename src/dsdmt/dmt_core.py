@@ -127,12 +127,15 @@ class DmtCurve:
 
 def dmt_curve(t) -> DmtCurve:
     """Full tradeoff curve of a channel triple, in any component order."""
-    return _curve(order_triple(t))
+    # only a tuple of ints keys the memo as given: (True, 2, 3) == (1, 2, 3) must still raise
+    return _curve(t if type(t) is tuple and {*map(type, t)} == {int} else order_triple(t))
 
 
 @lru_cache(maxsize=64)
-def _curve(o: OrderedTriple) -> DmtCurve:  # dmt_curve, once per ordered triple
-    return DmtCurve(tuple((k, dmt_point(o, k)) for k in range(o.m_small + 1)))
+def _curve(t) -> DmtCurve:  # dmt_curve, once per tuple of ints and per ordered triple
+    if type(t) is tuple:  # checked and sorted once, then the ordered triple's entry
+        return _curve(order_triple(t))
+    return DmtCurve(tuple((k, dmt_point(t, k)) for k in range(t.m_small + 1)))
 
 
 def dmt_at(c: DmtCurve, r) -> Fraction:

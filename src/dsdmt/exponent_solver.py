@@ -224,9 +224,10 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     return Fraction(value, den)
 
 
+@lru_cache(maxsize=64)  # equal arguments, of any types, give equal programs
 def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """The program for any role order of (m, n, l): n <= m by reciprocity,
-    r checked against [0, min(m, n, l)]."""
+    r checked against [0, min(m, n, l)]; once per case for the LP and greedy routes."""
     p = build_program(max(m, n), min(m, n), l, r)
     if not 0 <= p.r <= p.alpha_dim:
         raise ValueError(f"r must lie in [0, {p.alpha_dim}], got {p.r}")

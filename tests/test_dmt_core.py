@@ -98,6 +98,30 @@ class TestDmtCurve:
             assert ds[-1] == 0
 
 
+class TestCurveMemo:
+    """dmt_curve keeps a tuple of ints as its memo key; (True, 2, 3) == (1, 2, 3)
+    and hashes alike, so an equal triple of other types must still be checked."""
+
+    @pytest.mark.parametrize("cached_first", [False, True])
+    @pytest.mark.parametrize("bad", [(True, 2, 3), (0, 2, 3), (1.0, 2, 3), (1, 2, 3, 4)])
+    def test_bad_triples_still_raise(self, cached_first, bad):
+        dmt_core._curve.cache_clear()
+        if cached_first:
+            dmt_curve((1, 2, 3))
+            dmt_curve((3, 2, 1))
+        with pytest.raises((ValueError, TypeError)) as raised:
+            dmt_curve(bad)
+        with pytest.raises(type(raised.value)) as direct:
+            order_triple(bad)
+        assert str(raised.value) == str(direct.value)
+
+    def test_other_forms_of_a_cached_triple(self):
+        dmt_core._curve.cache_clear()
+        tuple_curve = dmt_curve((1, 2, 3))
+        assert dmt_curve([3, 1, 2]) == dmt_curve(ChannelTriple(2, 3, 1)) == tuple_curve
+        assert dmt_curve((1, 2, 3)) is tuple_curve  # the memo answers
+
+
 class TestDmtAt:
     def test_midpoint(self):
         c = dmt_curve((2, 2, 2))

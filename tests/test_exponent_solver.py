@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsdmt import exponent_solver
 from dsdmt.dmt_core import dmt_at, dmt_curve
 from dsdmt.exponent_solver import (
     ExponentProgram,
@@ -303,6 +304,34 @@ class TestDmtViaLp:
         for r in (3, Fraction(-1, 4)):
             with pytest.raises(ValueError):
                 dmt_via_lp(2, 2, 2, r, warm)
+
+
+class TestReciprocalProgramMemo:
+    """One program per (m, n, l, r) serves the LP and the greedy route.  0.5 and
+    Fraction(1, 2) are one memo key, as they are equal and hash alike; "1/2" is
+    another, and all three must give one program and one value."""
+
+    @pytest.mark.parametrize("order", [(0.5, "1/2", Fraction(1, 2)), (Fraction(1, 2), 0.5, "1/2")])
+    def test_r_of_any_type_gives_one_value(self, order):
+        exponent_solver._reciprocal_program.cache_clear()
+        for r in order:
+            assert dmt_via_lp(3, 2, 4, r) == dmt_via_greedy(3, 2, 4, r) == 4
+            assert dmt_via_lp(2, 3, 4, r, {}) == 4
+            assert exponent_solver._reciprocal_program(3, 2, 4, r).r == Fraction(1, 2)
+
+    @pytest.mark.parametrize("route", [dmt_via_lp, dmt_via_greedy])
+    @pytest.mark.parametrize("r", [3, Fraction(-1, 4), "9/4", 2.5])
+    def test_out_of_range_r_raises_alike_after_a_valid_call(self, route, r):
+        messages = []
+        for valid_first in (False, True):
+            exponent_solver._reciprocal_program.cache_clear()
+            if valid_first:
+                route(2, 2, 2, 1)
+                route(2, 2, 2, 2)
+            with pytest.raises(ValueError) as raised:
+                route(2, 2, 2, r)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1] and messages[0].startswith("r must lie in [0, 2]")
 
 
 @st.composite

@@ -5,6 +5,7 @@ warm starts against cold solves, dual pivot by dual pivot."""
 import contextlib
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -284,6 +285,17 @@ def _outcomes(c, a_ub, b_ub, k, values, warm=None):
     return out
 
 
+def _number(pair):
+    """A piece's (num, den) as a number: (-1, 0) and (1, 0) stand for -inf and inf."""
+    assert type(pair[0]) is int and type(pair[1]) is int and pair[1] >= 0
+    return Fraction(*pair) if pair[1] else pair[0] * math.inf
+
+
+def _ends(piece):
+    """lo, hi and t0 of a piece, as numbers."""
+    return tuple(map(_number, piece[:3]))
+
+
 def test_warm_hand_lp():
     # min -x - 2y  s.t. y <= 1, x + y <= b: -2 - (b - 1) for b >= 1, -2b below
     lp = ([-1, -2], [[0, 1], [1, 1]], [1, None], 1)
@@ -291,7 +303,8 @@ def test_warm_hand_lp():
     with dual_pivots_checked() as dual:
         values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0], warm)
         # 3 -> 1/2 leaves the first basis; 1 and 0 lie in the piece of 1/2, 7/3 in that of 3
-        assert [piece[:3] for piece in warm["last"][2]] == [(1, math.inf, 3), (0, 1, Fraction(1, 2))]
+        assert [_ends(piece) for piece in warm["last"][2]] == [(1, math.inf, 3), (0, 1, Fraction(1, 2))]
+        assert warm["last"][2][0][:3] == ((1, 1), (1, 0), (3, 1))  # int pairs, not reduced
         values += _outcomes(*lp, [-1], warm)  # in no piece: from 1/2 the dual pivots find no point
     assert values == [-4, -1, -2, Fraction(-10, 3), 0, _simplex.Infeasible]
     assert len(dual) == 1
@@ -376,10 +389,10 @@ def _row_sets(dims):
 
 
 def test_crosscheck_pivot_count(monkeypatch):
-    # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: cold for
-    # the first LP of each of the 15 row sets, by phase 2 alone from the table for
-    # the other 60; a call inside a stored piece pivots nowhere; the counts the
-    # warm dicts keep are the ones seen
+    # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: the first LP
+    # of each of the 15 row sets by dual pivots from the slack basis, with no phase 1,
+    # the other 60 by phase 2 alone from the table; a call inside a stored piece
+    # pivots nowhere; the counts the warm dicts keep are the ones seen
     pivots, colds, phase2s = [], [], []
     pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
@@ -387,9 +400,10 @@ def test_crosscheck_pivot_count(monkeypatch):
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 352 and len(colds) == len(_row_sets(5)) == 15 and len(phase2s) == 75
-    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 352, "pieces": 158,
-                            "piece_hits": 867}
+    assert len(pivots) == 256 and not colds and len(phase2s) == 75
+    assert sum(a[3:] == (0, True) for a in phase2s) == len(_row_sets(5)) == 15
+    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 256, "pieces": 164,
+                            "piece_hits": 861}
 
 
 def test_crosscheck_reads_no_x(monkeypatch):
@@ -485,7 +499,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                 value, x = _simplex.solve_min(c, a_ub, b, warm)
                 assert value == Fraction(-cost[-2], cost[-1])
                 (*_, basis_used, _, _, _), t = answered[-1]
-                assert t == r and x == _basic_point(a_ub, b, basis_used, len(c))
+                assert Fraction(*t) == r and x == _basic_point(a_ub, b, basis_used, len(c))
                 if warm["counts"]["pieces"] > pieces:
                     assert list(warm["tableau"]) == [rows, cost, basis], (m, n, l, r)
                     made += 1
@@ -528,12 +542,13 @@ def test_pieces_cover_the_range_and_match_cold_solves():
         for k in range(4 * top + 1):
             exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4), warm)
         lp, fixed, pieces = warm["last"]
-        ends = sorted((max(lo, 0), min(hi, top)) for lo, hi, *_ in pieces if lo <= top and hi >= 0)
+        ends = sorted((max(lo, 0), min(hi, top)) for lo, hi, _ in map(_ends, pieces)
+                      if lo <= top and hi >= 0)
         assert ends[0][0] == 0 and ends[-1][1] == top, (m, n, l)
         assert all(b[0] <= a[1] for a, b in zip(ends, ends[1:])), (m, n, l)
         c, a_ub = lp
         for piece in pieces:
-            lo, hi = Fraction(max(piece[0], 0)), Fraction(min(piece[1], top))
+            lo, hi = Fraction(max(_ends(piece)[0], 0)), Fraction(min(_ends(piece)[1], top))
             if lo > hi:
                 continue
             rs = {lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) / 7}
@@ -617,6 +632,56 @@ def test_random_lps_repriced_match_cold_solves(lp, data):
                    for row, bi in zip(a, b))
 
 
+# The dual start: with a table, the first LP of a row set whose c is >= 0 starts at
+# the slack basis, which is then dual feasible, and runs dual pivots only.
+
+@st.composite
+def nonnegative_cost_lps(draw):
+    """Small LPs with c >= 0.  Most have b = A x0 + s for some x0 >= 0 and s >= 0,
+    often 0 (degenerate), so they are feasible and their negative right-hand sides
+    make the dual pivots work; the rest draw b freely, and many have no point."""
+    n, m, den = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    c = [Fraction(v, den) for v in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))]
+    a = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.integers(0, 3)):
+        x0 = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        s = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        b = [sum(map(operator.mul, row, x0)) + si for row, si in zip(a, s)]
+    else:
+        b = draw(st.lists(st.integers(-6, 2), min_size=m, max_size=m))
+    if draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    return c, a, b
+
+
+@settings(derandomize=True, max_examples=70, deadline=None, database=None)
+@given(nonnegative_cost_lps())
+def test_dual_start_matches_oracle(lp):
+    # the value the Fraction oracle's two phases find, and a feasible x with c.x equal
+    # to it; Infeasible exactly when the oracle raises it; no phase 1 on the way
+    c, a, b = lp
+    try:
+        expected = fraction_simplex.solve_min(c, a, b)[0]
+    except fraction_simplex.Infeasible:
+        expected = _simplex.Infeasible
+    warm, cold = {"table": {}}, _simplex._optimal_tableau
+    _simplex._optimal_tableau = None  # a call would raise TypeError
+    try:
+        with dual_pivots_checked():
+            value, x = _simplex.solve_min(c, a, b, warm)
+    except _simplex.Infeasible:
+        value = _simplex.Infeasible
+    finally:
+        _simplex._optimal_tableau = cold
+    assert value == expected
+    if value is not _simplex.Infeasible:
+        assert warm["counts"]["cold_solves"] == 1 and min(x, default=0) >= 0
+        assert sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
+        assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
+                   for row, bi in zip(a, b))
+
+
 def test_a_popped_tableau_answers_a_miss_afresh():
     # min -x - 2y  s.t. y <= 1, x <= 2, x + y <= t: -2t on [0, 1], -1 - t on [1, 3],
     # -4 above.  Once the tableau is popped, as the crosscheck does once a triple's
@@ -625,7 +690,7 @@ def test_a_popped_tableau_answers_a_miss_afresh():
     c, a_ub, table = (-1, -2), ((0, 1), (1, 0), (1, 1)), {}
     warm = {"table": table}
     assert _simplex.solve_min(c, a_ub, [1, 2, Fraction(1, 2)], warm) == (-1, [0, Fraction(1, 2)])
-    assert [piece[:2] for piece in warm["last"][2]] == [(0, 1)]
+    assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(0, 1)]
     _simplex.solve_min((-1, -1), a_ub, [1, 2, 2], {"table": table})  # another c, at t = 2
     for t, route in ((2, "reprices"), (Fraction(5, 2), "piece_hits"), (7, "cold_solves"),
                      (Fraction(1, 3), "piece_hits")):
@@ -634,7 +699,7 @@ def test_a_popped_tableau_answers_a_miss_afresh():
         assert _simplex.solve_min(c, a_ub, [1, 2, t], warm) == _simplex.solve_min(c, a_ub, [1, 2, t])
         made = warm["counts"] - before
         assert made[route] == 1 and made["reprices"] + made["cold_solves"] == (route != "piece_hits")
-    assert [piece[:2] for piece in warm["last"][2]] == [(0, 1), (1, 3), (3, math.inf)]
+    assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(0, 1), (1, 3), (3, math.inf)]
     warm.pop("tableau")
     with pytest.raises(_simplex.Infeasible):  # below 0 no point is feasible
         _simplex.solve_min(c, a_ub, [1, 2, -1], warm)
