@@ -12,21 +12,22 @@ p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
 tableau would, so the pivots, the optimum and x are the ones it would give.
 
 A warm dict serves calls with one c and a_ub that move b's last entry t only;
-another LP or another b[:-1] is solved afresh.  Moving t adds its change times
-the slack column to each rhs and keeps the reduced costs, so a basis stays
-optimal while no rhs is negative: on a t-range, from the dual ratio test.  Each
-optimal basis reached is kept as a piece: that range, its ends int pairs, and the
-rhs and slack columns that give the value and x in it.  A t in no piece moves the
-newest tableau, the one kept whole, and dual-simplex pivots end optimal or find the
-LP infeasible (Murty, *Linear Programming*, 1983); with it popped, t is solved afresh.
-Warm dicts may share a table of the last optimum per a_ub held and b: another c
-there re-prices its tableau, phase 2 alone (Chvatal, *Linear Programming*, 1983);
-a miss with c >= 0 starts at the slack basis, dual feasible, and runs dual pivots
-only, with no phase 1 (Lemke, *Naval Res. Logist. Q.* 1, 1954).
+another LP or another b[:-1] is solved at its t, then swept.  Moving t adds its
+change times the slack column to each rhs and keeps the reduced costs, so a basis
+stays optimal on a t-range, from the dual ratio test: a piece, kept with its ends
+as int pairs and the rhs and slack columns that give the value and x in it.  At
+each end the blocking row leaves by a dual pivot, the rhs still at the first t,
+until the LP has no point beyond (parametric rhs; Murty, *Linear Programming*,
+1983).  Every call looks t up, and no tableau outlives its sweep.  Warm dicts may
+share a table of the optimum per a_ub held and b at a sweep's first t: another c
+there re-prices it, phase 2 alone (Chvatal, *Linear Programming*, 1983); a miss
+with c >= 0 starts at the slack basis, dual feasible, and runs dual pivots only,
+with no phase 1 (Lemke, *Naval Res. Logist. Q.* 1, 1954).
 """
 
 from __future__ import annotations
 
+import marshal
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -165,87 +166,98 @@ def _phase2(c, rows, basis, pivots=0, dual=False):
 
 def _dual_iterate(rows, cost, basis, ncols):
     """Run dual Bland pivots until no right-hand side is negative: the
-    negative-rhs row of smallest basic index leaves, and the column of least
-    cost[j] / |a_j| over a_j < 0 enters, the lowest j on ties; count them."""
+    negative-rhs row of smallest basic index leaves; count them."""
     for pivots in count():
-        neg = [i for i, row in enumerate(rows) if row[-1] < 0]
-        if not neg:
+        if not (neg := [i for i, row in enumerate(rows) if row[-1] < 0]):
             return pivots
-        pr = min(neg, key=basis.__getitem__)
-        prow = rows[pr]
-        pc = None
-        for j, a in enumerate(prow[:ncols]):
-            if a < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
-                pc = j
-        if pc is None:
+        if not _dual_pivot(rows, cost, basis, pr := min(neg, key=basis.__getitem__), ncols):
             raise Infeasible(f"row {pr} has a negative right-hand side and no negative entry")
+
+
+def _dual_pivot(rows, cost, basis, pr, ncols):
+    """Pivot row pr out, the column of least cost[j] / |a_j| over a_j < 0 in, the lowest j on
+    ties; False if no a_j is negative."""
+    prow, pc = rows[pr], None
+    for j, a in enumerate(prow[:ncols]):
+        if a < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
+            pc = j
+    if pc is not None:
         _pivot(rows, cost, basis, pr, pc)
+    return pc is not None
 
 
 def _piece(tableau, slack, t0):
-    """The basis as a piece along the b entry of column slack, t0 there: (lo, hi, t0, basis,
-    piv, rhs, col), the first three int pairs (num, den), not reduced, (-1, 0) and (1, 0) for
-    -inf and inf, the last three per row, then the cost row's; at b = t row i is (rhs + (t -
-    t0) col) / piv, and none is negative for t in [lo, hi]."""
+    """((lo, hi, t0, xs, piv, rhs, col), [below, above]): the basis as a piece along the b entry of
+    the last row's slack, t0 there, ends int pairs, not reduced, (-1, 0) and (1, 0) for -inf and
+    inf; xs are the basic x with a nonzero rhs or col, then the cost row's entries: at b = t, x is
+    (rhs + (t - t0) col) / piv.  below and above: the blocking rows (least basic index) or None."""
     rows, cost, basis = tableau
-    rhs, col = [*(row[-1] for row in rows), cost[-2]], [tab[slack] for tab in (*rows, cost)]
-    down = up = None  # the least rhs / |col| over the rows with col > 0, and with col < 0
-    for v, s in zip(rhs, col[:-1]):
-        if s > 0 and (down is None or v * down[1] < down[0] * s):
-            down = v, s
-        elif s < 0 and (up is None or v * up[1] < up[0] * -s):
-            up = v, -s
-    return ((t0[0] * down[1] - down[0] * t0[1], t0[1] * down[1]) if down else (-1, 0),
-            (t0[0] * up[1] + up[0] * t0[1], t0[1] * up[1]) if up else (1, 0),
-            t0, tuple(basis), [*map(list.__getitem__, rows, basis), cost[-1]], rhs, col)
+    nvar, ends, kept = slack + 1 - len(rows), [None, None], []  # ends: (|col|, rhs, row) of
+    for i, row in enumerate(rows):  # the least rhs / |col| over col > 0, and over col < 0
+        v, s, j = row[-1], row[slack], basis[i]
+        if s and ((e := ends[s < 0]) is None or (d := v * e[0] - e[1] * abs(s)) < 0
+                  or d == 0 and j < basis[e[2]]):
+            ends[s < 0] = abs(s), v, i
+        if j < nvar and (v or s):
+            kept.append((j, row[j], v, s))
+    xs, piv, rhs, col = zip(*kept, (None, cost[-1], cost[-2], cost[slack]))
+    (tn, td), sign = t0, (-1, 1)
+    return (*[(tn * e[0] + g * e[1] * td, td * e[0]) if e else (g, 0) for e, g in zip(ends, sign)],
+            t0, xs[:-1], piv, rhs, col), [e and e[2] for e in ends]
+
+
+def _sweep(tableau, slack, t0, counts, sides):
+    """The pieces of the LP from its optimal tableau at t0: its own, then those below and above
+    it, for each of sides (0 down, 1 up).  The row that blocks an end leaves by a dual pivot, the
+    dual Bland one at end -/+ eps, so none cycles; if none can, no t beyond has a point.  A pivot
+    replaces rows, changing none in place, so the sweep down runs on shallow copies."""
+    (first, start), ncols = _piece(tableau, slack, t0), len(tableau[1]) - 2
+    pieces = [first]
+    for side in sides:
+        (rows, cost, basis), pr = map(list, tableau) if side == 0 else tableau, start[side]
+        while pr is not None and _dual_pivot(rows, cost, basis, pr, ncols):
+            piece, blocking = _piece((rows, cost, basis), slack, t0)
+            if piece[0][0] * piece[1][1] != piece[1][0] * piece[0][1]:  # lo < hi: a point is
+                pieces.append(piece)  # in the piece before it, so only the first may be one
+            counts["pivots"], pr = counts["pivots"] + 1, blocking[side]
+    counts["pieces"] += len(pieces)
+    counts["max_bits"] = max(counts["max_bits"], *(
+        max(map(abs, (*p[0], *p[1], *p[4], *p[5], *p[6]))).bit_length() for p in pieces))
+    return pieces
 
 
 def _warm_piece(c, a_ub, b_ub, warm):
-    """(piece, t as (num, den)), t the last entry of b_ub: a stored piece that holds t, else the
-    newest tableau's, moved to t.  warm keeps its counts and table, the rest unless this raises."""
+    """(piece, t as (num, den)), t the last entry of b_ub: the first stored piece that holds t.
+    A new LP is solved at t and swept, or only solved if warm is None.  warm keeps its counts and
+    table, and the pieces unless the solve raises; a t in no piece raises Infeasible."""
+    sides, warm = ((0, 1), warm) if warm is not None else ((), {})
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
-    (held, fixed, pieces), tableau = warm.pop("last", (None,) * 3), warm.pop("tableau", None)
+    held, fixed, pieces = warm.pop("last", (None,) * 3)
     # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
     lp = held if held and held[0] is c and held[1] is a_ub else (c, a_ub) if (
         type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
     ) else ([*c], [[*row] for row in a_ub])
     *fix, t = [*b_ub[: len(a_ub)]] or [0]  # no rows: t = 0 stands in, its column the rhs
-    if held != lp or fix != fixed:
-        fixed, pieces, tableau = fix, [], None
-    tn, td = map(int, _exact(t).as_integer_ratio()) if pieces else (0, 1)  # new LP: solve reads t
-    slack = len(c) + len(fix)
-    if piece := next((kept for kept in pieces if kept[0][0] * td <= tn * kept[0][1]
-                      and tn * kept[1][1] <= kept[1][0] * td), None):  # lo <= t <= hi
-        counts["piece_hits"] += 1
-    else:
-        if tableau is None:  # a new LP, or its tableau popped: from the table's, else cold
-            table, key = warm.get("table"), (id(lp[1]), *b_ub[: len(a_ub)])
-            if stored := table and table.get(key):  # it holds lp[1], so no other has that id
-                rows = [[0] * (len(c) + len(a_ub) + 1) for _ in a_ub]
-                for row, nonzero in zip(rows, stored[1]):
-                    for j, v in nonzero.items():
-                        row[j] = v
-                rows, cost, basis, pivots = _phase2([*map(_exact, c)], rows, [*stored[2]])
-            elif table is None or min(map(_exact, c), default=0) < 0:  # two phases
-                rows, cost, basis, pivots = _optimal_tableau(c, a_ub, b_ub)
-            else:  # c >= 0: the slack basis is dual feasible; reads c, b, a_ub as a solve does
-                rows, cost, basis, pivots = _phase2(*_slack_rows(c, a_ub, b_ub), 0, True)
-            counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
-            if table is not None and (pivots or not stored):  # sparse; unchanged if no pivot
-                table[key] = lp[1], [{j: v for j, v in enumerate(r) if v} for r in rows], basis[:]
-            tableau, (tn, td) = (rows, cost, basis), map(int, _exact(t).as_integer_ratio())
-        elif pieces:  # move the newest tableau: rhs += (t - t0) times the slack column
-            rows, cost, basis = tableau
-            ncols, (t0, t0_d) = len(cost) - 2, pieces[-1][2]
-            p, d = tn * t0_d - t0 * td, td * t0_d
-            for tab in (*rows, cost):  # d*tab, plus p*tab[slack] in the rhs slot
-                if tab[slack]:
-                    tab[:] = _combine(tab, d, -p * tab[slack], {ncols: 1}, (ncols,))
-            counts["pivots"] += _dual_iterate(rows, cost, basis, ncols)
-        pieces.append(piece := _piece(tableau, slack, (tn, td)))
-        counts["pieces"] += 1
-    warm["last"], warm["tableau"] = (lp, fixed, pieces), tableau
-    return piece, (tn, td)
+    if held != lp or fix != fixed:  # a new LP: from the table's optimum at this b, else cold
+        table, key = warm.get("table"), (id(lp[1]), *b_ub[: len(a_ub)])
+        if stored := table and table.get(key):  # it holds lp[1], so no other has that id
+            rows, cost, basis, pivots = _phase2([*map(_exact, c)], *marshal.loads(stored[1]))
+        elif table is None or min(map(_exact, c), default=0) < 0:  # two phases
+            rows, cost, basis, pivots = _optimal_tableau(c, a_ub, b_ub)
+        else:  # c >= 0: the slack basis is dual feasible; reads c, b, a_ub as a solve does
+            rows, cost, basis, pivots = _phase2(*_slack_rows(c, a_ub, b_ub), 0, True)
+        counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
+        if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
+            table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
+        fixed, pieces = fix, _sweep((rows, cost, basis), len(c) + len(fix),
+                                    tuple(map(int, _exact(t).as_integer_ratio())), counts, sides)
+    tn, td = map(int, _exact(t).as_integer_ratio())
+    warm["last"] = lp, fixed, pieces
+    for piece in pieces:
+        if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
+            counts["piece_hits"] += 1  # lo <= t <= hi
+            return piece, (tn, td)
+    raise Infeasible(f"no piece holds {Fraction(tn, td)}: no point for that b")
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
@@ -253,17 +265,17 @@ def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
 
     Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
     with x a list of Fractions, or None if with_x is false: then only the
-    value is made, one Fraction from the final tableau, with the same pivots.
+    value is made, one Fraction, with the same pivots.
     Raises :class:`Infeasible` / :class:`Unbounded` accordingly.
 
-    warm, if given, is a dict that keeps the pieces (see above) and counts the cold solves,
-    re-prices, pivots, pieces and piece hits; x may then be another optimal point.
+    warm, if given, is a dict that keeps the pieces of one LP's sweep (see above) and counts
+    the cold solves, re-prices, pivots, pieces, piece hits and the most bits a piece held;
+    every call looks t up in the pieces, and x may be another optimal point.
     """
-    piece, (tn, td) = _warm_piece(c, a_ub, b_ub, {} if warm is None else warm)
-    _, _, (t0, t0_d), basis, piv, rhs, col = piece
-    p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q; row i is (q rhs + p col) / (q piv)
+    piece, (tn, td) = _warm_piece(c, a_ub, b_ub, warm)
+    _, _, (t0, t0_d), xs, piv, rhs, col = piece
+    p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q; a row is (q rhs + p col) / (q piv)
     x = [Fraction(0)] * len(c) if with_x else None
-    for i, j in enumerate(basis if with_x else ()):
-        if j < len(c):
-            x[j] = Fraction(q * rhs[i] + p * col[i], q * piv[i])
+    for j, pj, vj, sj in zip(xs if with_x else (), piv, rhs, col):
+        x[j] = Fraction(q * vj + p * sj, q * pj)
     return Fraction(-q * rhs[-1] - p * col[-1], q * piv[-1]), x

@@ -275,7 +275,8 @@ def run_crosscheck(max_dim: int, fractional: bool,
     """Sweep all triples with components <= max_dim; the three routes must
     agree exactly.  The route callables are injectable for fault-testing;
     lp(m, n, l, r, warm) gets one warm dict per exponent LP, which (m, n, l)
-    and (n, m, l) share, and all of them one table; "lp" holds their counts."""
+    and (n, m, l) share: its first call sweeps the LP, and every call looks r
+    up.  All dicts share one table; "lp" holds their counts."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
@@ -296,7 +297,6 @@ def run_crosscheck(max_dim: int, fractional: bool,
                     "m": m, "n": n, "l": l, "r": str(r),
                     "closed_form": str(a), "lp": str(b), "greedy": str(c),
                 })
-        warm.pop("tableau", None)  # its pieces cover [0, min(m, n, l)], all a second triple asks
     return {"max_dim": max_dim, "fractional": fractional,
             "cases": cases, "mismatches": mismatches, "lp": dict(counts)}
 

@@ -86,12 +86,13 @@ def _plus_pairs(na: int, nb: int) -> tuple[tuple[int, int], ...]:
 def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """Build the exact exponent program for (m, n, l) at multiplexing gain r,
     with n <= m: alpha has min(n, l) components and beta min(m, l)."""
-    shape = _shape(m, n, l)  # checks the dimensions before r
-    return ExponentProgram(m, n, l, *shape, r if isinstance(r, Fraction) else Fraction(r))
+    p = object.__new__(ExponentProgram)  # the checked shape, dimensions before r, with r
+    p.__dict__.update(vars(_shape(m, n, l)), r=r if isinstance(r, Fraction) else Fraction(r))
+    return p
 
 
 @lru_cache(maxsize=64)
-def _shape(m: int, n: int, l: int):  # build_program's r-free part, once per shape
+def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once per shape
     if min(m, n, l) < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
     if n > m:
@@ -100,7 +101,7 @@ def _shape(m: int, n: int, l: int):  # build_program's r-free part, once per sha
     alpha_coeffs = tuple(n - i for i in range(alpha_dim))
     beta_coeffs = tuple(l + m - n - j if j <= n + 1 else l + m + 1 - 2 * j
                         for j in range(1, beta_dim + 1))  # j 1-based, as in the module note
-    return alpha_dim, beta_dim, alpha_coeffs, beta_coeffs
+    return ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def _lp_rows(na, nb):
         add([(ofs_b + j, 1), (ofs_b + j + 1, -1)], 0)
     for i in range(na):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
-    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r, last: warm moves it
+    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r, last: the swept t
     return tuple(rows), tuple(rhs[:-1])
 
 
@@ -155,7 +156,7 @@ def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
     c is kept per (alpha_coeffs, beta_coeffs), the rows per size.  With with_x
     false the solve builds no x, and alpha and beta are None.
     """
-    if p.r < 0:
+    if p.r.numerator < 0:
         raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
     c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, nb)
@@ -224,12 +225,11 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     return Fraction(value, den)
 
 
-@lru_cache(maxsize=64)  # equal arguments, of any types, give equal programs
 def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """The program for any role order of (m, n, l): n <= m by reciprocity,
-    r checked against [0, min(m, n, l)]; once per case for the LP and greedy routes."""
+    r checked against [0, min(m, n, l)] by its ints; once per route and case."""
     p = build_program(max(m, n), min(m, n), l, r)
-    if not 0 <= p.r <= p.alpha_dim:
+    if not 0 <= p.r.numerator <= p.alpha_dim * p.r.denominator:
         raise ValueError(f"r must lie in [0, {p.alpha_dim}], got {p.r}")
     return p
 

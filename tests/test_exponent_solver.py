@@ -6,6 +6,7 @@ other offset breaks the closed-form equality swept in the acceptance run).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -307,13 +308,14 @@ class TestDmtViaLp:
 
 
 class TestReciprocalProgramMemo:
-    """One program per (m, n, l, r) serves the LP and the greedy route.  0.5 and
-    Fraction(1, 2) are one memo key, as they are equal and hash alike; "1/2" is
-    another, and all three must give one program and one value."""
+    """Each shape's program is checked once, and every r is read by its ints:
+    0.5, "1/2" and Fraction(1, 2) must give one program and one value on the LP
+    and the greedy route, and a bad r the same message with the memo cleared or
+    filled."""
 
     @pytest.mark.parametrize("order", [(0.5, "1/2", Fraction(1, 2)), (Fraction(1, 2), 0.5, "1/2")])
     def test_r_of_any_type_gives_one_value(self, order):
-        exponent_solver._reciprocal_program.cache_clear()
+        exponent_solver._shape.cache_clear()
         for r in order:
             assert dmt_via_lp(3, 2, 4, r) == dmt_via_greedy(3, 2, 4, r) == 4
             assert dmt_via_lp(2, 3, 4, r, {}) == 4
@@ -324,7 +326,7 @@ class TestReciprocalProgramMemo:
     def test_out_of_range_r_raises_alike_after_a_valid_call(self, route, r):
         messages = []
         for valid_first in (False, True):
-            exponent_solver._reciprocal_program.cache_clear()
+            exponent_solver._shape.cache_clear()
             if valid_first:
                 route(2, 2, 2, 1)
                 route(2, 2, 2, 2)
@@ -365,6 +367,24 @@ class TestRouteAgreement:
                     r = k + Fraction(num, 4)
                     expected = v0 + (v1 - v0) * Fraction(num, 4)
                     assert dmt_via_lp(m, n, l, r) == expected
+
+    def test_swept_lp_curve_equals_closed_form_for_every_r(self):
+        # every triple with dims <= 6: its LP, swept from r = 0, is affine on each
+        # piece, and the closed form between integer corners, so agreeing at the
+        # union of the pieces' ends and the corners in [0, min(m, n, l)] proves the
+        # two curves equal there for every real r, not only on a grid
+        table, checked = {}, 0
+        for t in itertools.product(range(1, 7), repeat=3):
+            warm, curve, top = {"table": table}, dmt_curve(t), min(t)
+            dmt_via_lp(*t, 0, warm)
+            los, his = zip(*[[Fraction(*e) if e[1] else e[0] * math.inf for e in piece[:2]]
+                             for piece in warm["last"][2]])
+            assert min(los) == 0 and max(his) >= top  # the pieces tile, so they cover [0, top]
+            for r in sorted({e for e in los + his if 0 <= e <= top} | set(range(top + 1))):
+                assert dmt_via_lp(*t, r, warm) == dmt_at(curve, r), (t, r)
+                checked += 1
+            assert warm["counts"]["cold_solves"] + warm["counts"]["reprices"] == 1
+        assert checked > 216 * 2
 
     @settings(derandomize=True, max_examples=500, deadline=None, database=None)
     @given(triples_and_rates())

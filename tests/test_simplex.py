@@ -180,11 +180,13 @@ def test_crosscheck_lps_match_oracle(monkeypatch):
         "none", "short-row", "short-b"])
 def test_hand_lps_match_oracle(lp):
     assert_same_as_oracle(lp)
-    # a first warm call is a cold solve: the same outcome and pivots, or the same
-    # exception; the warm dict counts those pivots, the phase-1 drive-outs too
-    warm = {}
+    # a first warm call is a cold solve, then a sweep: the same outcome (its first
+    # piece is the cold solve's) and the same pivots first, or the same exception;
+    # the warm dict counts all the pivots, the phase-1 drive-outs too
+    warm, cold = {}, _outcome(_simplex, lp)
     outcome = _outcome(_simplex, (*lp, warm))
-    assert outcome == _outcome(_simplex, lp)
+    assert outcome[0] == cold[0] and outcome[1][: len(cold[1])] == cold[1]
+    assert "last" in warm or outcome == cold
     assert "last" not in warm or warm["counts"]["pivots"] == len(outcome[1])
 
 
@@ -234,37 +236,63 @@ def test_random_lps_match_oracle(lp):
     assert_same_as_oracle(lp)
 
 
-# Warm starts: one tableau, b moved by dual-simplex pivots.  Every dual pivot
-# is checked against the dual Bland rule recomputed in Fractions, and every
-# value against a cold solve.
+# Warm starts: one solve, then a parametric sweep of b's last entry t.  Every dual
+# pivot is checked against the dual Bland rule recomputed in Fractions: at the
+# tableau's own right-hand side for a dual start, at the breakpoint it crosses for
+# the sweep; and every value against a cold solve.
 
-def _dual_bland(rows, cost, basis):
+def _dual_bland(rows, cost, basis, pr=None):
     """(row, column) of the dual Bland rule: the negative right-hand side
-    with the smallest basic index leaves, and the column with the smallest
-    cost[j] / |a_j| over a_j < 0 enters, lowest j on ties."""
-    pr = min((i for i, row in enumerate(rows) if row[-1] < 0), key=basis.__getitem__)
+    with the smallest basic index leaves, unless pr is given, and the column
+    with the smallest cost[j] / |a_j| over a_j < 0 enters, lowest j on ties."""
+    if pr is None:
+        pr = min((i for i, row in enumerate(rows) if row[-1] < 0), key=basis.__getitem__)
     ratios = {j: Fraction(cost[j], -a) for j, a in enumerate(rows[pr][:-1]) if a < 0}
     return pr, min(ratios, key=lambda j: (ratios[j], j))
 
 
+def _assert_sweep_pivot(rows, cost, basis, pr, pc, slack):
+    """A sweep's pivot (pr, pc), t's column slack: the basis is feasible at the t where row pr
+    reaches 0, so that t ends its piece; pr has the least basic index of the rows that reach 0
+    there from the same side; and pc is the dual Bland column on it, as at t past the end."""
+    col = [row[slack] for row in rows]
+    end = Fraction(-rows[pr][-1], col[pr])  # t - t0, the rhs being that at t0
+    at_end = [row[-1] + end * s for row, s in zip(rows, col)]
+    assert min(at_end) >= 0
+    blocking = [i for i, v in enumerate(at_end) if v == 0 and col[i] * col[pr] > 0]
+    assert pr == min(blocking, key=basis.__getitem__)
+    assert (pr, pc) == _dual_bland(rows, cost, basis, pr)
+
+
 @contextlib.contextmanager
 def dual_pivots_checked():
-    """Check every dual pivot made inside against _dual_bland; yields the
-    list of those pivots."""
-    pivot = _simplex._pivot
-    dual = []
+    """Check every dual pivot made inside: a sweep's by _assert_sweep_pivot, any
+    other (its row's rhs negative) against _dual_bland; yields the lists of the
+    dual-start and the sweep pivots."""
+    pivot, sweep = _simplex._pivot, _simplex._sweep
+    dual, swept, slack = [], [], []
+
+    def sweeping(tableau, column, *rest):
+        slack.append(column)
+        try:
+            return sweep(tableau, column, *rest)
+        finally:
+            slack.pop()
 
     def checked(rows, cost, basis, pr, pc):
-        if rows[pr][-1] < 0:  # primal pivots keep every right-hand side >= 0
+        if slack:
+            _assert_sweep_pivot(rows, cost, basis, pr, pc, slack[-1])
+            swept.append((pr, pc))
+        elif rows[pr][-1] < 0:  # primal pivots keep every right-hand side >= 0
             assert (pr, pc) == _dual_bland(rows, cost, basis)
             dual.append((pr, pc))
         pivot(rows, cost, basis, pr, pc)
 
-    _simplex._pivot = checked
+    _simplex._pivot, _simplex._sweep = checked, sweeping
     try:
-        yield dual
+        yield dual, swept
     finally:
-        _simplex._pivot = pivot
+        _simplex._pivot, _simplex._sweep = pivot, sweep
 
 
 def _outcomes(c, a_ub, b_ub, k, values, warm=None):
@@ -297,21 +325,21 @@ def _ends(piece):
 
 
 def test_warm_hand_lp():
-    # min -x - 2y  s.t. y <= 1, x + y <= b: -2 - (b - 1) for b >= 1, -2b below
+    # min -x - 2y  s.t. y <= 1, x + y <= b: -2 - (b - 1) for b >= 1, -2b on [0, 1] and no
+    # point below 0.  The first call solves at 3 and sweeps: nothing blocks [1, inf) above,
+    # one dual pivot at 1 reaches [0, 1], and at 0 no column can enter
     lp = ([-1, -2], [[0, 1], [1, 1]], [1, None], 1)
     warm = {}
-    with dual_pivots_checked() as dual:
-        values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0], warm)
-        # 3 -> 1/2 leaves the first basis; 1 and 0 lie in the piece of 1/2, 7/3 in that of 3
-        assert [_ends(piece) for piece in warm["last"][2]] == [(1, math.inf, 3), (0, 1, Fraction(1, 2))]
-        assert warm["last"][2][0][:3] == ((1, 1), (1, 0), (3, 1))  # int pairs, not reduced
-        values += _outcomes(*lp, [-1], warm)  # in no piece: from 1/2 the dual pivots find no point
+    with dual_pivots_checked() as (dual, swept):
+        values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0, -1], warm)
     assert values == [-4, -1, -2, Fraction(-10, 3), 0, _simplex.Infeasible]
-    assert len(dual) == 1
-    assert "last" not in warm  # a raise leaves nothing to start from
-    assert warm["counts"] == {"cold_solves": 1, "pivots": 3, "pieces": 2, "piece_hits": 3}
-    assert _outcomes(*lp, [2], warm) == [-3]
-    assert warm["counts"]["cold_solves"] == 2
+    assert not dual and len(swept) == 1
+    pieces = warm["last"][2]  # -1 is in no piece, and the pieces stay
+    assert [_ends(piece) for piece in pieces] == [(1, math.inf, 3), (0, 1, 3)]
+    assert pieces[0][:3] == ((1, 1), (1, 0), (3, 1))  # int pairs, not reduced
+    assert warm["counts"] == {"cold_solves": 1, "pivots": 3, "pieces": 2, "piece_hits": 5,
+                              "max_bits": 3}
+    assert _outcomes(*lp, [2], warm) == [-3] and warm["counts"]["cold_solves"] == 1
     # another LP in the same dict is solved cold, and replaces the first
     assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm)[0] == 3
     assert warm["last"][0] == ([1, 1], [[-1, -1]])
@@ -370,8 +398,9 @@ def test_warm_matches_cold_solves(lp):
 
 def test_exponent_lps_warm_match_cold_solves():
     # every crosscheck case with dims <= 5 and quarter-step r, each triple on
-    # one warm dict with r rising and falling, against 1025 cold solves
-    with dual_pivots_checked() as dual:
+    # one warm dict with r rising and falling, against 1025 cold solves; the
+    # first call of each sweeps, every pivot of it checked
+    with dual_pivots_checked() as (_, swept):
         for t in itertools.product(range(1, 6), repeat=3):
             rs = [Fraction(k, 4) for k in range(4 * min(t) + 1)]
             cold = [exponent_solver.dmt_via_lp(*t, r) for r in rs]
@@ -379,7 +408,7 @@ def test_exponent_lps_warm_match_cold_solves():
                 warm = {}
                 warm_values = [exponent_solver.dmt_via_lp(*t, r, warm) for r in rs[::order]]
                 assert warm_values == cold[::order], t
-    assert dual
+    assert swept
 
 
 def _row_sets(dims):
@@ -391,8 +420,8 @@ def _row_sets(dims):
 def test_crosscheck_pivot_count(monkeypatch):
     # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: the first LP
     # of each of the 15 row sets by dual pivots from the slack basis, with no phase 1,
-    # the other 60 by phase 2 alone from the table; a call inside a stored piece
-    # pivots nowhere; the counts the warm dicts keep are the ones seen
+    # the other 60 by phase 2 alone from the table, and each is then swept; every call
+    # looks its r up and pivots nowhere; the counts the warm dicts keep are the ones seen
     pivots, colds, phase2s = [], [], []
     pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
@@ -400,10 +429,10 @@ def test_crosscheck_pivot_count(monkeypatch):
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 256 and not colds and len(phase2s) == 75
+    assert len(pivots) == 331 and not colds and len(phase2s) == 75
     assert sum(a[3:] == (0, True) for a in phase2s) == len(_row_sets(5)) == 15
-    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 256, "pieces": 164,
-                            "piece_hits": 861}
+    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 331, "pieces": 239,
+                            "piece_hits": 1025, "max_bits": 5}
 
 
 def test_crosscheck_reads_no_x(monkeypatch):
@@ -442,28 +471,6 @@ def _rewritten(tableau, old, new, nvar):
     _simplex._dual_iterate(rows, cost, basis, ncols)
 
 
-def _basic_point(a_ub, b, basis, nvar):
-    """x of the basic solution of basis, solved for in Fractions: zero off the
-    basis, and tight on each row whose slack is not basic; Gauss-Jordan on
-    those rows and the basic x columns, a square system as the basis is one."""
-    unknowns = [j for j in basis if j < nvar]
-    aug = [[row[j] for j in unknowns] + [bi]
-           for i, (row, bi) in enumerate(zip(a_ub, b)) if nvar + i not in basis]
-    for k in range(len(aug)):
-        piv = next(i for i in range(k, len(aug)) if aug[i][k])
-        aug[k], aug[piv] = aug[piv], aug[k]
-        aug[k] = [Fraction(v, 1) / aug[k][k] for v in aug[k]]
-        for i in range(len(aug)):
-            if i != k and (f := aug[i][k]):
-                aug[i] = [v - f * w if w else v for v, w in zip(aug[i], aug[k])]
-    x = [Fraction(0)] * nvar
-    for j, row in zip(unknowns, aug):
-        x[j] = row[-1]
-    assert min(x) >= 0 and all(sum(a * v for a, v in zip(row, x) if a) <= bi
-                               for row, bi in zip(a_ub, b))  # feasible at b
-    return x
-
-
 def _exponent_lp(m, n, l):
     """c, a_ub and the fixed entries of b of the exponent LP of (m, n, l)."""
     p = exponent_solver.build_program(max(m, n), min(m, n), l, 0)
@@ -472,16 +479,13 @@ def _exponent_lp(m, n, l):
 
 
 def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
-    # every triple with dims <= 5, r up and then down on one warm dict: each
-    # call's value is that of a tableau rewritten to its b on every call, its x
-    # the basic point of the basis that answered, solved for anew; and whenever
-    # the call made a piece (it solved cold or moved the tableau), the warm
-    # tableau's int rows are the rewritten tableau's
-    answered = []
-    warm_piece = _simplex._warm_piece
-    monkeypatch.setattr(_simplex, "_warm_piece",
-                        lambda *a: (answered.append(warm_piece(*a)), answered[-1])[1])
-    made = hits = 0
+    # every triple with dims <= 5, r up and then down on one warm dict: each call's
+    # value is that of a tableau rewritten to its b on every call and moved there by
+    # dual pivots, and its x is feasible with c.x that value; each triple's first
+    # call sweeps, from r = 0, and every call, that one too, is a piece hit
+    swept = []
+    sweep = _simplex._sweep
+    monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2]), sweep(*a))[1])
     with dual_pivots_checked():
         for m, n, l in itertools.product(range(1, 6), repeat=3):
             c, a_ub, fixed = _exponent_lp(m, n, l)
@@ -495,17 +499,13 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                     _rewritten(ref, old, b, len(c))
                 old = b
                 rows, cost, basis = ref
-                pieces = warm.get("counts", {}).get("pieces", 0)
                 value, x = _simplex.solve_min(c, a_ub, b, warm)
-                assert value == Fraction(-cost[-2], cost[-1])
-                (*_, basis_used, _, _, _), t = answered[-1]
-                assert Fraction(*t) == r and x == _basic_point(a_ub, b, basis_used, len(c))
-                if warm["counts"]["pieces"] > pieces:
-                    assert list(warm["tableau"]) == [rows, cost, basis], (m, n, l, r)
-                    made += 1
-                else:
-                    hits += 1
-    assert made == 254 and hits > made  # 125 cold solves and 129 moves
+                assert value == Fraction(-cost[-2], cost[-1]), (m, n, l, r)
+                assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
+                assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
+                           for row, bi in zip(a_ub, b))
+            assert warm["counts"]["piece_hits"] == 2 * len(rs) - 1
+    assert swept == [(0, 1)] * 125
 
 
 def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
@@ -530,7 +530,7 @@ def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
 
 
 def test_pieces_cover_the_range_and_match_cold_solves():
-    # after a triple's sweep its pieces cover [0, min(m, n, l)] with no gap; at
+    # after a triple's first call its pieces cover [0, min(m, n, l)] with no gap; at
     # each piece's ends in that range, its midpoint, and r a third and a seventh
     # of the way in (one of them off the quarter grid), the piece alone gives a
     # cold solve's value, and a feasible optimal x
@@ -682,24 +682,130 @@ def test_dual_start_matches_oracle(lp):
                    for row, bi in zip(a, b))
 
 
-def test_a_popped_tableau_answers_a_miss_afresh():
-    # min -x - 2y  s.t. y <= 1, x <= 2, x + y <= t: -2t on [0, 1], -1 - t on [1, 3],
-    # -4 above.  Once the tableau is popped, as the crosscheck does once a triple's
-    # pieces cover its range, a t in no piece is solved afresh: re-priced from the
-    # table where it holds a tableau at that b, else cold; a t in a piece still hits
+def test_one_sweep_answers_every_t_of_its_lp():
+    # min -x - 2y  s.t. y <= 1, x <= 2, x + y <= t: -2t on [0, 1], -1 - t on [1, 3], -4
+    # above, no point below 0.  The first call, at t = 1/2, solves and sweeps the whole
+    # range; every later t is a piece hit, with no solve and no pivot, and a t below 0
+    # raises Infeasible and keeps the pieces.  The table holds the optimum at 1/2 only,
+    # and another c there re-prices it
     c, a_ub, table = (-1, -2), ((0, 1), (1, 0), (1, 1)), {}
     warm = {"table": table}
     assert _simplex.solve_min(c, a_ub, [1, 2, Fraction(1, 2)], warm) == (-1, [0, Fraction(1, 2)])
-    assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(0, 1)]
-    _simplex.solve_min((-1, -1), a_ub, [1, 2, 2], {"table": table})  # another c, at t = 2
-    for t, route in ((2, "reprices"), (Fraction(5, 2), "piece_hits"), (7, "cold_solves"),
-                     (Fraction(1, 3), "piece_hits")):
-        warm.pop("tableau")
-        before = warm["counts"].copy()
-        assert _simplex.solve_min(c, a_ub, [1, 2, t], warm) == _simplex.solve_min(c, a_ub, [1, 2, t])
-        made = warm["counts"] - before
-        assert made[route] == 1 and made["reprices"] + made["cold_solves"] == (route != "piece_hits")
     assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(0, 1), (1, 3), (3, math.inf)]
-    warm.pop("tableau")
-    with pytest.raises(_simplex.Infeasible):  # below 0 no point is feasible
+    made = warm["counts"].copy()
+    for t in (2, Fraction(5, 2), 7, Fraction(1, 3), 0, 3):
+        b = [1, 2, t]
+        assert _simplex.solve_min(c, a_ub, b, warm)[0] == _simplex.solve_min(c, a_ub, b)[0]
+    with pytest.raises(_simplex.Infeasible):
         _simplex.solve_min(c, a_ub, [1, 2, -1], warm)
+    assert warm["counts"] - made == {"piece_hits": 6} and len(warm["last"][2]) == 3
+    assert [key[1:] for key in table] == [(1, 2, Fraction(1, 2))]
+    other = {"table": table}
+    assert _simplex.solve_min((-1, -1), a_ub, [1, 2, Fraction(1, 2)], other)[0] == Fraction(-1, 2)
+    assert other["counts"]["reprices"] == 1 and "cold_solves" not in other["counts"]
+
+
+# The sweep against the Fraction oracle: the pieces tile the interval of t with a
+# point, agree with cold solves at their ends and inside, and outside it every t
+# raises Infeasible, as the oracle does.
+
+def _oracle(c, a_ub, b):
+    """The Fraction oracle's optimal value at b, or the name of what it raises."""
+    try:
+        return fraction_simplex.solve_min(c, a_ub, b)[0]
+    except (fraction_simplex.Infeasible, fraction_simplex.Unbounded) as exc:
+        return type(exc).__name__
+
+
+def _warm_outcome(c, a_ub, b, warm):
+    """solve_min's value on warm, its x checked feasible with c.x that value, or the name of
+    what it raises."""
+    try:
+        value, x = _simplex.solve_min(c, a_ub, b, warm)
+    except (_simplex.Infeasible, _simplex.Unbounded) as exc:
+        return type(exc).__name__
+    assert min(x) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
+    assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(a_ub, b))
+    return value
+
+
+def _check_sweep(warm, inside):
+    """The pieces in warm tile an interval of t: sorted, each ends where the next starts, and
+    only the first, the solve's, may be a point.  At each finite end, and at the points
+    inside(lo, hi) of each, the piece alone gives the oracle's value, so the value is continuous
+    where two meet; one below and one above the interval, t raises Infeasible on warm and in
+    the oracle."""
+    (lp, fixed, pieces), oracle = warm["last"], {}
+    ends = sorted(_ends(piece)[:2] + (piece,) for piece in pieces)
+    assert all(_ends(piece)[0] < _ends(piece)[1] for piece in pieces[1:])
+    assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+    for lo, hi, piece in ends:
+        one, ts = {"last": (lp, fixed, [piece])}, {lo, hi, *inside(lo, hi)} - {-math.inf, math.inf}
+        for t in ts:
+            if t not in oracle:
+                oracle[t] = _oracle(*lp, [*fixed, t])
+            assert _warm_outcome(*lp, [*fixed, t], one) == oracle[t], (lp, fixed, t)
+        assert one["counts"]["piece_hits"] == len(ts)
+    for t in (ends[0][0] - Fraction(1, 3), ends[-1][1] + Fraction(1, 2)):
+        if abs(t) < math.inf:
+            b = [*fixed, t]
+            assert _warm_outcome(*lp, b, warm) == _oracle(*lp, b) == "Infeasible"
+
+
+def _inside(lo, hi, frac=Fraction(2, 7)):
+    """A rational point of [lo, hi], either end possibly infinite."""
+    if abs(lo) < math.inf and abs(hi) < math.inf:
+        return [lo + (hi - lo) * frac]
+    return [hi - 1 - frac if abs(hi) < math.inf else lo + 1 + frac if abs(lo) < math.inf else frac]
+
+
+@st.composite
+def swept_lps(draw):
+    """Small LPs to sweep along their last b entry t, and the t to call at, in order.  The row
+    of t has entries of both signs, so many LPs have no point below or above some t; a row
+    drawn twice, right-hand sides of 0 and equality pairs make breakpoints at which several
+    rows block at once; c of either sign makes some LPs unbounded."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    c = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(st.integers(-2, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]), min_size=m, max_size=m))
+    if m and draw(st.booleans()):  # row 0 twice
+        a.append(a[0])
+        b.append(b[0])
+    if m and draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    a.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))  # the row of t
+    ts = draw(st.lists(st.integers(-12, 20), min_size=3, max_size=8, unique=True))
+    return c, a, b, [Fraction(v, 4) for v in ts], draw(st.fractions(0, 1, max_denominator=9))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(swept_lps())
+def test_sweep_matches_oracle(lp):
+    # every call on one warm dict gives the oracle's value, or raises what it raises; the
+    # first call with a point sweeps, and its pieces are checked at their ends, at a random
+    # rational point inside each, and past the interval they tile
+    c, a, b, ts, frac = lp
+    warm = {}
+    with dual_pivots_checked():
+        for t in ts:
+            assert _warm_outcome(c, a, [*b, t], warm) == _oracle(c, a, [*b, t]), (lp, t)
+    if "last" in warm:
+        _check_sweep(warm, lambda lo, hi: _inside(lo, hi, frac))
+
+
+def test_exponent_lp_sweeps_match_oracle():
+    # every exponent LP with dims <= 6, swept from t = 0 on one table as the crosscheck
+    # does: its pieces tile [0, inf), the oracle gives their value at each end and at two
+    # rational points of [0, alpha_dim] off the quarter grid, and below 0 both raise
+    # Infeasible
+    table = {}
+    lps = {_exponent_lp(m, n, l) for m, n, l in itertools.product(range(1, 7), repeat=3)}
+    for c, a_ub, fixed in sorted(lps):
+        warm = {"table": table}
+        _simplex.solve_min(c, a_ub, [*fixed, 0], warm, with_x=False)
+        _check_sweep(warm, lambda lo, hi: ())
+        assert _ends(min(warm["last"][2], key=lambda p: _ends(p)[0]))[0] == 0
+        for t in (fixed.count(-1) * Fraction(3, 7), fixed.count(-1) * Fraction(8, 9)):
+            assert _warm_outcome(c, a_ub, [*fixed, t], warm) == _oracle(c, a_ub, [*fixed, t])
