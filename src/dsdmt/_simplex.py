@@ -1,8 +1,11 @@
 """Exact-arithmetic simplex for the small dense LPs of the exponent solver.
 
-Solves  minimize c.x  subject to  A x <= b,  x >= 0  over the rationals with
-the two-phase tableau method.  Bland's pivoting rule rules out cycling, so
-optima are exact rationals and the solver always terminates.  Internal to the
+Solves  minimize c.x  subject to  A x <= b,  x >= 0  over the rationals, for
+c >= 0 only: then c.x >= 0, so no LP it accepts is unbounded, and the slack
+basis is dual feasible.  A new LP starts there and runs dual pivots until no
+right-hand side is negative, or a row shows that no point exists (Lemke,
+*Naval Res. Logist. Q.* 1, 1954).  Bland's rules rule out cycling, so optima
+are exact rationals and the solver always terminates.  Internal to the
 package: sized for a few dozen variables, not a general LP surface.
 
 The tableau holds Python ints: a row stands for itself over its basic entry,
@@ -20,9 +23,8 @@ each end the blocking row leaves by a dual pivot, the rhs still at the first t,
 until the LP has no point beyond (parametric rhs; Murty, *Linear Programming*,
 1983).  Every call looks t up, and no tableau outlives its sweep.  Warm dicts may
 share a table of the optimum per a_ub held and b at a sweep's first t: another c
-there re-prices it, phase 2 alone (Chvatal, *Linear Programming*, 1983); a miss
-with c >= 0 starts at the slack basis, dual feasible, and runs dual pivots only,
-with no phase 1 (Lemke, *Naval Res. Logist. Q.* 1, 1954).
+there re-prices it and runs primal Bland pivots alone (Chvatal, *Linear
+Programming*, 1983).
 """
 
 from __future__ import annotations
@@ -33,15 +35,11 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-__all__ = ["Infeasible", "Unbounded", "solve_min"]
+__all__ = ["Infeasible", "solve_min"]
 
 
 class Infeasible(Exception):
     """The constraint set A x <= b, x >= 0 is empty."""
-
-
-class Unbounded(Exception):
-    """The objective is unbounded below on the feasible set."""
 
 
 def _exact(v):
@@ -68,7 +66,7 @@ def _pivot(rows, cost, basis, pr, pc):
     """Pivot the tableau on (row pr, column pc), updating the cost row."""
     prow = rows[pr]
     p = prow[pc]
-    if p < 0:  # when phase 1 drives out an artificial, and on every dual pivot
+    if p < 0:  # on every dual pivot
         rows[pr] = prow = [-v for v in prow]
         p = -p
     hot = [j for j, v in enumerate(prow) if v]
@@ -81,7 +79,8 @@ def _pivot(rows, cost, basis, pr, pc):
 
 
 def _iterate(rows, cost, basis, ncols):
-    """Run Bland-rule pivots until the cost row has no negative reduced cost; count them."""
+    """Run Bland-rule pivots until the cost row has no negative reduced cost; count them.  The
+    LP is bounded (c >= 0 bounds c.x below), so the entering column has a positive entry."""
     for pivots in count():
         pc = next((j for j in range(ncols) if cost[j] < 0), None)
         if pc is None:
@@ -95,15 +94,12 @@ def _iterate(rows, cost, basis, ncols):
                     if lhs > rhs or (lhs == rhs and basis[i] > basis[pr]):
                         continue
                 pr, num, den = i, row[-1], a
-        if pr is None:
-            raise Unbounded(f"column {pc} has no positive pivot entry")
         _pivot(rows, cost, basis, pr, pc)
 
 
-def _slack_rows(c, a_ub, b_ub):
-    """c, b and a_ub read exactly, in order: c, the rows [A | slack I | rhs], the slack basis."""
-    nvar, m = len(c), len(a_ub)
-    c = [_exact(v) for v in c]
+def _slack_rows(nvar, a_ub, b_ub):
+    """b, then a_ub, read exactly: the rows [A | slack I | rhs] and the slack basis."""
+    m = len(a_ub)
     b_ub = [_exact(b_ub[i]) for i in range(m)]
     rows = []
     for i in range(m):
@@ -114,54 +110,18 @@ def _slack_rows(c, a_ub, b_ub):
         row[nvar:nvar] = [0] * m
         row[nvar + i] = scale
         rows.append(row)
-    return c, rows, [nvar + i for i in range(m)]
+    return rows, [nvar + i for i in range(m)]
 
 
-def _optimal_tableau(c, a_ub, b_ub):
-    """(rows, cost, basis, pivots) at the optimum; the columns are x, then the slacks."""
-    c, rows, basis = _slack_rows(c, a_ub, b_ub)
-    # Rows with negative rhs are negated (slack entry becomes -1) and get an
-    # artificial basis column, after the slacks.
-    need_art = [i for i, row in enumerate(rows) if row[-1] < 0]
-    nvar, m, nart, pivots = len(c), len(rows), len(need_art), 0
-    ncols = nvar + m + nart
-    for i, row in enumerate(rows):
-        row[-1:-1] = [0] * nart
-        if row[-1] < 0:
-            basis[i] = nvar + m + need_art.index(i)
-            rows[i] = row = [-v for v in row]
-            row[basis[i]] = -row[nvar + i]
-
-    if nart:
-        # Phase 1: minimize the sum of artificials, expressed over the
-        # current (artificial) basis.
-        cost = [0] * (ncols + 1) + [1]
-        for i in need_art:
-            cost = _combine(cost, rows[i][basis[i]], cost[-1], rows[i], range(ncols + 1))
-        cost[nvar + m : ncols] = [0] * nart
-        pivots = _iterate(rows, cost, basis, ncols)
-        if cost[-2] != 0:
-            raise Infeasible(f"phase-1 optimum {Fraction(-cost[-2], cost[-1])} > 0")
-        # Drive leftover artificials out of the basis.  The slack block of the
-        # tableau is B^-1 times a signed identity, so no row of it is zero.
-        for i in reversed(range(len(rows))):
-            if basis[i] >= nvar + m:
-                pc = next(j for j in range(nvar + m) if rows[i][j])
-                _pivot(rows, cost, basis, i, pc)
-                pivots += 1
-        rows = [row[: nvar + m] + row[-1:] for row in rows]
-    return _phase2(c, rows, basis, pivots)
-
-
-def _phase2(c, rows, basis, pivots=0, dual=False):
-    """Phase 2, or dual pivots if dual, for the exact c from basis: (rows, cost, basis, pivots)."""
+def _phase2(c, rows, basis, dual=False):
+    """Primal pivots, or dual ones if dual, for the exact c from basis: the tableau and pivots."""
     ncols, iterate = len(c) + len(rows), _dual_iterate if dual else _iterate
     cost, scale = _scaled(c)
     cost += [0] * (len(rows) + 1) + [scale]
     for i, row in enumerate(rows):
         if cost[basis[i]]:
             cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
-    return rows, cost, basis, pivots + iterate(rows, cost, basis, ncols)
+    return rows, cost, basis, iterate(rows, cost, basis, ncols)
 
 
 def _dual_iterate(rows, cost, basis, ncols):
@@ -239,13 +199,15 @@ def _warm_piece(c, a_ub, b_ub, warm):
     ) else ([*c], [[*row] for row in a_ub])
     *fix, t = [*b_ub[: len(a_ub)]] or [0]  # no rows: t = 0 stands in, its column the rhs
     if held != lp or fix != fixed:  # a new LP: from the table's optimum at this b, else cold
+        c = [*map(_exact, c)]
+        for j, v in enumerate(c):
+            if v < 0:
+                raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
         table, key = warm.get("table"), (id(lp[1]), *b_ub[: len(a_ub)])
         if stored := table and table.get(key):  # it holds lp[1], so no other has that id
-            rows, cost, basis, pivots = _phase2([*map(_exact, c)], *marshal.loads(stored[1]))
-        elif table is None or min(map(_exact, c), default=0) < 0:  # two phases
-            rows, cost, basis, pivots = _optimal_tableau(c, a_ub, b_ub)
-        else:  # c >= 0: the slack basis is dual feasible; reads c, b, a_ub as a solve does
-            rows, cost, basis, pivots = _phase2(*_slack_rows(c, a_ub, b_ub), 0, True)
+            rows, cost, basis, pivots = _phase2(c, *marshal.loads(stored[1]))
+        else:  # c >= 0, so the slack basis is dual feasible
+            rows, cost, basis, pivots = _phase2(c, *_slack_rows(len(c), a_ub, b_ub), True)
         counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
         if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
             table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
@@ -255,21 +217,21 @@ def _warm_piece(c, a_ub, b_ub, warm):
     warm["last"] = lp, fixed, pieces
     for piece in pieces:
         if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
-            counts["piece_hits"] += 1  # lo <= t <= hi
-            return piece, (tn, td)
+            return piece, (tn, td)  # lo <= t <= hi
     raise Infeasible(f"no piece holds {Fraction(tn, td)}: no point for that b")
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
     """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
 
-    Entries may be anything ``Fraction`` accepts.  Returns (optimal value, x)
-    with x a list of Fractions, or None if with_x is false: then only the
-    value is made, one Fraction, with the same pivots.
-    Raises :class:`Infeasible` / :class:`Unbounded` accordingly.
+    Entries may be anything ``Fraction`` accepts, and c must be >= 0, so the
+    value is too.  Returns (optimal value, x) with x a list of Fractions, or
+    None if with_x is false: then only the value is made, one Fraction, with
+    the same pivots.  Raises :class:`Infeasible` if no x is feasible, and
+    ValueError, before any pivot, if an entry of c is negative.
 
     warm, if given, is a dict that keeps the pieces of one LP's sweep (see above) and counts
-    the cold solves, re-prices, pivots, pieces, piece hits and the most bits a piece held;
+    the cold solves, re-prices, pivots, pieces and the most bits a piece held;
     every call looks t up in the pieces, and x may be another optimal point.
     """
     piece, (tn, td) = _warm_piece(c, a_ub, b_ub, warm)

@@ -282,7 +282,7 @@ def run_crosscheck(max_dim: int, fractional: bool,
     greedy = greedy or dmt_via_greedy
     den = 4 if fractional else 1  # r = k / den
     cases, mismatches = 0, []
-    counts, shared, table = Counter(reprices=0, piece_hits=0), {}, {}  # shared: pairs half swept
+    counts, shared, table = Counter(reprices=0), {}, {}  # shared: pairs half swept
     for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
         key, fresh = (max(m, n), min(m, n), l), {"counts": counts, "table": table}
         warm = shared.pop(key, fresh) if m >= n else shared.setdefault(key, fresh)  # m >= n: last

@@ -13,7 +13,7 @@ infimum over the open set is the same and a closed set is LP-representable.)
 Two solvers are provided and must agree exactly:
 
 * :func:`solve_lp` -- the exact rational linear program, via the internal
-  two-phase simplex.  This is the ground-truth oracle.
+  simplex's dual pivots from the slack basis.  This is the ground-truth oracle.
 * :func:`greedy_reduce` + :func:`minimize_threshold` -- the "beta passes
   alpha" elimination: walking each beta leftward through the alpha chain
   while its running coefficient stays positive turns the objective into a

@@ -60,7 +60,7 @@ class TestCrosscheck:
         assert manifest["lp"] == cli.run_crosscheck(3, False)["lp"]
         assert (manifest["lp"]["cold_solves"], manifest["lp"]["reprices"]) == (6, 12)
         assert manifest["lp"].keys() == {
-            "cold_solves", "reprices", "pivots", "pieces", "piece_hits", "max_bits"}
+            "cold_solves", "reprices", "pivots", "pieces", "max_bits"}
 
     def test_max_dim_one(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["crosscheck", "--max-dim", "1"], tmp_path, monkeypatch)

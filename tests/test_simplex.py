@@ -1,9 +1,11 @@
 """The internal exact simplex against hand LPs, scipy, a cycling classic, and
-the Fraction tableau it replaced (``fraction_simplex``), pivot for pivot; its
-warm starts against cold solves, dual pivot by dual pivot."""
+the Fraction tableau it replaced (``fraction_simplex``): its values, and its
+primal pivots one for one; its dual pivots against the dual Bland rule, and its
+warm starts against cold solves."""
 
 import contextlib
 import itertools
+import marshal
 import math
 import operator
 from collections import Counter
@@ -20,10 +22,10 @@ from dsdmt import _simplex, cli, exponent_solver
 
 
 def test_simple_hand_lp():
-    # min -x - y  s.t. x + y <= 2, x <= 1  ->  -2 at (1, 1) or (0, 2)
-    value, x = _simplex.solve_min([-1, -1], [[1, 1], [1, 0]], [2, 1])
-    assert value == -2
-    assert sum(x) == 2
+    # min x + 2y  s.t. x + y >= 2, x <= 1  ->  3 at (1, 1)
+    value, x = _simplex.solve_min([1, 2], [[-1, -1], [1, 0]], [-2, 1])
+    assert value == 3
+    assert x == [1, 1]
 
 
 def test_equality_via_pair_of_inequalities():
@@ -45,14 +47,57 @@ def test_infeasible():
         _simplex.solve_min([1], [[1], [-1]], [1, -2])  # x <= 1 and x >= 2
 
 
-def test_unbounded():
-    with pytest.raises(_simplex.Unbounded):
-        _simplex.solve_min([-1], [[-1]], [0])
+@contextlib.contextmanager
+def pivots_of(module):
+    """Yields the list of the (row, column) of every pivot module makes inside, in order."""
+    pivots, pivot = [], module._pivot
+
+    def recording(rows, cost, basis, pr, pc):
+        pivots.append((pr, pc))
+        pivot(rows, cost, basis, pr, pc)
+
+    module._pivot = recording
+    try:
+        yield pivots
+    finally:
+        module._pivot = pivot
+
+
+@pytest.mark.parametrize("call", ["cold", "warm", "table"])
+@pytest.mark.parametrize("negative", [-1, Fraction(-1, 3), np.int64(-2), -0.5],
+                         ids=["int", "Fraction", "numpy-int", "float"])
+def test_negative_cost_entry_raises(negative, call):
+    # only c >= 0 is solved: a negative entry is named when the LP is first read, before
+    # any pivot, and a table then stores nothing and counts no solve
+    c, a_ub, b_ub, table = [1, negative], [[-1, -1], [0, 1]], [-1, 1], {}
+    warm = {"cold": None, "warm": {}, "table": {"table": table}}[call]
+    with pivots_of(_simplex) as pivots, pytest.raises(ValueError, match=r"^c\[1\] = -"):
+        _simplex.solve_min(c, a_ub, b_ub, warm)
+    assert not pivots and not table
+    assert warm is None or not warm["counts"]
 
 
 def test_no_constraints():
     value, x = _simplex.solve_min([2, 3], [], [])
     assert value == 0 and x == [0, 0]
+
+
+def assert_primal_pivots_match(c, rows, basis):
+    """_phase2 for c from basis, primal feasible, on the integer tableau rows takes the pivots
+    fraction_simplex._iterate takes from the same tableau in Fractions, one for one, to the
+    same value: returns that value and the number of pivots."""
+    frows = [[Fraction(v, row[j]) for v in row] for row, j in zip(rows, basis)]
+    fcost = [Fraction(v) for v in c] + [Fraction(0)] * (len(rows) + 1)
+    for row, j in zip(frows, basis):
+        fcost = [v - fcost[j] * a for v, a in zip(fcost, row)]
+    with pivots_of(fraction_simplex) as want:
+        fraction_simplex._iterate(frows, fcost, basis[:], len(c) + len(rows))
+    with pivots_of(_simplex) as got:
+        _, cost, _, count = _simplex._phase2([*map(Fraction, c)], [row[:] for row in rows],
+                                             basis[:])
+    assert got == want and count == len(got)
+    assert Fraction(-cost[-2], cost[-1]) == -fcost[-1]
+    return -fcost[-1], count
 
 
 # classic degenerate LP on which naive pivoting cycles; Bland must finish
@@ -65,12 +110,16 @@ BEALE = (
 
 
 def test_beales_cycling_example():
-    value, _ = _simplex.solve_min(*BEALE)
-    assert value == Fraction(-1, 20)
+    # bounded, though c has negative entries, and b >= 0, so its slack basis is primal
+    # feasible: from there the primal Bland pivots, which every re-price takes, are the
+    # Fraction tableau's, and they finish
+    c, a_ub, b_ub = BEALE
+    value, count = assert_primal_pivots_match(c, *_simplex._slack_rows(len(c), a_ub, b_ub))
+    assert value == Fraction(-1, 20) and count > 0
 
 
-def test_redundant_equality_rows_survive_phase1():
-    # x = 1 stated twice (two >= rows), plus x <= 1: redundancy after phase 1
+def test_redundant_equality_rows():
+    # x = 1 stated twice (two >= rows), plus x <= 1: a degenerate dual start
     value, x = _simplex.solve_min([1], [[-1], [-1], [1]], [-1, -1, 1])
     assert value == 1 and x == [1]
 
@@ -81,165 +130,26 @@ def test_against_scipy_randomized():
     for trial in range(350):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 7))
-        c = rng.integers(-5, 6, size=n)
+        c = rng.integers(0, 6, size=n)
         a = rng.integers(-4, 5, size=(m, n))
         b = rng.integers(-3, 8, size=m)
         ref = linprog(c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
         try:
             value, x = _simplex.solve_min(c.tolist(), a.tolist(), b.tolist())
-            status = "optimal"
         except _simplex.Infeasible:
-            status = "infeasible"
-        except _simplex.Unbounded:
-            status = "unbounded"
-        if ref.status == 0:
-            assert status == "optimal", trial
-            assert abs(float(value) - ref.fun) < 1e-7, (trial, value, ref.fun)
-            xs = np.array([float(v) for v in x])
-            assert np.all(a @ xs <= b + 1e-9), trial
-            agreed += 1
-        elif status == "infeasible":
             assert ref.status == 2, (trial, ref.status)
-        else:
-            # optimal-here/unbounded-here cases scipy may flag 2, 3 or 4;
-            # it must at least not claim a finite optimum
-            assert ref.status != 0, (trial, status, ref.status)
+            continue
+        assert ref.status == 0, trial
+        assert abs(float(value) - ref.fun) < 1e-7, (trial, value, ref.fun)
+        xs = np.array([float(v) for v in x])
+        assert np.all(a @ xs <= b + 1e-9), trial
+        agreed += 1
     assert agreed > 100  # the comparison actually exercised real optima
 
 
-# Differential test: the integer tableau makes every decision of the Fraction
-# tableau on the same rationals, so both take the same pivots and return the
-# same (value, x), or raise the same exception with the same message.
-
-def _outcome(module, lp):
-    """repr of (value, x) or of the exception's type and message, and the pivots."""
-    pivots = []
-    pivot = module._pivot
-
-    def recording(rows, cost, basis, pr, pc):
-        pivots.append((pr, pc))
-        pivot(rows, cost, basis, pr, pc)
-
-    module._pivot = recording
-    try:
-        result = repr(module.solve_min(*lp))
-    except Exception as exc:  # any exception must match the oracle's
-        result = (type(exc).__name__, str(exc))
-    finally:
-        module._pivot = pivot
-    return result, pivots
-
-
-def assert_same_as_oracle(lp):
-    assert _outcome(_simplex, lp) == _outcome(fraction_simplex, lp), lp
-
-
-def test_crosscheck_lps_match_oracle(monkeypatch):
-    lps = []
-    solve = _simplex.solve_min
-
-    def recording(c, a_ub, b_ub, warm=None, **kw):  # crosscheck's solves are warm
-        lps.append((c, a_ub, b_ub))
-        return solve(c, a_ub, b_ub, warm, **kw)
-
-    monkeypatch.setattr(_simplex, "solve_min", recording)
-    report = cli.run_crosscheck(3, True)
-    monkeypatch.undo()
-    assert report["cases"] == len(lps) == 171 and not report["mismatches"]
-    for lp in lps:
-        assert_same_as_oracle(lp)
-
-
-@pytest.mark.parametrize("lp", [
-    BEALE,
-    ([1], [[-1], [-1], [1]], [-1, -1, 1]),  # redundant equality rows
-    ([1, 2], [[1, 1], [-1, -1], [1, 0], [-1, 0]], [2, -2, 1, -1]),  # x fixed by two equalities
-    ([2, 3], [], []),  # no constraints
-    ([-1, 0], [], []),  # no constraints, unbounded
-    ([], [], []),
-    ([1, 1], [[-1, -1]], [-3]),  # negative rhs
-    ([1], [[1], [-1]], [1, -2]),  # infeasible, phase-1 optimum 1
-    ([0, 0], [[1, 1], [-2, -2]], [Fraction(1, 3), -1]),  # infeasible, fractional optimum
-    ([-1], [[-1]], [0]),  # unbounded
-    ([np.int64(-2), Fraction(1, 3), "-1/2", 0.25, True],
-     [[1, "2", np.int64(1), 0.5, 1], [Fraction(-1, 7), 0, -1, 0, np.int64(3)]],
-     [np.int64(4), "-1/3"]),
-    (np.array([-1, -1]), np.array([[1, 2], [3, 1]]), np.array([4, 5])),
-    (np.array([-1.5, -1.0]), np.array([[1, 2.5], [3, 1]]), np.array([4.0, 5.0])),
-    ([1, math.nan], [[1, 1]], [1]),
-    ([1, 1], [[1, math.inf]], [1]),
-    ([1, 1], [[1, 1]], [-math.inf]),
-    ([1, 1], [[1, "x"]], [math.nan]),  # b is read first
-    ([math.nan], [[1]], ["x"]),  # c before b
-    ([1, None], [[1, 1]], [1]),
-    ([1, 1], [[1]], [1]),  # short row
-    ([1, 1], [[1, 1], [1, 1]], [1]),  # short b
-], ids=["beale", "redundant", "two-equalities", "empty", "empty-unbounded", "no-vars",
-        "negative-rhs", "infeasible", "infeasible-fraction", "unbounded", "mixed-types",
-        "numpy-int", "numpy-float", "nan-c", "inf-a", "inf-b", "nan-b-first", "nan-c-first",
-        "none", "short-row", "short-b"])
-def test_hand_lps_match_oracle(lp):
-    assert_same_as_oracle(lp)
-    # a first warm call is a cold solve, then a sweep: the same outcome (its first
-    # piece is the cold solve's) and the same pivots first, or the same exception;
-    # the warm dict counts all the pivots, the phase-1 drive-outs too
-    warm, cold = {}, _outcome(_simplex, lp)
-    outcome = _outcome(_simplex, (*lp, warm))
-    assert outcome[0] == cold[0] and outcome[1][: len(cold[1])] == cold[1]
-    assert "last" in warm or outcome == cold
-    assert "last" not in warm or warm["counts"]["pivots"] == len(outcome[1])
-
-
-def test_narrow_numpy_ints_are_exact():
-    # the Fraction tableau kept numpy numerators and so overflowed uint8 here;
-    # the integer tableau reads them as Python ints
-    lp = ([-3, -1], [[3, 1], [1, 3]], [7, 5])
-    narrow = (lp[0], np.array(lp[1], dtype=np.uint8), lp[2])
-    with pytest.raises(OverflowError), np.errstate(over="ignore"):
-        fraction_simplex.solve_min(*narrow)
-    assert _simplex.solve_min(*narrow) == (-7, [Fraction(7, 3), 0])
-    assert repr(_simplex.solve_min(*narrow)) == repr(_simplex.solve_min(*lp))
-
-
-_VALUES = st.integers(-6, 6)
-_ENTRIES = st.one_of(
-    _VALUES,
-    st.fractions(min_value=-6, max_value=6, max_denominator=6),
-    st.tuples(_VALUES, st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
-    _VALUES.map(lambda v: v / 4),
-    _VALUES.map(np.int64),
-)
-_POISON = st.sampled_from([math.nan, math.inf, -math.inf, "1/0x", None])
-
-
-@st.composite
-def random_lps(draw):
-    """Small LPs; about half all-int, degenerate right-hand sides, some
-    equality pairs, and now and then one entry Fraction rejects."""
-    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
-    entry = draw(st.sampled_from([_VALUES, _ENTRIES]))
-    c = draw(st.lists(entry, min_size=n, max_size=n))
-    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    b = draw(st.lists(st.one_of(st.just(0), entry), min_size=m, max_size=m))
-    if entry is _VALUES and m and draw(st.booleans()):  # row 0 as an equality
-        a.append([-v for v in a[0]])
-        b.append(-b[0])
-    if n and m and draw(st.integers(0, 9)) == 0:
-        where = draw(st.sampled_from([c, a[0], b]))
-        where[draw(st.integers(0, len(where) - 1))] = draw(_POISON)
-    return c, a, b
-
-
-@settings(derandomize=True, max_examples=250, deadline=None, database=None)
-@given(random_lps())
-def test_random_lps_match_oracle(lp):
-    assert_same_as_oracle(lp)
-
-
-# Warm starts: one solve, then a parametric sweep of b's last entry t.  Every dual
-# pivot is checked against the dual Bland rule recomputed in Fractions: at the
-# tableau's own right-hand side for a dual start, at the breakpoint it crosses for
-# the sweep; and every value against a cold solve.
+# Dual pivots: each is checked against the dual Bland rule recomputed in Fractions: at
+# the tableau's own right-hand side for a dual start, at the breakpoint it crosses for
+# the sweep.
 
 def _dual_bland(rows, cost, basis, pr=None):
     """(row, column) of the dual Bland rule: the negative right-hand side
@@ -268,9 +178,9 @@ def _assert_sweep_pivot(rows, cost, basis, pr, pc, slack):
 def dual_pivots_checked():
     """Check every dual pivot made inside: a sweep's by _assert_sweep_pivot, any
     other (its row's rhs negative) against _dual_bland; yields the lists of the
-    dual-start and the sweep pivots."""
+    dual-start, the sweep and the primal pivots."""
     pivot, sweep = _simplex._pivot, _simplex._sweep
-    dual, swept, slack = [], [], []
+    dual, swept, primal, slack = [], [], [], []
 
     def sweeping(tableau, column, *rest):
         slack.append(column)
@@ -286,26 +196,224 @@ def dual_pivots_checked():
         elif rows[pr][-1] < 0:  # primal pivots keep every right-hand side >= 0
             assert (pr, pc) == _dual_bland(rows, cost, basis)
             dual.append((pr, pc))
+        else:
+            primal.append((pr, pc))
         pivot(rows, cost, basis, pr, pc)
 
     _simplex._pivot, _simplex._sweep = checked, sweeping
     try:
-        yield dual, swept
+        yield dual, swept, primal
     finally:
         _simplex._pivot, _simplex._sweep = pivot, sweep
 
 
+# Differential tests: the Fraction oracle's two phases against the dual start.  On
+# every LP the integer tableau gives the oracle's value, or raises Infeasible when it
+# does, or the same other exception with the same message; its x is feasible with c.x
+# the value, and every pivot of a cold solve is the dual Bland one.
+
+_UNREADABLE = (ValueError, TypeError, OverflowError, IndexError)  # an entry or a shape
+
+
+def _oracle_outcome(lp):
+    """The oracle's optimal value, or "Infeasible", or the type and message of what else it raises."""
+    try:
+        return fraction_simplex.solve_min(*lp)[0]
+    except fraction_simplex.Infeasible:
+        return "Infeasible"
+    except _UNREADABLE as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _solved(lp, warm=None):
+    """solve_min's outcome on lp as _oracle_outcome gives the oracle's, every dual pivot
+    checked and none primal unless a table is read, and x feasible with c.x the value."""
+    c, a_ub, b_ub = lp
+    try:
+        with dual_pivots_checked() as (_, _, primal):
+            value, x = _simplex.solve_min(c, a_ub, b_ub, warm)
+    except _simplex.Infeasible:
+        return "Infeasible"
+    except _UNREADABLE as exc:
+        return type(exc).__name__, str(exc)
+    assert not primal or "table" in (warm or {})
+    assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
+    assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
+               for row, bi in zip(a_ub, b_ub))
+    return value
+
+
+def assert_matches_oracle(lp):
+    assert _solved(lp) == _oracle_outcome(lp), lp
+
+
+def test_crosscheck_lps_match_oracle(monkeypatch):
+    lps = []
+    solve = _simplex.solve_min
+
+    def recording(c, a_ub, b_ub, warm=None, **kw):  # crosscheck's solves are warm
+        lps.append((c, a_ub, b_ub))
+        return solve(c, a_ub, b_ub, warm, **kw)
+
+    monkeypatch.setattr(_simplex, "solve_min", recording)
+    report = cli.run_crosscheck(3, True)
+    monkeypatch.undo()
+    assert report["cases"] == len(lps) == 171 and not report["mismatches"]
+    for lp in lps:
+        assert_matches_oracle(lp)
+
+
+@pytest.mark.parametrize("lp", [
+    ([1], [[-1], [-1], [1]], [-1, -1, 1]),  # redundant equality rows
+    ([1, 2], [[1, 1], [-1, -1], [1, 0], [-1, 0]], [2, -2, 1, -1]),  # x fixed by two equalities
+    ([2, 3], [], []),  # no constraints
+    ([0, 1], [], []),  # no constraints, a zero cost
+    ([], [], []),
+    ([1, 1], [[-1, -1]], [-3]),  # negative rhs
+    ([1], [[1], [-1]], [1, -2]),  # infeasible
+    ([0, 0], [[1, 1], [-2, -2]], [Fraction(1, 3), -1]),  # infeasible, fractional bound
+    ([0], [[-1]], [0]),  # a ray of zero cost
+    ([np.int64(2), Fraction(1, 3), "1/2", 0.25, True],
+     [[1, "2", np.int64(1), 0.5, 1], [Fraction(-1, 7), 0, -1, 0, np.int64(3)]],
+     [np.int64(4), "-1/3"]),
+    (np.array([1, 1]), np.array([[-1, -2], [-3, -1]]), np.array([-4, -5])),
+    (np.array([1.5, 1.0]), np.array([[-1, -2.5], [-3, -1]]), np.array([-4.0, -5.0])),
+    ([1, math.nan], [[1, 1]], [1]),
+    ([1, 1], [[1, math.inf]], [1]),
+    ([1, 1], [[1, 1]], [-math.inf]),
+    ([1, 1], [[1, "x"]], [math.nan]),  # b is read first
+    ([math.nan], [[1]], ["x"]),  # c before b
+    ([1, None], [[1, 1]], [1]),
+    ([1, 1], [[1]], [1]),  # short row
+    ([1, 1], [[1, 1], [1, 1]], [1]),  # short b
+], ids=["redundant", "two-equalities", "empty", "empty-zero-cost", "no-vars", "negative-rhs",
+        "infeasible", "infeasible-fraction", "zero-cost-ray", "mixed-types", "numpy-int",
+        "numpy-float", "nan-c", "inf-a", "inf-b", "nan-b-first", "nan-c-first", "none",
+        "short-row", "short-b"])
+def test_hand_lps_match_oracle(lp):
+    assert_matches_oracle(lp)
+    # a first warm call solves as a cold one does, then sweeps: the same outcome and the
+    # cold pivots first, or the same exception; the warm dict counts all the pivots
+    with pivots_of(_simplex) as cold:
+        outcome = _solved(lp)
+    warm = {}
+    with pivots_of(_simplex) as pivots:
+        assert _solved(lp, warm) == outcome
+    assert pivots[: len(cold)] == cold
+    assert "last" in warm or pivots == cold
+    assert "last" not in warm or warm["counts"]["pivots"] == len(pivots)
+
+
+def test_narrow_numpy_ints_are_exact():
+    # the Fraction tableau kept numpy numerators and so went wrong on int8 here;
+    # the integer tableau reads them as Python ints
+    lp = ([1, 1], [[-3, -1], [-2, -7]], [-7, -5])
+    narrow = (lp[0], np.array(lp[1], dtype=np.int8), lp[2])
+    with np.errstate(all="ignore"):
+        assert fraction_simplex.solve_min(*narrow)[0] != Fraction(45, 19)
+    assert _simplex.solve_min(*narrow) == (Fraction(45, 19), [Fraction(44, 19), Fraction(1, 19)])
+    assert repr(_simplex.solve_min(*narrow)) == repr(_simplex.solve_min(*lp))
+
+
+def _entries(lo):
+    """Numbers in [lo, 6] in each form Fraction reads: ints, Fractions, strings, floats, numpy ints."""
+    values = st.integers(lo, 6)
+    return st.one_of(
+        values,
+        st.fractions(min_value=lo, max_value=6, max_denominator=6),
+        st.tuples(values, st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+        values.map(lambda v: v / 4),
+        values.map(np.int64),
+    )
+
+
+_VALUES, _ENTRIES, _COSTS = st.integers(-6, 6), _entries(-6), _entries(0)
+_POISON = st.sampled_from([math.nan, math.inf, -math.inf, "1/0x", None])
+
+
+@st.composite
+def random_lps(draw):
+    """Small LPs with c >= 0; about half all-int, degenerate right-hand sides, some
+    equality pairs, and now and then one entry Fraction rejects."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([_VALUES, _ENTRIES]))
+    c = draw(st.lists(st.integers(0, 6) if entry is _VALUES else _COSTS, min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(0), entry), min_size=m, max_size=m))
+    if entry is _VALUES and m and draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    if n and m and draw(st.integers(0, 9)) == 0:
+        where = draw(st.sampled_from([c, a[0], b]))
+        where[draw(st.integers(0, len(where) - 1))] = draw(_POISON)
+    return c, a, b
+
+
+@st.composite
+def nonnegative_cost_lps(draw):
+    """Small LPs with c >= 0.  Most have b = A x0 + s for some x0 >= 0 and s >= 0,
+    often 0 (degenerate), so they are feasible and their negative right-hand sides
+    make the dual pivots work; the rest draw b freely, and many have no point."""
+    n, m, den = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    c = [Fraction(v, den) for v in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))]
+    a = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.integers(0, 3)):
+        x0 = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        s = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        b = [sum(map(operator.mul, row, x0)) + si for row, si in zip(a, s)]
+    else:
+        b = draw(st.lists(st.integers(-6, 2), min_size=m, max_size=m))
+    if draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    return c, a, b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(random_lps(), nonnegative_cost_lps()))
+def test_random_lps_match_oracle(lp):
+    assert_matches_oracle(lp)
+
+
+@st.composite
+def slack_feasible_lps(draw):
+    """Small LPs with b >= 0, often 0, so the slack basis is primal feasible, and c of
+    either sign, so primal pivots leave it."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    c = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), min_size=m, max_size=m))
+    return c, a, b
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(slack_feasible_lps())
+def test_primal_pivots_from_the_slack_basis_match_oracle(lp):
+    # with c >= 0 the slack basis is already optimal, so these draw c of either sign and
+    # keep the LPs the oracle finds bounded; with b >= 0 the oracle runs no phase 1, so its
+    # pivots are those of fraction_simplex._iterate from the slack basis
+    c, a_ub, b_ub = lp
+    try:
+        expected = fraction_simplex.solve_min(c, a_ub, b_ub)[0]
+    except fraction_simplex.Unbounded:
+        return
+    assert assert_primal_pivots_match(c, *_simplex._slack_rows(len(c), a_ub, b_ub))[0] == expected
+
+
+# Warm starts: one solve, then a parametric sweep of b's last entry t, every dual
+# pivot checked, and every value against a cold solve.
+
 def _outcomes(c, a_ub, b_ub, k, values, warm=None):
     """solve_min with b_ub[k] set to each of values in turn, on one warm dict
-    if warm is given: the optimal value, or the type of what it raises.  A warm
+    if warm is given: the optimal value, or Infeasible if it raises that.  A warm
     x must be optimal too."""
     out = []
     for v in values:
         b = [v if i == k else bi for i, bi in enumerate(b_ub)]
         try:
             value, x = _simplex.solve_min(c, a_ub, b, warm)
-        except (_simplex.Infeasible, _simplex.Unbounded) as exc:
-            out.append(type(exc))
+        except _simplex.Infeasible:
+            out.append(_simplex.Infeasible)
             continue
         assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x)) == value
         assert all(sum(ai * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(a_ub, b))
@@ -325,21 +433,21 @@ def _ends(piece):
 
 
 def test_warm_hand_lp():
-    # min -x - 2y  s.t. y <= 1, x + y <= b: -2 - (b - 1) for b >= 1, -2b on [0, 1] and no
-    # point below 0.  The first call solves at 3 and sweeps: nothing blocks [1, inf) above,
-    # one dual pivot at 1 reaches [0, 1], and at 0 no column can enter
-    lp = ([-1, -2], [[0, 1], [1, 1]], [1, None], 1)
+    # min x + 2y  s.t. y <= 1, x <= 2, x + y >= -b: 0 for b >= 0, -b on [-2, 0], -2 - 2b on
+    # [-3, -2] and no point below -3.  The first call solves at 3, where the slack basis is
+    # optimal, and sweeps: nothing blocks [0, inf) above, one dual pivot at 0 reaches
+    # [-2, 0], one at -2 reaches [-3, -2], and at -3 no column can enter
+    lp = ([1, 2], [[0, 1], [1, 0], [-1, -1]], [1, 2, None], 2)
     warm = {}
-    with dual_pivots_checked() as (dual, swept):
-        values = _outcomes(*lp, [3, Fraction(1, 2), 1, Fraction(7, 3), 0, -1], warm)
-    assert values == [-4, -1, -2, Fraction(-10, 3), 0, _simplex.Infeasible]
-    assert not dual and len(swept) == 1
-    pieces = warm["last"][2]  # -1 is in no piece, and the pieces stay
-    assert [_ends(piece) for piece in pieces] == [(1, math.inf, 3), (0, 1, 3)]
-    assert pieces[0][:3] == ((1, 1), (1, 0), (3, 1))  # int pairs, not reduced
-    assert warm["counts"] == {"cold_solves": 1, "pivots": 3, "pieces": 2, "piece_hits": 5,
-                              "max_bits": 3}
-    assert _outcomes(*lp, [2], warm) == [-3] and warm["counts"]["cold_solves"] == 1
+    with dual_pivots_checked() as (dual, swept, _):
+        values = _outcomes(*lp, [3, Fraction(-1, 2), 0, Fraction(-7, 3), -3, -4], warm)
+    assert values == [0, Fraction(1, 2), 0, Fraction(8, 3), 4, _simplex.Infeasible]
+    assert not dual and len(swept) == 2
+    pieces = warm["last"][2]  # -4 is in no piece, and the pieces stay
+    assert [_ends(piece) for piece in pieces] == [(0, math.inf, 3), (-2, 0, 3), (-3, -2, 3)]
+    assert pieces[0][:3] == ((0, 1), (1, 0), (3, 1))  # int pairs, (1, 0) for inf
+    assert warm["counts"] == {"cold_solves": 1, "pivots": 2, "pieces": 3, "max_bits": 4}
+    assert _outcomes(*lp, [-1], warm) == [1] and warm["counts"]["cold_solves"] == 1
     # another LP in the same dict is solved cold, and replaces the first
     assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm)[0] == 3
     assert warm["last"][0] == ([1, 1], [[-1, -1]])
@@ -348,38 +456,39 @@ def test_warm_hand_lp():
 def test_warm_rows_changed_in_place_are_seen():
     # only tuple rows in a tuple are kept uncopied: a list row of a tuple
     # a_ub, or a list c, changed in place between calls, is a new LP
-    for c, a_ub in (((-1, -2), ([1, 1], [0, 1])), ([-1, -2], ((1, 1), (0, 1)))):
+    # min 2x + y  s.t. x + y >= 3, y <= 1: 5 at (2, 1)
+    for c, a_ub in (((2, 1), ([-1, -1], [0, 1])), ([2, 1], ((-1, -1), (0, 1)))):
         warm = {}
-        assert _simplex.solve_min(c, a_ub, [3, 1], warm)[0] == -4
+        assert _simplex.solve_min(c, a_ub, [-3, 1], warm)[0] == 5
         if type(c) is list:
-            c[1] = -3
+            c[1] = 3
         else:
             a_ub[1][1] = 2  # y <= 1/2
-        assert _simplex.solve_min(c, a_ub, [3, 1], warm) == _simplex.solve_min(c, a_ub, [3, 1])
-    frozen = ((-1, -2), ((1, 1), (0, 1)))  # kept as given: the next compare is by identity
+        assert _simplex.solve_min(c, a_ub, [-3, 1], warm) == _simplex.solve_min(c, a_ub, [-3, 1])
+    frozen = ((2, 1), ((-1, -1), (0, 1)))  # kept as given: the next compare is by identity
     warm = {}
-    _simplex.solve_min(*frozen, [3, 1], warm)
+    _simplex.solve_min(*frozen, [-3, 1], warm)
     assert warm["last"][0][0] is frozen[0] and warm["last"][0][1] is frozen[1]
 
 
 @st.composite
 def lp_paths(draw):
-    """Small LPs, a row k and 2-10 distinct quarter-step values for b_k in any
-    order.  Most draws end in a cap on the sum of x and move that cap, so the
-    optimum varies with it; some are unbounded or turn infeasible."""
+    """Small LPs with c >= 0, a row k and 2-10 distinct quarter-step values for b_k in
+    any order.  Most draws end in a floor on the sum of x and move that floor, so the
+    optimum varies with it; some turn infeasible."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    c = draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     a = draw(st.lists(st.lists(st.integers(-1, 3), min_size=n, max_size=n),
                       min_size=m, max_size=m))
     b = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
     if draw(st.booleans()):  # row 0 as an equality
         a.append([-v for v in a[0]])
         b.append(-b[0])
-    if draw(st.integers(0, 4)):  # the cap, as row k
-        a.append([1] * n)
+    if draw(st.integers(0, 4)):  # the floor, -sum x <= b_k, as row k
+        a.append([-1] * n)
         b.append(None)
     k = len(a) - 1 if b[-1] is None else draw(st.integers(0, len(a) - 1))
-    values = draw(st.lists(st.integers(-4, 24), min_size=2, max_size=10, unique=True))
+    values = draw(st.lists(st.integers(-16, 4), min_size=2, max_size=10, unique=True))
     return c, a, b, k, [Fraction(v, 4) for v in values]
 
 
@@ -400,7 +509,7 @@ def test_exponent_lps_warm_match_cold_solves():
     # every crosscheck case with dims <= 5 and quarter-step r, each triple on
     # one warm dict with r rising and falling, against 1025 cold solves; the
     # first call of each sweeps, every pivot of it checked
-    with dual_pivots_checked() as (_, swept):
+    with dual_pivots_checked() as (_, swept, _):
         for t in itertools.product(range(1, 6), repeat=3):
             rs = [Fraction(k, 4) for k in range(4 * min(t) + 1)]
             cold = [exponent_solver.dmt_via_lp(*t, r) for r in rs]
@@ -419,20 +528,19 @@ def _row_sets(dims):
 
 def test_crosscheck_pivot_count(monkeypatch):
     # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: the first LP
-    # of each of the 15 row sets by dual pivots from the slack basis, with no phase 1,
-    # the other 60 by phase 2 alone from the table, and each is then swept; every call
-    # looks its r up and pivots nowhere; the counts the warm dicts keep are the ones seen
-    pivots, colds, phase2s = [], [], []
-    pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
+    # of each of the 15 row sets by dual pivots from the slack basis, the other 60 by
+    # primal pivots from the table's optimum, and each is then swept; every call looks
+    # its r up and pivots nowhere; the counts the warm dicts keep are the ones seen
+    pivots, phase2s = [], []
+    pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
-    monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (colds.append(a), cold(*a))[1])
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 331 and not colds and len(phase2s) == 75
-    assert sum(a[3:] == (0, True) for a in phase2s) == len(_row_sets(5)) == 15
+    assert len(pivots) == 331 and len(phase2s) == 75
+    assert sum(a[3:] == (True,) for a in phase2s) == len(_row_sets(5)) == 15
     assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 331, "pieces": 239,
-                            "piece_hits": 1025, "max_bits": 5}
+                            "max_bits": 5}
 
 
 def test_crosscheck_reads_no_x(monkeypatch):
@@ -482,7 +590,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
     # every triple with dims <= 5, r up and then down on one warm dict: each call's
     # value is that of a tableau rewritten to its b on every call and moved there by
     # dual pivots, and its x is feasible with c.x that value; each triple's first
-    # call sweeps, from r = 0, and every call, that one too, is a piece hit
+    # call solves, from the slack basis, and sweeps from r = 0; every call is a lookup
     swept = []
     sweep = _simplex._sweep
     monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2]), sweep(*a))[1])
@@ -494,7 +602,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
             for r in rs + rs[-2::-1]:
                 b = [*fixed, r]
                 if ref is None:
-                    ref = _simplex._optimal_tableau(c, a_ub, b)[:3]
+                    ref = _simplex._phase2(c, *_simplex._slack_rows(len(c), a_ub, b), True)[:3]
                 else:
                     _rewritten(ref, old, b, len(c))
                 old = b
@@ -504,7 +612,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                 assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
                 assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
                            for row, bi in zip(a_ub, b))
-            assert warm["counts"]["piece_hits"] == 2 * len(rs) - 1
+            assert warm["counts"]["cold_solves"] == 1
     assert swept == [(0, 1)] * 125
 
 
@@ -512,9 +620,8 @@ def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
     # dims <= 5: (m, n, l) and (n, m, l) pose one LP, and the pair's second
     # triple is answered by the pieces of its first: no solve, no pivot
     work, now = [], []
-    pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
+    pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (work.append(now[-1]), pivot(*a)))
-    monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (work.append(now[-1]), cold(*a))[1])
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (work.append(now[-1]), phase2(*a))[1])
 
     def lp(m, n, l, r, warm):
@@ -526,7 +633,7 @@ def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
     triples = set(itertools.product(range(1, 6), repeat=3))
     seconds = {t for t in triples if t[0] > t[1]}
     assert not seconds & set(work)
-    assert set(work) == triples - seconds  # every first triple solves cold or re-prices
+    assert set(work) == triples - seconds  # every first triple solves: cold, or re-priced
 
 
 def test_pieces_cover_the_range_and_match_cold_solves():
@@ -556,7 +663,7 @@ def test_pieces_cover_the_range_and_match_cold_solves():
             for r in rs:
                 one = {"last": (lp, fixed, [piece])}
                 value, x = _simplex.solve_min(c, a_ub, [*fixed, r], one)
-                assert one["counts"] == {"piece_hits": 1}
+                assert not one["counts"]  # no solve, no pivot
                 assert value == exponent_solver.dmt_via_lp(m, n, l, r), (m, n, l, r)
                 assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
                 assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
@@ -567,9 +674,8 @@ def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
     # two successive sweeps make the same cold solves, re-prices and pivots: the
     # table lives for one run, so each run solves the first LP of a row set cold
     seen = []
-    pivot, cold, phase2 = _simplex._pivot, _simplex._optimal_tableau, _simplex._phase2
+    pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (seen.append(a[3:]), pivot(*a)))
-    monkeypatch.setattr(_simplex, "_optimal_tableau", lambda *a: (seen.append(a), cold(*a))[1])
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (seen.append(a[0]), phase2(*a))[1])
     runs = []
     for _ in range(2):
@@ -581,127 +687,76 @@ def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
 
 # The table: the last optimal tableau per rows held and b, shared by the warm
 # dicts of a run.  Another c at that b starts from a copy of it, re-priced, and
-# runs phase 2 only; its value must be a cold solve's.
+# runs primal pivots only; its value must be a cold solve's.
+
+def _exponent_lps(dims):
+    """Each exponent LP of the triples with entries <= dims, as (c, a_ub, the fixed
+    entries of b), and a triple (m, n, l) with m >= n that poses it; sorted."""
+    lps = {}
+    for m, n, l in itertools.product(range(1, dims + 1), repeat=3):
+        lps.setdefault(_exponent_lp(m, n, l), (max(m, n), min(m, n), l))
+    return sorted(lps.items())
+
 
 def test_exponent_lps_repriced_match_cold_solves():
-    # every exponent LP with dims <= 6, at every quarter r, each call on a fresh
-    # warm dict and all on one table: the first LP of a row set at an r is solved
-    # cold, and each later one re-prices the optimum the one before it left there
+    # every exponent LP with dims <= 6, at every quarter r, each call on a fresh warm
+    # dict and all on one table: the first LP of a row set at an r starts at the slack
+    # basis, and each later one re-prices the optimum the one before it left there
     table, counts = {}, Counter()
-    lps = {_exponent_lp(m, n, l) for m, n, l in itertools.product(range(1, 7), repeat=3)}
-    for c, a_ub, fixed in sorted(lps):
+    for (c, a_ub, fixed), _ in _exponent_lps(6):
         for k in range(4 * fixed.count(-1) + 1):  # r in [0, alpha_dim]
             b = [*fixed, Fraction(k, 4)]
-            _, cost, _, _ = _simplex._optimal_tableau(c, a_ub, b)
             value, _ = _simplex.solve_min(c, a_ub, b, {"table": table, "counts": counts})
-            assert value == Fraction(-cost[-2], cost[-1]), (c, b)
+            assert value == _simplex.solve_min(c, a_ub, b, with_x=False)[0], (c, b)
     assert counts["cold_solves"] == sum(4 * na + 1 for na, _ in _row_sets(6))
     assert counts["reprices"] > 2 * counts["cold_solves"]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(random_lps(), st.data())
+@given(st.one_of(random_lps(), nonnegative_cost_lps()), st.data())
 def test_random_lps_repriced_match_cold_solves(lp, data):
-    # the optimum of LP(c1), re-priced for c2 at the same rows and b, gives the
-    # cold solve's value for c2, or raises Unbounded as it does; rows and c are
+    # the optimum of LP(c1), re-priced for c2 at the same rows and b, takes the Fraction
+    # tableau's primal pivots one for one to the cold solve's value; rows and c are
     # tuples, so every warm dict holds the one a_ub the table is keyed by
     c1, a, b = lp
-    c2 = data.draw(st.lists(_ENTRIES, min_size=len(c1), max_size=len(c1)))
+    c2 = data.draw(st.lists(_COSTS, min_size=len(c1), max_size=len(c1)))
     a_ub, table = tuple(map(tuple, a)), {}
     try:
         _simplex.solve_min(tuple(c1), a_ub, b, {"table": table})
-    except (_simplex.Infeasible, _simplex.Unbounded, ValueError, TypeError, OverflowError):
+    except (_simplex.Infeasible, ValueError, TypeError, OverflowError):
         return  # no optimum, or an entry Fraction rejects: nothing to re-price
-    try:
-        cold = _simplex.solve_min(c2, a, b)
-    except _simplex.Unbounded:
-        cold = _simplex.Unbounded
+    cold = _simplex.solve_min(c2, a, b)[0]
+    (stored,) = table.values()
+    assert assert_primal_pivots_match(c2, *marshal.loads(stored[1]))[0] == cold
     warm = {"table": table}
-    try:
-        repriced = _simplex.solve_min(tuple(c2), a_ub, b, warm)
-    except _simplex.Unbounded:
-        repriced = _simplex.Unbounded
+    value, x = _simplex.solve_min(tuple(c2), a_ub, b, warm)
+    assert value == cold and warm["counts"]["reprices"] == 1
     assert "cold_solves" not in warm["counts"]
-    if cold is _simplex.Unbounded:
-        assert repriced is cold
-    else:
-        assert repriced[0] == cold[0] and warm["counts"]["reprices"] == 1
-        x = repriced[1]
-        assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c2, x)) == cold[0]
-        assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
-                   for row, bi in zip(a, b))
-
-
-# The dual start: with a table, the first LP of a row set whose c is >= 0 starts at
-# the slack basis, which is then dual feasible, and runs dual pivots only.
-
-@st.composite
-def nonnegative_cost_lps(draw):
-    """Small LPs with c >= 0.  Most have b = A x0 + s for some x0 >= 0 and s >= 0,
-    often 0 (degenerate), so they are feasible and their negative right-hand sides
-    make the dual pivots work; the rest draw b freely, and many have no point."""
-    n, m, den = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    c = [Fraction(v, den) for v in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))]
-    a = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=m, max_size=m))
-    if draw(st.integers(0, 3)):
-        x0 = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        s = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
-        b = [sum(map(operator.mul, row, x0)) + si for row, si in zip(a, s)]
-    else:
-        b = draw(st.lists(st.integers(-6, 2), min_size=m, max_size=m))
-    if draw(st.booleans()):  # row 0 as an equality
-        a.append([-v for v in a[0]])
-        b.append(-b[0])
-    return c, a, b
-
-
-@settings(derandomize=True, max_examples=70, deadline=None, database=None)
-@given(nonnegative_cost_lps())
-def test_dual_start_matches_oracle(lp):
-    # the value the Fraction oracle's two phases find, and a feasible x with c.x equal
-    # to it; Infeasible exactly when the oracle raises it; no phase 1 on the way
-    c, a, b = lp
-    try:
-        expected = fraction_simplex.solve_min(c, a, b)[0]
-    except fraction_simplex.Infeasible:
-        expected = _simplex.Infeasible
-    warm, cold = {"table": {}}, _simplex._optimal_tableau
-    _simplex._optimal_tableau = None  # a call would raise TypeError
-    try:
-        with dual_pivots_checked():
-            value, x = _simplex.solve_min(c, a, b, warm)
-    except _simplex.Infeasible:
-        value = _simplex.Infeasible
-    finally:
-        _simplex._optimal_tableau = cold
-    assert value == expected
-    if value is not _simplex.Infeasible:
-        assert warm["counts"]["cold_solves"] == 1 and min(x, default=0) >= 0
-        assert sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
-        assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
-                   for row, bi in zip(a, b))
+    assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c2, x)) == cold
+    assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
+               for row, bi in zip(a, b))
 
 
 def test_one_sweep_answers_every_t_of_its_lp():
-    # min -x - 2y  s.t. y <= 1, x <= 2, x + y <= t: -2t on [0, 1], -1 - t on [1, 3], -4
-    # above, no point below 0.  The first call, at t = 1/2, solves and sweeps the whole
-    # range; every later t is a piece hit, with no solve and no pivot, and a t below 0
-    # raises Infeasible and keeps the pieces.  The table holds the optimum at 1/2 only,
-    # and another c there re-prices it
-    c, a_ub, table = (-1, -2), ((0, 1), (1, 0), (1, 1)), {}
+    # min x + 2y  s.t. y <= 1, x <= 2, x + y >= -t: 0 for t >= 0, -t on [-2, 0], -2 - 2t
+    # on [-3, -2], no point below -3.  The first call, at t = -1/2, solves and sweeps the
+    # whole range; every later t is looked up, with no solve and no pivot, and a t below
+    # -3 raises Infeasible and keeps the pieces.  The table holds the optimum at -1/2
+    # only, and another c there re-prices it
+    c, a_ub, table, half = (1, 2), ((0, 1), (1, 0), (-1, -1)), {}, Fraction(1, 2)
     warm = {"table": table}
-    assert _simplex.solve_min(c, a_ub, [1, 2, Fraction(1, 2)], warm) == (-1, [0, Fraction(1, 2)])
-    assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(0, 1), (1, 3), (3, math.inf)]
+    assert _simplex.solve_min(c, a_ub, [1, 2, -half], warm) == (half, [half, 0])
+    assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(-2, 0), (-3, -2), (0, math.inf)]
     made = warm["counts"].copy()
-    for t in (2, Fraction(5, 2), 7, Fraction(1, 3), 0, 3):
+    for t in (-2, Fraction(-5, 2), 7, Fraction(-1, 3), 0, -3):
         b = [1, 2, t]
         assert _simplex.solve_min(c, a_ub, b, warm)[0] == _simplex.solve_min(c, a_ub, b)[0]
     with pytest.raises(_simplex.Infeasible):
-        _simplex.solve_min(c, a_ub, [1, 2, -1], warm)
-    assert warm["counts"] - made == {"piece_hits": 6} and len(warm["last"][2]) == 3
-    assert [key[1:] for key in table] == [(1, 2, Fraction(1, 2))]
+        _simplex.solve_min(c, a_ub, [1, 2, -4], warm)
+    assert warm["counts"] == made and len(warm["last"][2]) == 3
+    assert [key[1:] for key in table] == [(1, 2, -half)]
     other = {"table": table}
-    assert _simplex.solve_min((-1, -1), a_ub, [1, 2, Fraction(1, 2)], other)[0] == Fraction(-1, 2)
+    assert _simplex.solve_min((1, 1), a_ub, [1, 2, -half], other)[0] == half
     assert other["counts"]["reprices"] == 1 and "cold_solves" not in other["counts"]
 
 
@@ -710,32 +765,31 @@ def test_one_sweep_answers_every_t_of_its_lp():
 # raises Infeasible, as the oracle does.
 
 def _oracle(c, a_ub, b):
-    """The Fraction oracle's optimal value at b, or the name of what it raises."""
+    """The Fraction oracle's optimal value at b, or "Infeasible"."""
     try:
         return fraction_simplex.solve_min(c, a_ub, b)[0]
-    except (fraction_simplex.Infeasible, fraction_simplex.Unbounded) as exc:
-        return type(exc).__name__
+    except fraction_simplex.Infeasible:
+        return "Infeasible"
 
 
 def _warm_outcome(c, a_ub, b, warm):
-    """solve_min's value on warm, its x checked feasible with c.x that value, or the name of
-    what it raises."""
+    """solve_min's value on warm, its x checked feasible with c.x that value, or "Infeasible"."""
     try:
         value, x = _simplex.solve_min(c, a_ub, b, warm)
-    except (_simplex.Infeasible, _simplex.Unbounded) as exc:
-        return type(exc).__name__
+    except _simplex.Infeasible:
+        return "Infeasible"
     assert min(x) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
     assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(a_ub, b))
     return value
 
 
-def _check_sweep(warm, inside):
+def _check_sweep(warm, inside, oracle):
     """The pieces in warm tile an interval of t: sorted, each ends where the next starts, and
     only the first, the solve's, may be a point.  At each finite end, and at the points
     inside(lo, hi) of each, the piece alone gives the oracle's value, so the value is continuous
     where two meet; one below and one above the interval, t raises Infeasible on warm and in
-    the oracle."""
-    (lp, fixed, pieces), oracle = warm["last"], {}
+    the oracle.  oracle holds the oracle's values by t so far, and gains those it makes."""
+    lp, fixed, pieces = warm["last"]
     ends = sorted(_ends(piece)[:2] + (piece,) for piece in pieces)
     assert all(_ends(piece)[0] < _ends(piece)[1] for piece in pieces[1:])
     assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
@@ -745,7 +799,7 @@ def _check_sweep(warm, inside):
             if t not in oracle:
                 oracle[t] = _oracle(*lp, [*fixed, t])
             assert _warm_outcome(*lp, [*fixed, t], one) == oracle[t], (lp, fixed, t)
-        assert one["counts"]["piece_hits"] == len(ts)
+        assert not one["counts"]
     for t in (ends[0][0] - Fraction(1, 3), ends[-1][1] + Fraction(1, 2)):
         if abs(t) < math.inf:
             b = [*fixed, t]
@@ -764,9 +818,9 @@ def swept_lps(draw):
     """Small LPs to sweep along their last b entry t, and the t to call at, in order.  The row
     of t has entries of both signs, so many LPs have no point below or above some t; a row
     drawn twice, right-hand sides of 0 and equality pairs make breakpoints at which several
-    rows block at once; c of either sign makes some LPs unbounded."""
+    rows block at once."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    c = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     a = draw(st.lists(st.lists(st.integers(-2, 3), min_size=n, max_size=n), min_size=m, max_size=m))
     b = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]), min_size=m, max_size=m))
     if m and draw(st.booleans()):  # row 0 twice
@@ -792,20 +846,26 @@ def test_sweep_matches_oracle(lp):
         for t in ts:
             assert _warm_outcome(c, a, [*b, t], warm) == _oracle(c, a, [*b, t]), (lp, t)
     if "last" in warm:
-        _check_sweep(warm, lambda lo, hi: _inside(lo, hi, frac))
+        _check_sweep(warm, lambda lo, hi: _inside(lo, hi, frac), {})
 
 
 def test_exponent_lp_sweeps_match_oracle():
-    # every exponent LP with dims <= 6, swept from t = 0 on one table as the crosscheck
-    # does: its pieces tile [0, inf), the oracle gives their value at each end and at two
+    # every exponent LP with dims <= 6: at every quarter r in [0, alpha_dim] a cold
+    # solve_lp gives the oracle's value; swept from t = 0 on one table as the crosscheck
+    # does, its pieces tile [0, inf), the oracle gives their value at each end and at two
     # rational points of [0, alpha_dim] off the quarter grid, and below 0 both raise
     # Infeasible
     table = {}
-    lps = {_exponent_lp(m, n, l) for m, n, l in itertools.product(range(1, 7), repeat=3)}
-    for c, a_ub, fixed in sorted(lps):
+    for (c, a_ub, fixed), (m, n, l) in _exponent_lps(6):
+        oracle = {}
+        for k in range(4 * fixed.count(-1) + 1):
+            r = Fraction(k, 4)
+            oracle[r] = _oracle(c, a_ub, [*fixed, r])
+            p = exponent_solver.build_program(m, n, l, r)
+            assert exponent_solver.solve_lp(p).value == oracle[r], (m, n, l, r)
         warm = {"table": table}
         _simplex.solve_min(c, a_ub, [*fixed, 0], warm, with_x=False)
-        _check_sweep(warm, lambda lo, hi: ())
+        _check_sweep(warm, lambda lo, hi: (), oracle)
         assert _ends(min(warm["last"][2], key=lambda p: _ends(p)[0]))[0] == 0
         for t in (fixed.count(-1) * Fraction(3, 7), fixed.count(-1) * Fraction(8, 9)):
             assert _warm_outcome(c, a_ub, [*fixed, t], warm) == _oracle(c, a_ub, [*fixed, t])
