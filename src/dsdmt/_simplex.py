@@ -10,21 +10,22 @@ package: sized for a few dozen variables, not a general LP surface.
 
 The tableau holds Python ints: a row stands for itself over its basic entry,
 kept > 0, and the cost row ends in its own scale.  Pivots are fraction-free
-(after Bareiss, Math. Comp. 22, 1968): a row with f = row[pc] != 0 becomes
-p*row - f*prow over its gcd.  Every test compares the rationals a Fraction
-tableau would, so the pivots, the optimum and x are the ones it would give.
+(Bareiss, Math. Comp. 22, 1968) and in place: a row with f = row[pc] != 0
+becomes p*row - f*prow over its gcd, mostly in prow's nonzero columns alone.
+Every test compares the rationals a Fraction tableau would, so the pivots, the
+optimum and x are the ones it would give.
 
 A warm dict serves calls with one c and a_ub that move b's last entry t only;
-another LP or another b[:-1] is solved at its t, then swept.  Moving t adds its
-change times the slack column to each rhs and keeps the reduced costs, so a basis
-stays optimal on a t-range, from the dual ratio test: a piece, kept with its ends
-as int pairs and the rhs and slack columns that give the value and x in it.  At
-each end the blocking row leaves by a dual pivot, the rhs still at the first t,
-until the LP has no point beyond (parametric rhs; Murty, *Linear Programming*,
-1983).  Every call looks t up, and no tableau outlives its sweep.  Warm dicts may
-share a table of the optimum per a_ub held and b at a sweep's first t: another c
-there re-prices it and runs primal Bland pivots alone (Chvatal, *Linear
-Programming*, 1983).
+another LP or another b[:-1] is solved at its t, then swept, over a span if given
+(a t past the ends reached is solved again).  Moving t adds its change times the
+slack column to each rhs and keeps the reduced costs, so a basis stays optimal on
+a t-range, from the dual ratio test: a piece, kept with its ends as int pairs and
+the rhs and slack columns that give the value and x in it.  At each end the
+blocking row leaves by a dual pivot, the rhs still at the first t, until the LP
+has no point beyond (parametric rhs; Murty, *Linear Programming*, 1983).  Every
+call looks t up, and no tableau outlives its sweep.  Warm dicts may share a table
+of the optimum per a_ub held and b at a sweep's first t: another c there re-prices
+it and runs primal Bland pivots alone (Chvatal, *Linear Programming*, 1983).
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from __future__ import annotations
 import marshal
 from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from math import gcd, lcm
+from operator import itemgetter
 
 __all__ = ["Infeasible", "solve_min"]
 
@@ -53,28 +55,35 @@ def _scaled(values):
     return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
 
 
-def _combine(row, p, f, prow, hot):
-    """p*row - f*prow, prow zero outside the columns hot, over its gcd."""
-    new = [v * p for v in row] if p != 1 else row[:]
+def _combine(row, p, f, prow, hot, lead=0):
+    """row = p*row - f*prow over its gcd, in place, prow zero off the columns hot, lead 0 or an
+    entry of the new row off them: the others are read if p != 1 or lead and hot share a factor."""
+    if p != 1:
+        for j in compress(count(), row):
+            row[j] *= p
     for j in hot:
-        new[j] -= f * prow[j]
-    g = gcd(*new)
-    return new if g == 1 else [v // g for v in new]
+        row[j] -= f * prow[j]
+    if lead != 1 and gcd(lead, *[row[j] for j in hot]) != 1:  # lists: gcd(*map(...)) would
+        nz = [*compress(count(), row)]  # leave a tuple in the free list on every call
+        if (g := gcd(*[row[j] for j in nz])) > 1:
+            for j in nz:
+                row[j] //= g
+    return row
 
 
 def _pivot(rows, cost, basis, pr, pc):
-    """Pivot the tableau on (row pr, column pc), updating the cost row."""
+    """Pivot the tableau on (row pr, column pc) in place, updating the cost row."""
     prow = rows[pr]
-    p = prow[pc]
-    if p < 0:  # on every dual pivot
-        rows[pr] = prow = [-v for v in prow]
+    hot = [*compress(count(), prow)]
+    if (p := prow[pc]) < 0:  # on every dual pivot
+        for j in hot:
+            prow[j] = -prow[j]
         p = -p
-    hot = [j for j, v in enumerate(prow) if v]
-    for i, row in enumerate(rows):
-        if row[pc] and i != pr:
-            rows[i] = _combine(row, p, row[pc], prow, hot)
-    if cost[pc]:
-        cost[:] = _combine(cost, p, cost[pc], prow, hot)
+    for i in compress(count(), map(itemgetter(pc), rows)):
+        if i != pr:  # its basic entry is off hot, so the new row holds p times it
+            _combine(rows[i], p, rows[i][pc], prow, hot, p * rows[i][basis[i]])
+    if cost[pc]:  # and the new cost row p times its scale
+        _combine(cost, p, cost[pc], prow, hot, p * cost[-1])
     basis[pr] = pc
 
 
@@ -102,11 +111,12 @@ def _slack_rows(nvar, a_ub, b_ub):
     m = len(a_ub)
     b_ub = [_exact(b_ub[i]) for i in range(m)]
     rows = []
-    for i in range(m):
-        row = [_exact(v) for v in a_ub[i]]
+    for i, b in enumerate(b_ub):
+        ints = type(b) is int and {*map(type, a_ub[i])} <= {int}  # then taken as they are
+        row = [*a_ub[i]] if ints else [_exact(v) for v in a_ub[i]]
         if len(row) != nvar:
             raise ValueError(f"row {i} has {len(row)} entries, expected {nvar}")
-        row, scale = _scaled(row + [b_ub[i]])
+        row, scale = (row + [b], 1) if ints else _scaled(row + [b])
         row[nvar:nvar] = [0] * m
         row[nvar + i] = scale
         rows.append(row)
@@ -119,8 +129,8 @@ def _phase2(c, rows, basis, dual=False):
     cost, scale = _scaled(c)
     cost += [0] * (len(rows) + 1) + [scale]
     for i, row in enumerate(rows):
-        if cost[basis[i]]:
-            cost = _combine(cost, row[basis[i]], cost[basis[i]], row, range(ncols + 1))
+        if f := cost[j := basis[i]]:
+            _combine(cost, row[j], f, row, [*compress(count(), row)], row[j] * cost[-1])
     return rows, cost, basis, iterate(rows, cost, basis, ncols)
 
 
@@ -138,8 +148,8 @@ def _dual_pivot(rows, cost, basis, pr, ncols):
     """Pivot row pr out, the column of least cost[j] / |a_j| over a_j < 0 in, the lowest j on
     ties; False if no a_j is negative."""
     prow, pc = rows[pr], None
-    for j, a in enumerate(prow[:ncols]):
-        if a < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
+    for j in compress(range(ncols), prow):
+        if (a := prow[j]) < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
             pc = j
     if pc is not None:
         _pivot(rows, cost, basis, pr, pc)
@@ -166,44 +176,68 @@ def _piece(tableau, slack, t0):
             t0, xs[:-1], piv, rhs, col), [e and e[2] for e in ends]
 
 
-def _sweep(tableau, slack, t0, counts, sides):
+def _sweep(tableau, slack, t0, counts, sides, span=None):
     """The pieces of the LP from its optimal tableau at t0: its own, then those below and above
-    it, for each of sides (0 down, 1 up).  The row that blocks an end leaves by a dual pivot, the
-    dual Bland one at end -/+ eps, so none cycles; if none can, no t beyond has a point.  A pivot
-    replaces rows, changing none in place, so the sweep down runs on shallow copies."""
+    it, for each of sides (0 down, 1 up), and the ends (int pairs) it reached: a side stops at the
+    first end at or past span's (int pairs lo, hi), if given, else at -inf or inf.  The row that
+    blocks an end leaves by a dual pivot, the dual Bland one at end -/+ eps, so none cycles; if
+    none can, no t beyond has a point.  Pivots change rows, so the sweep down pivots a copy."""
     (first, start), ncols = _piece(tableau, slack, t0), len(tableau[1]) - 2
-    pieces = [first]
+    pieces, reach = [first], [(-1, 0), (1, 0)]
     for side in sides:
-        (rows, cost, basis), pr = map(list, tableau) if side == 0 else tableau, start[side]
-        while pr is not None and _dual_pivot(rows, cost, basis, pr, ncols):
+        (rows, cost, basis), pr, end = tableau, start[side], first[side]
+        while pr is not None:
+            if span and (end[0] * span[side][1] - span[side][0] * end[1]) * (2 * side - 1) >= 0:
+                reach[side] = end
+                break
+            if side == 0 and rows is tableau[0]:  # the sweep up starts from the tableau
+                rows, cost, basis = [row[:] for row in rows], cost[:], basis[:]
+            if not _dual_pivot(rows, cost, basis, pr, ncols):
+                break
             piece, blocking = _piece((rows, cost, basis), slack, t0)
             if piece[0][0] * piece[1][1] != piece[1][0] * piece[0][1]:  # lo < hi: a point is
                 pieces.append(piece)  # in the piece before it, so only the first may be one
-            counts["pivots"], pr = counts["pivots"] + 1, blocking[side]
+            counts["pivots"], pr, end = counts["pivots"] + 1, blocking[side], piece[side]
     counts["pieces"] += len(pieces)
     counts["max_bits"] = max(counts["max_bits"], *(
         max(map(abs, (*p[0], *p[1], *p[4], *p[5], *p[6]))).bit_length() for p in pieces))
-    return pieces
+    return pieces, reach
 
 
-def _warm_piece(c, a_ub, b_ub, warm):
+def _ratio(v):
+    """v read exactly, as an int pair (num, den)."""
+    n, d = _exact(v).as_integer_ratio()
+    return int(n), int(d)
+
+
+def _find(pieces, tn, td):
+    """The first of pieces, or of ends (lo, hi), with lo <= t <= hi; None if none."""
+    for piece in pieces:
+        if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
+            return piece
+
+
+def _warm_piece(c, a_ub, b_ub, warm, span):
     """(piece, t as (num, den)), t the last entry of b_ub: the first stored piece that holds t.
-    A new LP is solved at t and swept, or only solved if warm is None.  warm keeps its counts and
-    table, and the pieces unless the solve raises; a t in no piece raises Infeasible."""
+    A new LP, or a t past the ends its sweep reached, is solved at t and swept over span, or only
+    solved if warm is None.  warm keeps its counts, table and last sweep; a t in no piece raises
+    Infeasible."""
     sides, warm = ((0, 1), warm) if warm is not None else ((), {})
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
-    held, fixed, pieces = warm.pop("last", (None,) * 3)
+    held, fixed, pieces, reach = warm.get("last", (None,) * 4)
     # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
     lp = held if held and held[0] is c and held[1] is a_ub else (c, a_ub) if (
         type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
     ) else ([*c], [[*row] for row in a_ub])
-    *fix, t = [*b_ub[: len(a_ub)]] or [0]  # no rows: t = 0 stands in, its column the rhs
-    if held != lp or fix != fixed:  # a new LP: from the table's optimum at this b, else cold
-        c = [*map(_exact, c)]
+    fix = [*b_ub[: len(a_ub)]]
+    t = fix.pop() if fix else 0  # no rows: t = 0 stands in, its column the rhs
+    tt = held == lp and fix == fixed and _ratio(t)  # a new LP reads c before b
+    if not tt or not (piece := _find(pieces, *tt)) and not _find([reach], *tt):
+        c = [*map(_exact, c)]  # from the table's optimum at this b, else cold
         for j, v in enumerate(c):
             if v < 0:
                 raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
-        table, key = warm.get("table"), (id(lp[1]), *b_ub[: len(a_ub)])
+        table, key = warm.get("table"), (id(lp[1]), *fix, t)
         if stored := table and table.get(key):  # it holds lp[1], so no other has that id
             rows, cost, basis, pivots = _phase2(c, *marshal.loads(stored[1]))
         else:  # c >= 0, so the slack basis is dual feasible
@@ -211,17 +245,16 @@ def _warm_piece(c, a_ub, b_ub, warm):
         counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
         if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
             table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
-        fixed, pieces = fix, _sweep((rows, cost, basis), len(c) + len(fix),
-                                    tuple(map(int, _exact(t).as_integer_ratio())), counts, sides)
-    tn, td = map(int, _exact(t).as_integer_ratio())
-    warm["last"] = lp, fixed, pieces
-    for piece in pieces:
-        if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
-            return piece, (tn, td)  # lo <= t <= hi
-    raise Infeasible(f"no piece holds {Fraction(tn, td)}: no point for that b")
+        tt = _ratio(t)
+        pieces, reach = _sweep((rows, cost, basis), len(c) + len(fix), tt, counts, sides,
+                               span and [*map(_ratio, span)])
+        warm["last"], piece = (lp, fix, pieces, reach), _find(pieces, *tt)
+    if piece is None:
+        raise Infeasible(f"no piece holds {Fraction(*tt)}: no point for that b")
+    return piece, tt
 
 
-def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
+def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True, span=None):
     """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
 
     Entries may be anything ``Fraction`` accepts, and c must be >= 0, so the
@@ -232,9 +265,10 @@ def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True):
 
     warm, if given, is a dict that keeps the pieces of one LP's sweep (see above) and counts
     the cold solves, re-prices, pivots, pieces and the most bits a piece held;
-    every call looks t up in the pieces, and x may be another optimal point.
+    every call looks t up in the pieces, and x may be another optimal point.  With span, a pair
+    lo <= hi, a sweep stops once it covers [lo, hi]; a t past its ends is solved again.
     """
-    piece, (tn, td) = _warm_piece(c, a_ub, b_ub, warm)
+    piece, (tn, td) = _warm_piece(c, a_ub, b_ub, warm, span)
     _, _, (t0, t0_d), xs, piv, rhs, col = piece
     p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q; a row is (q rhs + p col) / (q piv)
     x = [Fraction(0)] * len(c) if with_x else None

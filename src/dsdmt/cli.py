@@ -280,14 +280,14 @@ def run_crosscheck(max_dim: int, fractional: bool,
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
-    den = 4 if fractional else 1  # r = k / den
+    den = 4 if fractional else 1
+    rs = [Fraction(k, den) for k in range(max_dim * den + 1)]  # r = k / den, once per run
     cases, mismatches = 0, []
     counts, shared, table = Counter(reprices=0), {}, {}  # shared: pairs half swept
     for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
         key, fresh = (max(m, n), min(m, n), l), {"counts": counts, "table": table}
         warm = shared.pop(key, fresh) if m >= n else shared.setdefault(key, fresh)  # m >= n: last
-        for k in range(min(m, n, l) * den + 1):
-            r = Fraction(k, den)
+        for r in rs[: min(m, n, l) * den + 1]:
             a = closed_form((m, n, l), r)
             b = lp(m, n, l, r, warm)
             c = greedy(m, n, l, r)

@@ -152,16 +152,18 @@ def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
     so minimization pins them to the plus parts.  r is only the rhs of the row
-    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l;
-    c is kept per (alpha_coeffs, beta_coeffs), the rows per size.  With with_x
-    false the solve builds no x, and alpha and beta are None.
+    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l,
+    swept over r in [0, alpha_dim] (a later r above is solved again); c is kept
+    per (alpha_coeffs, beta_coeffs), the rows per size.  With with_x false the
+    solve builds no x, and alpha and beta are None.
     """
     if p.r.numerator < 0:
         raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
     c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, nb)
     try:
-        value, x = _simplex.solve_min(c, rows, [*fixed, p.r], warm, with_x=with_x)
+        value, x = _simplex.solve_min(c, rows, [*fixed, p.r], warm, with_x=with_x,
+                                      span=(0, na))
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
     return LpSolution(value, tuple(x[:na]), tuple(x[na : na + nb])) if with_x else LpSolution(value)
@@ -225,22 +227,17 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     return Fraction(value, den)
 
 
-def _reciprocal_program(m: int, n: int, l: int, r) -> ExponentProgram:
-    """The program for any role order of (m, n, l): n <= m by reciprocity,
-    r checked against [0, min(m, n, l)] by its ints; once per route and case."""
+def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
+    """d(r) by the exact linear program, for any role order of (m, n, l): n <= m
+    by reciprocity, r checked against [0, min(m, n, l)] by its ints; warm as in
+    :func:`solve_lp`."""
     p = build_program(max(m, n), min(m, n), l, r)
     if not 0 <= p.r.numerator <= p.alpha_dim * p.r.denominator:
         raise ValueError(f"r must lie in [0, {p.alpha_dim}], got {p.r}")
-    return p
-
-
-def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
-    """d(r) by the exact linear program, for any role order of (m, n, l);
-    warm as in :func:`solve_lp`."""
-    return solve_lp(_reciprocal_program(m, n, l, r), warm, with_x=False).value
+    return solve_lp(p, warm, with_x=False).value
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:
-    """d(r) by greedy beta elimination plus threshold minimization."""
-    p = _reciprocal_program(m, n, l, r)
-    return minimize_threshold(greedy_reduce(p), p.r)
+    """d(r) by greedy beta elimination plus threshold minimization, on the
+    shape as kept; minimize_threshold checks r."""
+    return minimize_threshold(greedy_reduce(_shape(max(m, n), min(m, n), l)), r)

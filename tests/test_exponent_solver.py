@@ -265,19 +265,16 @@ class TestMinimizeThreshold:
                         assert type(got) is Fraction and got == value, (coeffs, given)
 
     def test_matches_brute_force_grid(self):
-        # independent oracle: dense grid search over feasible alphas
+        # independent oracle: dense grid search over feasible alphas; the grid rises,
+        # so its combinations with replacement are exactly the non-decreasing alphas,
+        # each with its outage sum and objective once, for every r
         ro = ReducedObjective((4, 2, 1))
         steps = 40
+        grid = [Fraction(i, steps) for i in range(steps + 1)]
+        points = [(sum(max(1 - a, 0) for a in alpha), sum(c * a for c, a in zip(ro.coeffs, alpha)))
+                  for alpha in itertools.combinations_with_replacement(grid, 3)]
         for r in (Fraction(0), Fraction(1, 2), Fraction(5, 4), Fraction(2), Fraction(3)):
-            best = None
-            grid = [Fraction(i, steps) for i in range(steps + 1)]
-            for alpha in itertools.product(grid, repeat=3):
-                if any(a < b for a, b in zip(alpha[1:], alpha)):
-                    continue
-                if sum(max(1 - a, 0) for a in alpha) > r:
-                    continue
-                val = sum(c * a for c, a in zip(ro.coeffs, alpha))
-                best = val if best is None else min(best, val)
+            best = min(val for outage, val in points if outage <= r)
             assert minimize_threshold(ro, r) == best
 
 
@@ -319,7 +316,7 @@ class TestReciprocalProgramMemo:
         for r in order:
             assert dmt_via_lp(3, 2, 4, r) == dmt_via_greedy(3, 2, 4, r) == 4
             assert dmt_via_lp(2, 3, 4, r, {}) == 4
-            assert exponent_solver._reciprocal_program(3, 2, 4, r).r == Fraction(1, 2)
+            assert exponent_solver.build_program(3, 2, 4, r).r == Fraction(1, 2)
 
     @pytest.mark.parametrize("route", [dmt_via_lp, dmt_via_greedy])
     @pytest.mark.parametrize("r", [3, Fraction(-1, 4), "9/4", 2.5])

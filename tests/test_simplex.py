@@ -403,15 +403,15 @@ def test_primal_pivots_from_the_slack_basis_match_oracle(lp):
 # Warm starts: one solve, then a parametric sweep of b's last entry t, every dual
 # pivot checked, and every value against a cold solve.
 
-def _outcomes(c, a_ub, b_ub, k, values, warm=None):
+def _outcomes(c, a_ub, b_ub, k, values, warm=None, span=None):
     """solve_min with b_ub[k] set to each of values in turn, on one warm dict
-    if warm is given: the optimal value, or Infeasible if it raises that.  A warm
-    x must be optimal too."""
+    if warm is given, swept over span: the optimal value, or Infeasible if it
+    raises that.  A warm x must be optimal too."""
     out = []
     for v in values:
         b = [v if i == k else bi for i, bi in enumerate(b_ub)]
         try:
-            value, x = _simplex.solve_min(c, a_ub, b, warm)
+            value, x = _simplex.solve_min(c, a_ub, b, warm, span=span)
         except _simplex.Infeasible:
             out.append(_simplex.Infeasible)
             continue
@@ -496,13 +496,17 @@ def lp_paths(draw):
 @given(lp_paths())
 def test_warm_matches_cold_solves(lp):
     # warm moves the last entry of b only, and solves a path that moves another
-    # entry cold on every call; so each path also runs with its row k moved last
+    # entry cold on every call; so each path also runs with its row k moved last.
+    # Each runs swept everywhere, and over a span that its first value or its first
+    # two bound: a t past the ends such a sweep reached is solved again, above or
+    # below, and raises Infeasible only where a cold solve does
     c, a, b, k, values = lp
     last = c, [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :], b[k]], len(a) - 1, values
     for path in (lp, last):
         cold = _outcomes(*path)
-        with dual_pivots_checked():
-            assert _outcomes(*path, warm={}) == cold
+        for span in (None, (values[0], values[0]), sorted(values[:2])):
+            with dual_pivots_checked():
+                assert _outcomes(*path, warm={}, span=span) == cold
 
 
 def test_exponent_lps_warm_match_cold_solves():
@@ -520,6 +524,23 @@ def test_exponent_lps_warm_match_cold_solves():
     assert swept
 
 
+def test_solve_lp_past_its_span_solves_again():
+    # solve_lp sweeps [0, alpha_dim] only; an r above that on the same warm dict, which
+    # solve_lp accepts, is solved and swept again, and gives a cold solve's value, never
+    # a false Infeasible; so does an r back in the range.  Most LPs here have pieces past
+    # alpha_dim that the first sweep leaves out
+    solves = 0
+    for m, n, l in itertools.product(range(1, 5), repeat=3):
+        if n > m:
+            continue
+        warm, top = {}, min(n, l)
+        for r in (0, top + Fraction(1, 3), Fraction(top, 2), top + 2, top + 7, 0):
+            p = exponent_solver.build_program(m, n, l, r)
+            assert exponent_solver.solve_lp(p, warm).value == exponent_solver.solve_lp(p).value
+        solves += warm["counts"]["cold_solves"] + warm["counts"]["reprices"] - 1
+    assert solves > 20
+
+
 def _row_sets(dims):
     """The (alpha_dim, beta_dim) of the exponent LPs of a crosscheck sweep to dims."""
     triples = itertools.product(range(1, dims + 1), repeat=3)
@@ -529,18 +550,28 @@ def _row_sets(dims):
 def test_crosscheck_pivot_count(monkeypatch):
     # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: the first LP
     # of each of the 15 row sets by dual pivots from the slack basis, the other 60 by
-    # primal pivots from the table's optimum, and each is then swept; every call looks
-    # its r up and pivots nowhere; the counts the warm dicts keep are the ones seen
+    # primal pivots from the table's optimum, and each is then swept over [0, alpha_dim]
+    # only; every call looks its r up and pivots nowhere; the counts the warm dicts keep
+    # are the ones seen
     pivots, phase2s = [], []
     pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 331 and len(phase2s) == 75
+    assert len(pivots) == 256 and len(phase2s) == 75
     assert sum(a[3:] == (True,) for a in phase2s) == len(_row_sets(5)) == 15
-    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 331, "pieces": 239,
+    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 256, "pieces": 164,
                             "max_bits": 5}
+
+
+def test_crosscheck_lp_counts_at_dims_8():
+    # integer r to dims 8, pinned: a change to where a sweep stops, or to a Bland
+    # tie-break, moves the pivots or the pieces
+    report = cli.run_crosscheck(8, False)
+    assert report["cases"] == 1808 and not report["mismatches"]
+    assert report["lp"] == {"cold_solves": len(_row_sets(8)), "reprices": 252, "pivots": 1726,
+                            "pieces": 838, "max_bits": 6}
 
 
 def test_crosscheck_reads_no_x(monkeypatch):
@@ -590,10 +621,11 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
     # every triple with dims <= 5, r up and then down on one warm dict: each call's
     # value is that of a tableau rewritten to its b on every call and moved there by
     # dual pivots, and its x is feasible with c.x that value; each triple's first
-    # call solves, from the slack basis, and sweeps from r = 0; every call is a lookup
+    # call solves, from the slack basis, and sweeps from r = 0 over [0, alpha_dim], as
+    # solve_lp asks; every call is a lookup
     swept = []
     sweep = _simplex._sweep
-    monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2]), sweep(*a))[1])
+    monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2::3]), sweep(*a))[1])
     with dual_pivots_checked():
         for m, n, l in itertools.product(range(1, 6), repeat=3):
             c, a_ub, fixed = _exponent_lp(m, n, l)
@@ -607,13 +639,14 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                     _rewritten(ref, old, b, len(c))
                 old = b
                 rows, cost, basis = ref
-                value, x = _simplex.solve_min(c, a_ub, b, warm)
+                value, x = _simplex.solve_min(c, a_ub, b, warm, span=(0, rs[-1]))
                 assert value == Fraction(-cost[-2], cost[-1]), (m, n, l, r)
                 assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
                 assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
                            for row, bi in zip(a_ub, b))
             assert warm["counts"]["cold_solves"] == 1
-    assert swept == [(0, 1)] * 125
+    assert swept == [((0, 1), [(0, 1), (min(t), 1)])
+                     for t in itertools.product(range(1, 6), repeat=3)]
 
 
 def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
@@ -648,7 +681,7 @@ def test_pieces_cover_the_range_and_match_cold_solves():
         warm = {}
         for k in range(4 * top + 1):
             exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4), warm)
-        lp, fixed, pieces = warm["last"]
+        lp, fixed, pieces, reach = warm["last"]
         ends = sorted((max(lo, 0), min(hi, top)) for lo, hi, _ in map(_ends, pieces)
                       if lo <= top and hi >= 0)
         assert ends[0][0] == 0 and ends[-1][1] == top, (m, n, l)
@@ -661,7 +694,7 @@ def test_pieces_cover_the_range_and_match_cold_solves():
             rs = {lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) / 7}
             assert lo == hi or any((4 * r).denominator > 1 for r in rs)
             for r in rs:
-                one = {"last": (lp, fixed, [piece])}
+                one = {"last": (lp, fixed, [piece], reach)}
                 value, x = _simplex.solve_min(c, a_ub, [*fixed, r], one)
                 assert not one["counts"]  # no solve, no pivot
                 assert value == exponent_solver.dmt_via_lp(m, n, l, r), (m, n, l, r)
@@ -789,12 +822,13 @@ def _check_sweep(warm, inside, oracle):
     inside(lo, hi) of each, the piece alone gives the oracle's value, so the value is continuous
     where two meet; one below and one above the interval, t raises Infeasible on warm and in
     the oracle.  oracle holds the oracle's values by t so far, and gains those it makes."""
-    lp, fixed, pieces = warm["last"]
+    lp, fixed, pieces, reach = warm["last"]
     ends = sorted(_ends(piece)[:2] + (piece,) for piece in pieces)
     assert all(_ends(piece)[0] < _ends(piece)[1] for piece in pieces[1:])
     assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
     for lo, hi, piece in ends:
-        one, ts = {"last": (lp, fixed, [piece])}, {lo, hi, *inside(lo, hi)} - {-math.inf, math.inf}
+        one = {"last": (lp, fixed, [piece], reach)}
+        ts = {lo, hi, *inside(lo, hi)} - {-math.inf, math.inf}
         for t in ts:
             if t not in oracle:
                 oracle[t] = _oracle(*lp, [*fixed, t])
