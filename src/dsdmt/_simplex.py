@@ -15,17 +15,17 @@ becomes p*row - f*prow over its gcd, mostly in prow's nonzero columns alone.
 Every test compares the rationals a Fraction tableau would, so the pivots, the
 optimum and x are the ones it would give.
 
-A warm dict serves calls with one c and a_ub that move b's last entry t only;
-another LP or another b[:-1] is solved at its t, then swept, over a span if given
-(a t past the ends reached is solved again).  Moving t adds its change times the
-slack column to each rhs and keeps the reduced costs, so a basis stays optimal on
-a t-range, from the dual ratio test: a piece, kept with its ends as int pairs and
-the rhs and slack columns that give the value and x in it.  At each end the
-blocking row leaves by a dual pivot, the rhs still at the first t, until the LP
-has no point beyond (parametric rhs; Murty, *Linear Programming*, 1983).  Every
-call looks t up, and no tableau outlives its sweep.  Warm dicts may share a table
-of the optimum per a_ub held and b at a sweep's first t: another c there re-prices
-it and runs primal Bland pivots alone (Chvatal, *Linear Programming*, 1983).
+A warm dict serves calls with one c, a_ub and span that move b's last entry t
+only; another LP, b[:-1] or span is solved at its t, then swept over the span, or
+everywhere if none is given.  Moving t adds its change times the slack column to
+each rhs and keeps the reduced costs, so a basis stays optimal on a t-range, from
+the dual ratio test: a piece, kept with its ends as int pairs and the rhs and slack
+columns that give the value and x in it.  At each end the blocking row leaves by a
+dual pivot, the rhs still at the first t, until the LP has no point beyond
+(parametric rhs; Murty, *Linear Programming*, 1983).  Every call looks t up, and no
+tableau outlives its sweep.  Warm dicts may share a table of the optimum per a_ub
+held and b at a sweep's first t: another c there re-prices it and runs primal
+Bland pivots alone (Chvatal, *Linear Programming*, 1983).
 """
 
 from __future__ import annotations
@@ -178,17 +178,16 @@ def _piece(tableau, slack, t0):
 
 def _sweep(tableau, slack, t0, counts, sides, span=None):
     """The pieces of the LP from its optimal tableau at t0: its own, then those below and above
-    it, for each of sides (0 down, 1 up), and the ends (int pairs) it reached: a side stops at the
-    first end at or past span's (int pairs lo, hi), if given, else at -inf or inf.  The row that
-    blocks an end leaves by a dual pivot, the dual Bland one at end -/+ eps, so none cycles; if
-    none can, no t beyond has a point.  Pivots change rows, so the sweep down pivots a copy."""
+    it, for each of sides (0 down, 1 up): a side stops at the first end at or past span's (int
+    pairs lo, hi), if given, else at -inf or inf.  The row that blocks an end leaves by a dual
+    pivot, the dual Bland one at end -/+ eps, so none cycles; if none can, no t beyond has a
+    point.  Pivots change rows, so the sweep down pivots a copy."""
     (first, start), ncols = _piece(tableau, slack, t0), len(tableau[1]) - 2
-    pieces, reach = [first], [(-1, 0), (1, 0)]
+    pieces = [first]
     for side in sides:
         (rows, cost, basis), pr, end = tableau, start[side], first[side]
         while pr is not None:
             if span and (end[0] * span[side][1] - span[side][0] * end[1]) * (2 * side - 1) >= 0:
-                reach[side] = end
                 break
             if side == 0 and rows is tableau[0]:  # the sweep up starts from the tableau
                 rows, cost, basis = [row[:] for row in rows], cost[:], basis[:]
@@ -201,7 +200,7 @@ def _sweep(tableau, slack, t0, counts, sides, span=None):
     counts["pieces"] += len(pieces)
     counts["max_bits"] = max(counts["max_bits"], *(
         max(map(abs, (*p[0], *p[1], *p[4], *p[5], *p[6]))).bit_length() for p in pieces))
-    return pieces, reach
+    return pieces
 
 
 def _ratio(v):
@@ -211,7 +210,7 @@ def _ratio(v):
 
 
 def _find(pieces, tn, td):
-    """The first of pieces, or of ends (lo, hi), with lo <= t <= hi; None if none."""
+    """The first of pieces with lo <= t <= hi; None if none."""
     for piece in pieces:
         if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
             return piece
@@ -219,20 +218,25 @@ def _find(pieces, tn, td):
 
 def _warm_piece(c, a_ub, b_ub, warm, span):
     """(piece, t as (num, den)), t the last entry of b_ub: the first stored piece that holds t.
-    A new LP, or a t past the ends its sweep reached, is solved at t and swept over span, or only
-    solved if warm is None.  warm keeps its counts, table and last sweep; a t in no piece raises
-    Infeasible."""
+    A new LP or span is solved at t and swept over span, or only solved if warm is None; a t
+    outside span raises ValueError first.  warm keeps its counts, table and last sweep; a t in
+    no piece raises Infeasible."""
     sides, warm = ((0, 1), warm) if warm is not None else ((), {})
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
-    held, fixed, pieces, reach = warm.get("last", (None,) * 4)
+    held, fixed, swept, pieces = warm.get("last", (None,) * 4)
     # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
     lp = held if held and held[0] is c and held[1] is a_ub else (c, a_ub) if (
         type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
     ) else ([*c], [[*row] for row in a_ub])
     fix = [*b_ub[: len(a_ub)]]
     t = fix.pop() if fix else 0  # no rows: t = 0 stands in, its column the rhs
-    tt = held == lp and fix == fixed and _ratio(t)  # a new LP reads c before b
-    if not tt or not (piece := _find(pieces, *tt)) and not _find([reach], *tt):
+    if span is not None:  # then t is read before c, and must lie in span
+        span, (tn, td) = tuple(map(_exact, span)), _ratio(t)
+        if not span[0] * td <= tn <= span[1] * td:
+            raise ValueError(f"t = {Fraction(tn, td)} lies outside the span [{span[0]}, {span[1]}]")
+    if held == lp and fix == fixed and span == swept:  # else a new LP reads c before t
+        piece = _find(pieces, *(tt := _ratio(t)))
+    else:
         c = [*map(_exact, c)]  # from the table's optimum at this b, else cold
         for j, v in enumerate(c):
             if v < 0:
@@ -246,32 +250,27 @@ def _warm_piece(c, a_ub, b_ub, warm, span):
         if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
             table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
         tt = _ratio(t)
-        pieces, reach = _sweep((rows, cost, basis), len(c) + len(fix), tt, counts, sides,
-                               span and [*map(_ratio, span)])
-        warm["last"], piece = (lp, fix, pieces, reach), _find(pieces, *tt)
+        pieces = _sweep((rows, cost, basis), len(c) + len(fix), tt, counts, sides,
+                        span and [*map(_ratio, span)])
+        warm["last"], piece = (lp, fix, span, pieces), _find(pieces, *tt)
     if piece is None:
         raise Infeasible(f"no piece holds {Fraction(*tt)}: no point for that b")
     return piece, tt
 
 
-def solve_min(c, a_ub, b_ub, warm=None, *, with_x=True, span=None):
+def solve_min(c, a_ub, b_ub, warm=None, *, span=None):
     """Minimize c.x subject to a_ub x <= b_ub, x >= 0; exact rationals.
 
     Entries may be anything ``Fraction`` accepts, and c must be >= 0, so the
-    value is too.  Returns (optimal value, x) with x a list of Fractions, or
-    None if with_x is false: then only the value is made, one Fraction, with
-    the same pivots.  Raises :class:`Infeasible` if no x is feasible, and
-    ValueError, before any pivot, if an entry of c is negative.
+    value is too.  Returns the optimal value, one Fraction; the x it comes from
+    stays in the piece (see above).  Raises :class:`Infeasible` if no x is
+    feasible, and ValueError, before any pivot, if an entry of c is negative.
 
     warm, if given, is a dict that keeps the pieces of one LP's sweep (see above) and counts
     the cold solves, re-prices, pivots, pieces and the most bits a piece held;
-    every call looks t up in the pieces, and x may be another optimal point.  With span, a pair
-    lo <= hi, a sweep stops once it covers [lo, hi]; a t past its ends is solved again.
+    every call looks t up in the pieces.  With span, a pair lo <= hi, a sweep stops once it
+    covers [lo, hi], and a t outside it raises ValueError before any pivot.
     """
-    piece, (tn, td) = _warm_piece(c, a_ub, b_ub, warm, span)
-    _, _, (t0, t0_d), xs, piv, rhs, col = piece
-    p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q; a row is (q rhs + p col) / (q piv)
-    x = [Fraction(0)] * len(c) if with_x else None
-    for j, pj, vj, sj in zip(xs if with_x else (), piv, rhs, col):
-        x[j] = Fraction(q * vj + p * sj, q * pj)
-    return Fraction(-q * rhs[-1] - p * col[-1], q * piv[-1]), x
+    (_, _, (t0, t0_d), _, piv, rhs, col), (tn, td) = _warm_piece(c, a_ub, b_ub, warm, span)
+    p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q
+    return Fraction(-q * rhs[-1] - p * col[-1], q * piv[-1])

@@ -24,7 +24,6 @@ __all__ = [
     "dmt_point",
     "dmt_curve",
     "dmt_at",
-    "rayleigh_dmt",
     "is_rayleigh_equivalent",
     "max_diversity",
 ]
@@ -150,15 +149,6 @@ def dmt_at(c: DmtCurve, r) -> Fraction:
         return Fraction(c.points[m][1])
     (_, d_lo), (_, d_hi) = c.points[k : k + 2]
     return Fraction(d_lo * den + (d_hi - d_lo) * (num - k * den), den)
-
-
-def rayleigh_dmt(m: int, n: int, k: int) -> int:
-    """Classical m x n Rayleigh tradeoff point d(k) = (m-k)(n-k)."""
-    if m < 1 or n < 1:
-        raise ValueError(f"antenna counts must be positive, got ({m}, {n})")
-    if not 0 <= k <= min(m, n):
-        raise ValueError(f"k must lie in [0, {min(m, n)}], got {k}")
-    return (m - k) * (n - k)
 
 
 def is_rayleigh_equivalent(t) -> bool:

@@ -37,7 +37,6 @@ from . import _simplex
 __all__ = [
     "ExponentProgram",
     "ReducedObjective",
-    "LpSolution",
     "ReductionInvariantError",
     "build_program",
     "solve_lp",
@@ -104,13 +103,6 @@ def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once
     return ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    value: Fraction
-    alpha: tuple[Fraction, ...] | None = None  # None unless solve_lp was asked for x
-    beta: tuple[Fraction, ...] | None = None
-
-
 @lru_cache(maxsize=64)
 def _lp_cost(a, b):  # c: the coefficients a and b, then 1 per t and 0 per s
     return (*a, *b, *[1] * len(_plus_pairs(len(a), len(b))), *[0] * len(a))
@@ -146,27 +138,24 @@ def _lp_rows(na, nb):
     return tuple(rows), tuple(rhs[:-1])
 
 
-def solve_lp(p: ExponentProgram, warm=None, *, with_x=True) -> LpSolution:
-    """Exact optimum of the exponent program; value equals d(r).
+def solve_lp(p: ExponentProgram, warm=None) -> Fraction:
+    """Exact optimum of the exponent program, d(r), for r in [0, alpha_dim].
 
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
     so minimization pins them to the plus parts.  r is only the rhs of the row
     sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l,
-    swept over r in [0, alpha_dim] (a later r above is solved again); c is kept
-    per (alpha_coeffs, beta_coeffs), the rows per size.  With with_x false the
-    solve builds no x, and alpha and beta are None.
+    swept over r in [0, alpha_dim]; c is kept per (alpha_coeffs, beta_coeffs),
+    the rows per size.  r is checked against that range by its ints.
     """
-    if p.r.numerator < 0:
-        raise ValueError(f"r must be nonnegative, got {p.r}")
     na, nb = p.alpha_dim, p.beta_dim
+    if not 0 <= p.r.numerator <= na * p.r.denominator:
+        raise ValueError(f"r must lie in [0, {na}], got {p.r}")
     c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, nb)
     try:
-        value, x = _simplex.solve_min(c, rows, [*fixed, p.r], warm, with_x=with_x,
-                                      span=(0, na))
+        return _simplex.solve_min(c, rows, [*fixed, p.r], warm, span=(0, na))
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
-    return LpSolution(value, tuple(x[:na]), tuple(x[na : na + nb])) if with_x else LpSolution(value)
 
 
 @dataclass(frozen=True)
@@ -229,12 +218,8 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
 
 def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
     """d(r) by the exact linear program, for any role order of (m, n, l): n <= m
-    by reciprocity, r checked against [0, min(m, n, l)] by its ints; warm as in
-    :func:`solve_lp`."""
-    p = build_program(max(m, n), min(m, n), l, r)
-    if not 0 <= p.r.numerator <= p.alpha_dim * p.r.denominator:
-        raise ValueError(f"r must lie in [0, {p.alpha_dim}], got {p.r}")
-    return solve_lp(p, warm, with_x=False).value
+    by reciprocity; r and warm as in :func:`solve_lp`."""
+    return solve_lp(build_program(max(m, n), min(m, n), l, r), warm)
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:

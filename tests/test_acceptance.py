@@ -42,7 +42,7 @@ from dsdmt import cli
 from dsdmt import lemma_verify as lv
 from dsdmt import outage_sim as osim
 from dsdmt import randmat as rm
-from dsdmt.dmt_core import dmt_at, dmt_curve, dmt_point, order_triple, rayleigh_dmt
+from dsdmt.dmt_core import dmt_at, dmt_curve, dmt_point, order_triple
 from dsdmt.exponent_solver import dmt_via_greedy, dmt_via_lp
 
 import exact_outage
@@ -82,7 +82,8 @@ def test_criterion_3_bound_tail_equivalence():
     for t in itertools.product(range(1, 7), repeat=3):
         o = order_triple(t)
         curve = dmt_curve(t)
-        ray = tuple(rayleigh_dmt(o.m_small, o.n_mid, k) for k in range(o.m_small + 1))
+        # the M x N Rayleigh curve, (M - k)(N - k)
+        ray = tuple((o.m_small - k) * (o.n_mid - k) for k in range(o.m_small + 1))
         for k in range(o.m_small + 1):
             if dmt_point(o, k) > ray[k]:
                 bad.append(("bound", t, k))

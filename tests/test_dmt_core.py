@@ -22,7 +22,6 @@ from dsdmt.dmt_core import (
     is_rayleigh_equivalent,
     max_diversity,
     order_triple,
-    rayleigh_dmt,
 )
 
 
@@ -167,24 +166,6 @@ class TestDmtAt:
                         assert type(got) is Fraction and got == value, (t, given)
 
 
-class TestRayleighDmt:
-    def test_2x3_full(self):
-        assert rayleigh_dmt(2, 3, 0) == 6
-
-    def test_zero_at_min(self):
-        assert rayleigh_dmt(4, 7, 4) == 0
-        assert rayleigh_dmt(7, 4, 4) == 0
-
-    def test_4x4_k2(self):
-        assert rayleigh_dmt(4, 4, 2) == 4
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            rayleigh_dmt(2, 3, 3)
-        with pytest.raises(ValueError):
-            rayleigh_dmt(2, 3, -1)
-
-
 class TestRayleighEquivalence:
     def test_examples(self):
         assert is_rayleigh_equivalent((2, 3, 4)) is True
@@ -200,7 +181,7 @@ class TestRayleighEquivalence:
         for t in all_triples(6):
             o = order_triple(t)
             curve = dmt_curve(t)
-            ray = tuple(rayleigh_dmt(o.m_small, o.n_mid, k) for k in range(o.m_small + 1))
+            ray = tuple((o.m_small - k) * (o.n_mid - k) for k in range(o.m_small + 1))
             equal = tuple(d for _, d in curve.points) == ray
             assert is_rayleigh_equivalent(t) == equal, t
 
@@ -235,14 +216,14 @@ class TestCurveProperties:
         for t in all_triples(6):
             o = order_triple(t)
             for k in range(o.m_small + 1):
-                assert dmt_point(o, k) <= rayleigh_dmt(o.m_small, o.n_mid, k)
+                assert dmt_point(o, k) <= (o.m_small - k) * (o.n_mid - k)
 
     def test_tail_equality_exhaustive(self):
         # the curve meets the Rayleigh bound from k >= M - delta - 1 on
         for t in all_triples(6):
             o = order_triple(t)
             for k in range(max(o.m_small - o.delta - 1, 0), o.m_small + 1):
-                assert dmt_point(o, k) == rayleigh_dmt(o.m_small, o.n_mid, k)
+                assert dmt_point(o, k) == (o.m_small - k) * (o.n_mid - k)
 
 
 class TestCaseFormulaConsistency:

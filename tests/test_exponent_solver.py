@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from piece_x import solve_with_x
 
 from dsdmt import exponent_solver
 from dsdmt.dmt_core import dmt_at, dmt_curve
@@ -100,7 +101,7 @@ class TestBuildProgram:
 
     def test_full_multiplexing_gives_zero(self):
         p = build_program(3, 2, 4, 2)
-        assert solve_lp(p).value == 0
+        assert solve_lp(p) == 0
         assert minimize_threshold(greedy_reduce(p), 2) == 0
 
 
@@ -167,19 +168,24 @@ class TestProgramMemo:
 
 class TestSolveLp:
     def test_2_2_2_values(self):
-        assert solve_lp(build_program(2, 2, 2, 0)).value == 3
-        assert solve_lp(build_program(2, 2, 2, 2)).value == 0
-        assert solve_lp(build_program(2, 2, 2, Fraction(1, 2))).value == 2
+        assert solve_lp(build_program(2, 2, 2, 0)) == 3
+        assert solve_lp(build_program(2, 2, 2, 2)) == 0
+        assert solve_lp(build_program(2, 2, 2, Fraction(1, 2))) == 2
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             solve_lp(build_program(2, 2, 2, -1))
 
     def test_vertex_is_feasible(self):
+        # x read off the piece of the program's own LP (piece_x); its value is solve_lp's
         for m, n, l, r in [(2, 2, 2, 0), (4, 2, 3, 1), (2, 2, 5, Fraction(3, 2)), (5, 5, 5, 2)]:
             p = build_program(m, n, l, Fraction(r))
-            sol = solve_lp(p)
-            a, b = sol.alpha, sol.beta
+            na, nb = p.alpha_dim, p.beta_dim
+            rows, fixed = exponent_solver._lp_rows(na, nb)
+            c = exponent_solver._lp_cost(p.alpha_coeffs, p.beta_coeffs)
+            lp_value, x = solve_with_x(c, rows, [*fixed, p.r])
+            assert lp_value == solve_lp(p)
+            a, b = x[:na], x[na : na + nb]
             assert all(x <= y for x, y in zip(a, a[1:]))
             assert all(x <= y for x, y in zip(b, b[1:]))
             assert all(b[i] >= 0 for i in range(len(b)))
@@ -189,7 +195,7 @@ class TestSolveLp:
             value = sum(c * x for c, x in zip(p.alpha_coeffs, a))
             value += sum(c * x for c, x in zip(p.beta_coeffs, b))
             value += sum(max(a[i] - b[j], 0) for i, j in _plus_pairs(p.alpha_dim, p.beta_dim))
-            assert value == sol.value
+            assert value == lp_value
 
 
 class TestGreedyReduce:
@@ -375,7 +381,7 @@ class TestRouteAgreement:
             warm, curve, top = {"table": table}, dmt_curve(t), min(t)
             dmt_via_lp(*t, 0, warm)
             los, his = zip(*[[Fraction(*e) if e[1] else e[0] * math.inf for e in piece[:2]]
-                             for piece in warm["last"][2]])
+                             for piece in warm["last"][-1]])
             assert min(los) == 0 and max(his) >= top  # the pieces tile, so they cover [0, top]
             for r in sorted({e for e in los + his if 0 <= e <= top} | set(range(top + 1))):
                 assert dmt_via_lp(*t, r, warm) == dmt_at(curve, r), (t, r)

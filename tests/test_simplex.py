@@ -1,7 +1,7 @@
 """The internal exact simplex against hand LPs, scipy, a cycling classic, and
 the Fraction tableau it replaced (``fraction_simplex``): its values, and its
-primal pivots one for one; its dual pivots against the dual Bland rule, and its
-warm starts against cold solves."""
+primal pivots one for one; its dual pivots against the dual Bland rule, its
+warm starts against cold solves, and the x each value comes from (``piece_x``)."""
 
 import contextlib
 import itertools
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from piece_x import solve_with_x, x_at
 from scipy.optimize import linprog
 
 from dsdmt import _simplex, cli, exponent_solver
@@ -23,19 +24,18 @@ from dsdmt import _simplex, cli, exponent_solver
 
 def test_simple_hand_lp():
     # min x + 2y  s.t. x + y >= 2, x <= 1  ->  3 at (1, 1)
-    value, x = _simplex.solve_min([1, 2], [[-1, -1], [1, 0]], [-2, 1])
+    value, x = solve_with_x([1, 2], [[-1, -1], [1, 0]], [-2, 1])
     assert value == 3
     assert x == [1, 1]
 
 
 def test_equality_via_pair_of_inequalities():
     # min x + y  s.t. x + y >= 3 (as -x - y <= -3)  ->  3
-    value, _ = _simplex.solve_min([1, 1], [[-1, -1]], [-3])
-    assert value == 3
+    assert _simplex.solve_min([1, 1], [[-1, -1]], [-3]) == 3
 
 
 def test_exact_fractions():
-    value, x = _simplex.solve_min(
+    value, x = solve_with_x(
         [Fraction(1, 3), Fraction(1, 7)], [[-1, 0], [0, -1]], [Fraction(-1, 2), -2]
     )
     assert value == Fraction(1, 6) + Fraction(2, 7)
@@ -78,7 +78,7 @@ def test_negative_cost_entry_raises(negative, call):
 
 
 def test_no_constraints():
-    value, x = _simplex.solve_min([2, 3], [], [])
+    value, x = solve_with_x([2, 3], [], [])
     assert value == 0 and x == [0, 0]
 
 
@@ -120,7 +120,7 @@ def test_beales_cycling_example():
 
 def test_redundant_equality_rows():
     # x = 1 stated twice (two >= rows), plus x <= 1: a degenerate dual start
-    value, x = _simplex.solve_min([1], [[-1], [-1], [1]], [-1, -1, 1])
+    value, x = solve_with_x([1], [[-1], [-1], [1]], [-1, -1, 1])
     assert value == 1 and x == [1]
 
 
@@ -135,7 +135,7 @@ def test_against_scipy_randomized():
         b = rng.integers(-3, 8, size=m)
         ref = linprog(c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
         try:
-            value, x = _simplex.solve_min(c.tolist(), a.tolist(), b.tolist())
+            value, x = solve_with_x(c.tolist(), a.tolist(), b.tolist())
         except _simplex.Infeasible:
             assert ref.status == 2, (trial, ref.status)
             continue
@@ -231,7 +231,7 @@ def _solved(lp, warm=None):
     c, a_ub, b_ub = lp
     try:
         with dual_pivots_checked() as (_, _, primal):
-            value, x = _simplex.solve_min(c, a_ub, b_ub, warm)
+            value, x = solve_with_x(c, a_ub, b_ub, warm)
     except _simplex.Infeasible:
         return "Infeasible"
     except _UNREADABLE as exc:
@@ -311,7 +311,7 @@ def test_narrow_numpy_ints_are_exact():
     narrow = (lp[0], np.array(lp[1], dtype=np.int8), lp[2])
     with np.errstate(all="ignore"):
         assert fraction_simplex.solve_min(*narrow)[0] != Fraction(45, 19)
-    assert _simplex.solve_min(*narrow) == (Fraction(45, 19), [Fraction(44, 19), Fraction(1, 19)])
+    assert solve_with_x(*narrow) == (Fraction(45, 19), [Fraction(44, 19), Fraction(1, 19)])
     assert repr(_simplex.solve_min(*narrow)) == repr(_simplex.solve_min(*lp))
 
 
@@ -411,7 +411,7 @@ def _outcomes(c, a_ub, b_ub, k, values, warm=None, span=None):
     for v in values:
         b = [v if i == k else bi for i, bi in enumerate(b_ub)]
         try:
-            value, x = _simplex.solve_min(c, a_ub, b, warm, span=span)
+            value, x = solve_with_x(c, a_ub, b, warm, span)
         except _simplex.Infeasible:
             out.append(_simplex.Infeasible)
             continue
@@ -443,13 +443,13 @@ def test_warm_hand_lp():
         values = _outcomes(*lp, [3, Fraction(-1, 2), 0, Fraction(-7, 3), -3, -4], warm)
     assert values == [0, Fraction(1, 2), 0, Fraction(8, 3), 4, _simplex.Infeasible]
     assert not dual and len(swept) == 2
-    pieces = warm["last"][2]  # -4 is in no piece, and the pieces stay
+    pieces = warm["last"][-1]  # -4 is in no piece, and the pieces stay
     assert [_ends(piece) for piece in pieces] == [(0, math.inf, 3), (-2, 0, 3), (-3, -2, 3)]
     assert pieces[0][:3] == ((0, 1), (1, 0), (3, 1))  # int pairs, (1, 0) for inf
     assert warm["counts"] == {"cold_solves": 1, "pivots": 2, "pieces": 3, "max_bits": 4}
     assert _outcomes(*lp, [-1], warm) == [1] and warm["counts"]["cold_solves"] == 1
     # another LP in the same dict is solved cold, and replaces the first
-    assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm)[0] == 3
+    assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm) == 3
     assert warm["last"][0] == ([1, 1], [[-1, -1]])
 
 
@@ -459,7 +459,7 @@ def test_warm_rows_changed_in_place_are_seen():
     # min 2x + y  s.t. x + y >= 3, y <= 1: 5 at (2, 1)
     for c, a_ub in (((2, 1), ([-1, -1], [0, 1])), ([2, 1], ((-1, -1), (0, 1)))):
         warm = {}
-        assert _simplex.solve_min(c, a_ub, [-3, 1], warm)[0] == 5
+        assert _simplex.solve_min(c, a_ub, [-3, 1], warm) == 5
         if type(c) is list:
             c[1] = 3
         else:
@@ -496,17 +496,52 @@ def lp_paths(draw):
 @given(lp_paths())
 def test_warm_matches_cold_solves(lp):
     # warm moves the last entry of b only, and solves a path that moves another
-    # entry cold on every call; so each path also runs with its row k moved last.
-    # Each runs swept everywhere, and over a span that its first value or its first
-    # two bound: a t past the ends such a sweep reached is solved again, above or
-    # below, and raises Infeasible only where a cold solve does
+    # entry cold on every call; so each path also runs with its row k moved last, and
+    # that one on one warm dict over the spans its first value, its first two and all of
+    # them bound, then swept everywhere: each span sweeps again, and every value in it is
+    # a cold solve's, Infeasible only where a cold solve raises that
     c, a, b, k, values = lp
-    last = c, [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :], b[k]], len(a) - 1, values
-    for path in (lp, last):
-        cold = _outcomes(*path)
-        for span in (None, (values[0], values[0]), sorted(values[:2])):
-            with dual_pivots_checked():
-                assert _outcomes(*path, warm={}, span=span) == cold
+    last = c, [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :], b[k]], len(a) - 1
+    with dual_pivots_checked():
+        assert _outcomes(*lp, warm={}) == _outcomes(*lp)
+    cold, warm = dict(zip(values, _outcomes(*last, values))), {}
+    for span in ((values[0], values[0]), sorted(values[:2]), (min(values), max(values)), None):
+        inside = [v for v in values if span is None or span[0] <= v <= span[1]]
+        with dual_pivots_checked():
+            assert _outcomes(*last, inside, warm, span) == [cold[v] for v in inside]
+
+
+@pytest.mark.parametrize("call", ["cold", "warm", "table", "swept"])
+@pytest.mark.parametrize("t", [Fraction(-1, 2), 4, "7/2"])
+def test_t_outside_the_span_raises_before_any_pivot(t, call):
+    # with a span, t must lie in it: one outside is named before any pivot, on a dict that
+    # holds the LP's sweep over that span too, and then nothing is counted, the table
+    # stores nothing and the sweep stays
+    c, a_ub, table = [1, 2], [[0, 1], [1, 0], [-1, -1]], {}
+    warm = {"cold": None, "warm": {}, "table": {"table": table}, "swept": {}}[call]
+    if call == "swept":
+        assert _simplex.solve_min(c, a_ub, [1, 2, 1], warm, span=(0, 3)) == 0
+    made, last = Counter((warm or {}).get("counts")), (warm or {}).get("last")
+    with pivots_of(_simplex) as pivots, pytest.raises(
+            ValueError, match=rf"^t = {Fraction(t)} lies outside the span \[0, 3\]$"):
+        _simplex.solve_min(c, a_ub, [1, 2, t], warm, span=(0, 3))
+    assert not pivots and not table
+    assert warm is None or (Counter(warm.get("counts")), warm.get("last")) == (made, last)
+
+
+def test_a_new_span_sweeps_again():
+    # the LP of test_warm_hand_lp on one warm dict: swept over [0, 1] from t = 1/2 it holds
+    # [0, inf) alone; a call with the span [-3, -1] is solved at its t and swept again, and
+    # so is [0, 1] after it.  Every t gives a cold solve's value
+    c, a_ub, warm = [1, 2], [[0, 1], [1, 0], [-1, -1]], {}
+    for span, ts, pieces in (((0, 1), [Fraction(1, 2), 0, 1], [(0, math.inf)]),
+                             ((-3, -1), [-1, -3, Fraction(-5, 2), -2], [(-2, 0), (-3, -2)]),
+                             ((0, 1), [1, 0], [(0, math.inf)])):
+        for t in ts:
+            b = [1, 2, t]
+            assert _simplex.solve_min(c, a_ub, b, warm, span=span) == _simplex.solve_min(c, a_ub, b)
+        assert [_ends(piece)[:2] for piece in warm["last"][-1]] == pieces
+    assert warm["counts"]["cold_solves"] == 3
 
 
 def test_exponent_lps_warm_match_cold_solves():
@@ -524,21 +559,27 @@ def test_exponent_lps_warm_match_cold_solves():
     assert swept
 
 
-def test_solve_lp_past_its_span_solves_again():
-    # solve_lp sweeps [0, alpha_dim] only; an r above that on the same warm dict, which
-    # solve_lp accepts, is solved and swept again, and gives a cold solve's value, never
-    # a false Infeasible; so does an r back in the range.  Most LPs here have pieces past
-    # alpha_dim that the first sweep leaves out
-    solves = 0
+def test_solve_lp_outside_its_span_raises():
+    # solve_lp sweeps [0, alpha_dim] only, and an r below or above it raises ValueError
+    # with dmt_via_lp's message, before any pivot, on a fresh warm dict and on one that
+    # holds the LP's sweep alike: nothing is counted, and the table stores nothing.  Most
+    # LPs here have pieces past alpha_dim that the sweep leaves out
     for m, n, l in itertools.product(range(1, 5), repeat=3):
         if n > m:
             continue
-        warm, top = {}, min(n, l)
-        for r in (0, top + Fraction(1, 3), Fraction(top, 2), top + 2, top + 7, 0):
+        warm, top = {"table": {}}, min(n, l)
+        for r in (Fraction(-1, 4), Fraction(top, 2), top + Fraction(1, 3), top + 2, -1, top):
             p = exponent_solver.build_program(m, n, l, r)
-            assert exponent_solver.solve_lp(p, warm).value == exponent_solver.solve_lp(p).value
-        solves += warm["counts"]["cold_solves"] + warm["counts"]["reprices"] - 1
-    assert solves > 20
+            if 0 <= r <= top:
+                assert exponent_solver.solve_lp(p, warm) == exponent_solver.solve_lp(p)
+                continue
+            made, stored = warm.get("counts", Counter()).copy(), dict(warm["table"])
+            with pivots_of(_simplex) as pivots, pytest.raises(
+                    ValueError, match=rf"^r must lie in \[0, {top}\], got {r}$"):
+                exponent_solver.solve_lp(p, warm)
+            assert not pivots and warm.get("counts", Counter()) == made
+            assert warm["table"] == stored
+        assert warm["counts"]["cold_solves"] == 1 and "last" in warm
 
 
 def _row_sets(dims):
@@ -572,28 +613,6 @@ def test_crosscheck_lp_counts_at_dims_8():
     assert report["cases"] == 1808 and not report["mismatches"]
     assert report["lp"] == {"cold_solves": len(_row_sets(8)), "reprices": 252, "pivots": 1726,
                             "pieces": 838, "max_bits": 6}
-
-
-def test_crosscheck_reads_no_x(monkeypatch):
-    # dmt_via_lp asks for the value only, so no solve of a crosscheck builds x;
-    # solve_lp still does by default, through the same spy
-    asked = []
-    solve = _simplex.solve_min
-
-    def recording(*args, **kw):
-        value, x = solve(*args, **kw)
-        asked.append(x)
-        return value, x
-
-    monkeypatch.setattr(_simplex, "solve_min", recording)
-    report = cli.run_crosscheck(3, True)
-    assert report["cases"] == 171 and not report["mismatches"]
-    assert asked == [None] * 171
-    p = exponent_solver.build_program(2, 2, 2, Fraction(1, 2))
-    sol = exponent_solver.solve_lp(p)
-    assert len(asked[-1]) == 7  # x: two alphas, two betas, one t, two s
-    assert exponent_solver.solve_lp(p, with_x=False) == exponent_solver.LpSolution(sol.value)
-    assert asked[-1] is None
 
 
 def _rewritten(tableau, old, new, nvar):
@@ -639,7 +658,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                     _rewritten(ref, old, b, len(c))
                 old = b
                 rows, cost, basis = ref
-                value, x = _simplex.solve_min(c, a_ub, b, warm, span=(0, rs[-1]))
+                value, x = solve_with_x(c, a_ub, b, warm, (0, rs[-1]))
                 assert value == Fraction(-cost[-2], cost[-1]), (m, n, l, r)
                 assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
                 assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
@@ -681,7 +700,7 @@ def test_pieces_cover_the_range_and_match_cold_solves():
         warm = {}
         for k in range(4 * top + 1):
             exponent_solver.dmt_via_lp(m, n, l, Fraction(k, 4), warm)
-        lp, fixed, pieces, reach = warm["last"]
+        lp, fixed, span, pieces = warm["last"]
         ends = sorted((max(lo, 0), min(hi, top)) for lo, hi, _ in map(_ends, pieces)
                       if lo <= top and hi >= 0)
         assert ends[0][0] == 0 and ends[-1][1] == top, (m, n, l)
@@ -694,8 +713,8 @@ def test_pieces_cover_the_range_and_match_cold_solves():
             rs = {lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) / 7}
             assert lo == hi or any((4 * r).denominator > 1 for r in rs)
             for r in rs:
-                one = {"last": (lp, fixed, [piece], reach)}
-                value, x = _simplex.solve_min(c, a_ub, [*fixed, r], one)
+                one = {"last": (lp, fixed, span, [piece])}
+                value, x = solve_with_x(c, a_ub, [*fixed, r], one, (0, top))
                 assert not one["counts"]  # no solve, no pivot
                 assert value == exponent_solver.dmt_via_lp(m, n, l, r), (m, n, l, r)
                 assert min(x) >= 0 and sum(ci * xi for ci, xi in zip(c, x) if ci) == value
@@ -739,8 +758,8 @@ def test_exponent_lps_repriced_match_cold_solves():
     for (c, a_ub, fixed), _ in _exponent_lps(6):
         for k in range(4 * fixed.count(-1) + 1):  # r in [0, alpha_dim]
             b = [*fixed, Fraction(k, 4)]
-            value, _ = _simplex.solve_min(c, a_ub, b, {"table": table, "counts": counts})
-            assert value == _simplex.solve_min(c, a_ub, b, with_x=False)[0], (c, b)
+            value = _simplex.solve_min(c, a_ub, b, {"table": table, "counts": counts})
+            assert value == _simplex.solve_min(c, a_ub, b), (c, b)
     assert counts["cold_solves"] == sum(4 * na + 1 for na, _ in _row_sets(6))
     assert counts["reprices"] > 2 * counts["cold_solves"]
 
@@ -758,11 +777,11 @@ def test_random_lps_repriced_match_cold_solves(lp, data):
         _simplex.solve_min(tuple(c1), a_ub, b, {"table": table})
     except (_simplex.Infeasible, ValueError, TypeError, OverflowError):
         return  # no optimum, or an entry Fraction rejects: nothing to re-price
-    cold = _simplex.solve_min(c2, a, b)[0]
+    cold = _simplex.solve_min(c2, a, b)
     (stored,) = table.values()
     assert assert_primal_pivots_match(c2, *marshal.loads(stored[1]))[0] == cold
     warm = {"table": table}
-    value, x = _simplex.solve_min(tuple(c2), a_ub, b, warm)
+    value, x = solve_with_x(tuple(c2), a_ub, b, warm)
     assert value == cold and warm["counts"]["reprices"] == 1
     assert "cold_solves" not in warm["counts"]
     assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c2, x)) == cold
@@ -778,18 +797,18 @@ def test_one_sweep_answers_every_t_of_its_lp():
     # only, and another c there re-prices it
     c, a_ub, table, half = (1, 2), ((0, 1), (1, 0), (-1, -1)), {}, Fraction(1, 2)
     warm = {"table": table}
-    assert _simplex.solve_min(c, a_ub, [1, 2, -half], warm) == (half, [half, 0])
-    assert [_ends(piece)[:2] for piece in warm["last"][2]] == [(-2, 0), (-3, -2), (0, math.inf)]
+    assert solve_with_x(c, a_ub, [1, 2, -half], warm) == (half, [half, 0])
+    assert [_ends(piece)[:2] for piece in warm["last"][-1]] == [(-2, 0), (-3, -2), (0, math.inf)]
     made = warm["counts"].copy()
     for t in (-2, Fraction(-5, 2), 7, Fraction(-1, 3), 0, -3):
         b = [1, 2, t]
-        assert _simplex.solve_min(c, a_ub, b, warm)[0] == _simplex.solve_min(c, a_ub, b)[0]
+        assert _simplex.solve_min(c, a_ub, b, warm) == _simplex.solve_min(c, a_ub, b)
     with pytest.raises(_simplex.Infeasible):
         _simplex.solve_min(c, a_ub, [1, 2, -4], warm)
-    assert warm["counts"] == made and len(warm["last"][2]) == 3
+    assert warm["counts"] == made and len(warm["last"][-1]) == 3
     assert [key[1:] for key in table] == [(1, 2, -half)]
     other = {"table": table}
-    assert _simplex.solve_min((1, 1), a_ub, [1, 2, -half], other)[0] == half
+    assert _simplex.solve_min((1, 1), a_ub, [1, 2, -half], other) == half
     assert other["counts"]["reprices"] == 1 and "cold_solves" not in other["counts"]
 
 
@@ -808,7 +827,7 @@ def _oracle(c, a_ub, b):
 def _warm_outcome(c, a_ub, b, warm):
     """solve_min's value on warm, its x checked feasible with c.x that value, or "Infeasible"."""
     try:
-        value, x = _simplex.solve_min(c, a_ub, b, warm)
+        value, x = solve_with_x(c, a_ub, b, warm)
     except _simplex.Infeasible:
         return "Infeasible"
     assert min(x) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
@@ -822,12 +841,12 @@ def _check_sweep(warm, inside, oracle):
     inside(lo, hi) of each, the piece alone gives the oracle's value, so the value is continuous
     where two meet; one below and one above the interval, t raises Infeasible on warm and in
     the oracle.  oracle holds the oracle's values by t so far, and gains those it makes."""
-    lp, fixed, pieces, reach = warm["last"]
+    lp, fixed, span, pieces = warm["last"]
     ends = sorted(_ends(piece)[:2] + (piece,) for piece in pieces)
     assert all(_ends(piece)[0] < _ends(piece)[1] for piece in pieces[1:])
     assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
     for lo, hi, piece in ends:
-        one = {"last": (lp, fixed, [piece], reach)}
+        one = {"last": (lp, fixed, span, [piece])}
         ts = {lo, hi, *inside(lo, hi)} - {-math.inf, math.inf}
         for t in ts:
             if t not in oracle:
@@ -896,10 +915,32 @@ def test_exponent_lp_sweeps_match_oracle():
             r = Fraction(k, 4)
             oracle[r] = _oracle(c, a_ub, [*fixed, r])
             p = exponent_solver.build_program(m, n, l, r)
-            assert exponent_solver.solve_lp(p).value == oracle[r], (m, n, l, r)
+            assert exponent_solver.solve_lp(p) == oracle[r], (m, n, l, r)
         warm = {"table": table}
-        _simplex.solve_min(c, a_ub, [*fixed, 0], warm, with_x=False)
+        _simplex.solve_min(c, a_ub, [*fixed, 0], warm)
         _check_sweep(warm, lambda lo, hi: (), oracle)
-        assert _ends(min(warm["last"][2], key=lambda p: _ends(p)[0]))[0] == 0
+        assert _ends(min(warm["last"][-1], key=lambda p: _ends(p)[0]))[0] == 0
         for t in (fixed.count(-1) * Fraction(3, 7), fixed.count(-1) * Fraction(8, 9)):
             assert _warm_outcome(c, a_ub, [*fixed, t], warm) == _oracle(c, a_ub, [*fixed, t])
+
+
+def test_every_swept_piece_end_has_a_feasible_optimal_x():
+    # the primal half of a certificate, for every exponent LP with dims <= 6 solved cold at
+    # r = 0 and swept over [0, alpha_dim] as solve_lp sweeps it: at both ends of each piece
+    # in that range, the piece's x is >= 0, meets A x <= b(t) and gives c.x = solve_min's
+    # value there, checked on the rows and the cost the program builds, never on the tableau
+    ends = 0
+    for (c, a_ub, fixed), _ in _exponent_lps(6):
+        span, warm = (0, fixed.count(-1)), {}
+        _simplex.solve_min(c, a_ub, [*fixed, 0], warm, span=span)
+        for piece in warm["last"][-1]:
+            lo, hi, _ = _ends(piece)
+            for t in (Fraction(max(lo, 0)), Fraction(min(hi, span[1]))):
+                x, b = x_at(piece, t, len(c)), [*fixed, t]
+                assert min(x) >= 0, (c, t)
+                assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
+                           for row, bi in zip(a_ub, b)), (c, t)
+                value = _simplex.solve_min(c, a_ub, b, warm, span=span)
+                assert sum(ci * xi for ci, xi in zip(c, x) if ci) == value, (c, t)
+                ends += 1
+    assert ends == 2 * 232
