@@ -22,10 +22,12 @@ each rhs and keeps the reduced costs, so a basis stays optimal on a t-range, fro
 the dual ratio test: a piece, kept with its ends as int pairs and the rhs and slack
 columns that give the value and x in it.  At each end the blocking row leaves by a
 dual pivot, the rhs still at the first t, until the LP has no point beyond
-(parametric rhs; Murty, *Linear Programming*, 1983).  Every call looks t up, and no
-tableau outlives its sweep.  Warm dicts may share a table of the optimum per a_ub
-held and b at a sweep's first t: another c there re-prices it and runs primal
-Bland pivots alone (Chvatal, *Linear Programming*, 1983).
+(parametric rhs; Murty, *Linear Programming*, 1983); a point piece is dropped unread.
+Every call looks t up, and no tableau outlives its sweep: one with the very c and a_ub
+tuples, b[:-1] and span swept reads t alone, and an equal LP is kept for the next.
+Warm dicts may share a table of the optimum per a_ub held and b at a sweep's first
+t: another c there re-prices it and runs primal Bland pivots alone (Chvatal, *Linear
+Programming*, 1983).
 """
 
 from __future__ import annotations
@@ -156,24 +158,28 @@ def _dual_pivot(rows, cost, basis, pr, ncols):
     return pc is not None
 
 
-def _piece(tableau, slack, t0):
-    """((lo, hi, t0, xs, piv, rhs, col), [below, above]): the basis as a piece along the b entry of
-    the last row's slack, t0 there, ends int pairs, not reduced, (-1, 0) and (1, 0) for -inf and
-    inf; xs are the basic x with a nonzero rhs or col, then the cost row's entries: at b = t, x is
-    (rhs + (t - t0) col) / piv.  below and above: the blocking rows (least basic index) or None."""
-    rows, cost, basis = tableau
-    nvar, ends, kept = slack + 1 - len(rows), [None, None], []  # ends: (|col|, rhs, row) of
-    for i, row in enumerate(rows):  # the least rhs / |col| over col > 0, and over col < 0
-        v, s, j = row[-1], row[slack], basis[i]
-        if s and ((e := ends[s < 0]) is None or (d := v * e[0] - e[1] * abs(s)) < 0
-                  or d == 0 and j < basis[e[2]]):
+def _ends(tableau, slack, t0):
+    """([lo, hi], [below, above]): the basis's t-range along the last row's slack, t0 there, as
+    unreduced int pairs, (-1, 0) and (1, 0) for -inf and inf, and its blocking rows or None."""
+    rows, basis, ends = tableau[0], tableau[2], [None, None]  # (|col|, rhs, row) of the least
+    for i in compress(count(), map(itemgetter(slack), rows)):  # rhs / |col| over col > 0 and < 0
+        v, s = rows[i][-1], rows[i][slack]
+        if ((e := ends[s < 0]) is None or (d := v * e[0] - e[1] * abs(s)) < 0
+                or d == 0 and basis[i] < basis[e[2]]):
             ends[s < 0] = abs(s), v, i
-        if j < nvar and (v or s):
-            kept.append((j, row[j], v, s))
-    xs, piv, rhs, col = zip(*kept, (None, cost[-1], cost[-2], cost[slack]))
     (tn, td), sign = t0, (-1, 1)
-    return (*[(tn * e[0] + g * e[1] * td, td * e[0]) if e else (g, 0) for e, g in zip(ends, sign)],
-            t0, xs[:-1], piv, rhs, col), [e and e[2] for e in ends]
+    return ([(tn * e[0] + g * e[1] * td, td * e[0]) if e else (g, 0) for e, g in zip(ends, sign)],
+            [e and e[2] for e in ends])
+
+
+def _piece(tableau, slack, t0, ends):
+    """(lo, hi, t0, xs, piv, rhs, col): the basis as a piece with those ends; xs are the basic x
+    with a nonzero rhs or col, then the cost row's: at b = t, x is (rhs + (t - t0) col) / piv."""
+    (rows, cost, basis), nvar = tableau, slack + 1 - len(tableau[0])
+    xs, piv, rhs, col = zip(*[(j, row[j], row[-1], row[slack]) for row, j in zip(rows, basis)
+                              if j < nvar and (row[-1] or row[slack])],
+                            (None, cost[-1], cost[-2], cost[slack]))
+    return (*ends, t0, xs[:-1], piv, rhs, col)
 
 
 def _sweep(tableau, slack, t0, counts, sides, span=None):
@@ -182,8 +188,8 @@ def _sweep(tableau, slack, t0, counts, sides, span=None):
     pairs lo, hi), if given, else at -inf or inf.  The row that blocks an end leaves by a dual
     pivot, the dual Bland one at end -/+ eps, so none cycles; if none can, no t beyond has a
     point.  Pivots change rows, so the sweep down pivots a copy."""
-    (first, start), ncols = _piece(tableau, slack, t0), len(tableau[1]) - 2
-    pieces = [first]
+    first, start = _ends(tableau, slack, t0)
+    pieces, ncols = [_piece(tableau, slack, t0, first)], len(tableau[1]) - 2
     for side in sides:
         (rows, cost, basis), pr, end = tableau, start[side], first[side]
         while pr is not None:
@@ -193,27 +199,30 @@ def _sweep(tableau, slack, t0, counts, sides, span=None):
                 rows, cost, basis = [row[:] for row in rows], cost[:], basis[:]
             if not _dual_pivot(rows, cost, basis, pr, ncols):
                 break
-            piece, blocking = _piece((rows, cost, basis), slack, t0)
-            if piece[0][0] * piece[1][1] != piece[1][0] * piece[0][1]:  # lo < hi: a point is
-                pieces.append(piece)  # in the piece before it, so only the first may be one
-            counts["pivots"], pr, end = counts["pivots"] + 1, blocking[side], piece[side]
+            (lo, hi), blocking = _ends((rows, cost, basis), slack, t0)
+            if lo[0] * hi[1] != hi[0] * lo[1]:  # lo < hi: a point is in the piece before it, so
+                pieces.append(_piece((rows, cost, basis), slack, t0, (lo, hi)))  # only the first
+            counts["pivots"], pr, end = counts["pivots"] + 1, blocking[side], (lo, hi)[side]
     counts["pieces"] += len(pieces)
     counts["max_bits"] = max(counts["max_bits"], *(
         max(map(abs, (*p[0], *p[1], *p[4], *p[5], *p[6]))).bit_length() for p in pieces))
     return pieces
 
 
-def _ratio(v):
-    """v read exactly, as an int pair (num, den)."""
-    n, d = _exact(v).as_integer_ratio()
-    return int(n), int(d)
+def _ratio(v, span=None):
+    """v read exactly, as an int pair (num, den); ValueError if outside span, exact lo <= hi."""
+    n, d = map(int, _exact(v).as_integer_ratio())  # a Fraction may keep numpy ints
+    if span is not None and not span[0] * d <= n <= span[1] * d:
+        raise ValueError(f"t = {Fraction(n, d)} lies outside the span [{span[0]}, {span[1]}]")
+    return n, d
 
 
 def _find(pieces, tn, td):
-    """The first of pieces with lo <= t <= hi; None if none."""
+    """(the first of pieces with lo <= t <= hi, (tn, td)); Infeasible if none."""
     for piece in pieces:
         if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
-            return piece
+            return piece, (tn, td)
+    raise Infeasible(f"no piece holds {Fraction(tn, td)}: no point for that b")
 
 
 def _warm_piece(c, a_ub, b_ub, warm, span):
@@ -225,37 +234,35 @@ def _warm_piece(c, a_ub, b_ub, warm, span):
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
     held, fixed, swept, pieces = warm.get("last", (None,) * 4)
     # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
-    lp = held if held and held[0] is c and held[1] is a_ub else (c, a_ub) if (
-        type(c) is tuple and type(a_ub) is tuple and all(type(r) is tuple for r in a_ub)
-    ) else ([*c], [[*row] for row in a_ub])
+    if (held and held[0] is c and held[1] is a_ub and type(b_ub) is list and type(span) is tuple
+            and span == swept and 0 < len(b_ub) == len(a_ub) and b_ub[:-1] == fixed):
+        return _find(pieces, *_ratio(b_ub[-1], swept))
+    lp = (c, a_ub) if type(c) is tuple and type(a_ub) is tuple and all(
+        type(r) is tuple for r in a_ub) else ([*c], [[*row] for row in a_ub])
     fix = [*b_ub[: len(a_ub)]]
     t = fix.pop() if fix else 0  # no rows: t = 0 stands in, its column the rhs
     if span is not None:  # then t is read before c, and must lie in span
-        span, (tn, td) = tuple(map(_exact, span)), _ratio(t)
-        if not span[0] * td <= tn <= span[1] * td:
-            raise ValueError(f"t = {Fraction(tn, td)} lies outside the span [{span[0]}, {span[1]}]")
-    if held == lp and fix == fixed and span == swept:  # else a new LP reads c before t
-        piece = _find(pieces, *(tt := _ratio(t)))
-    else:
-        c = [*map(_exact, c)]  # from the table's optimum at this b, else cold
-        for j, v in enumerate(c):
-            if v < 0:
-                raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
-        table, key = warm.get("table"), (id(lp[1]), *fix, t)
-        if stored := table and table.get(key):  # it holds lp[1], so no other has that id
-            rows, cost, basis, pivots = _phase2(c, *marshal.loads(stored[1]))
-        else:  # c >= 0, so the slack basis is dual feasible
-            rows, cost, basis, pivots = _phase2(c, *_slack_rows(len(c), a_ub, b_ub), True)
-        counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
-        if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
-            table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
-        tt = _ratio(t)
-        pieces = _sweep((rows, cost, basis), len(c) + len(fix), tt, counts, sides,
-                        span and [*map(_ratio, span)])
-        warm["last"], piece = (lp, fix, span, pieces), _find(pieces, *tt)
-    if piece is None:
-        raise Infeasible(f"no piece holds {Fraction(*tt)}: no point for that b")
-    return piece, tt
+        _ratio(t, span := tuple(map(_exact, span)))
+    if held == lp and fix == fixed and span == swept:  # else a new LP reads c before t; an
+        warm["last"] = lp, fixed, swept, pieces  # equal one is kept, so the next call with it
+        return _find(pieces, *_ratio(t))  # compares by identity
+    c = [*map(_exact, c)]  # from the table's optimum at this b, else cold
+    for j, v in enumerate(c):
+        if v < 0:
+            raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
+    table, key = warm.get("table"), (id(lp[1]), *fix, t)
+    if stored := table and table.get(key):  # it holds lp[1], so no other has that id
+        rows, cost, basis, pivots = _phase2(c, *marshal.loads(stored[1]))
+    else:  # c >= 0, so the slack basis is dual feasible
+        rows, cost, basis, pivots = _phase2(c, *_slack_rows(len(c), a_ub, b_ub), True)
+    counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
+    if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
+        table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
+    tt = _ratio(t)
+    pieces = _sweep((rows, cost, basis), len(c) + len(fix), tt, counts, sides,
+                    span and [*map(_ratio, span)])
+    warm["last"] = lp, fix, span, pieces
+    return _find(pieces, *tt)
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, span=None):

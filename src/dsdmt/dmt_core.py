@@ -71,15 +71,9 @@ class MaxDiversity(NamedTuple):
     attained: bool
 
 
-def _coerce_triple(t) -> ChannelTriple:
-    if isinstance(t, ChannelTriple):
-        return t
-    return ChannelTriple(*t)
-
-
 def order_triple(t) -> OrderedTriple:
     """Sort a channel triple ascending into (M, N, L) with delta = L - N."""
-    m, n, l = sorted(_coerce_triple(t).as_tuple())
+    m, n, l = sorted((t if isinstance(t, ChannelTriple) else ChannelTriple(*t)).as_tuple())
     return OrderedTriple(m, n, l, l - n)
 
 
@@ -126,11 +120,12 @@ class DmtCurve:
 
 def dmt_curve(t) -> DmtCurve:
     """Full tradeoff curve of a channel triple, in any component order."""
-    # only a tuple of ints keys the memo as given: (True, 2, 3) == (1, 2, 3) must still raise
-    return _curve(t if type(t) is tuple and {*map(type, t)} == {int} else order_triple(t))
+    # only three ints key the memo as given: (True, 2, 3) == (1, 2, 3) must still raise
+    ints = type(t) is tuple and len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is int
+    return _curve(t if ints else order_triple(t))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8192)  # every triple and ordered triple to dims 16: 4096 and 816
 def _curve(t) -> DmtCurve:  # dmt_curve, once per tuple of ints and per ordered triple
     if type(t) is tuple:  # checked and sorted once, then the ordered triple's entry
         return _curve(order_triple(t))
@@ -139,15 +134,14 @@ def _curve(t) -> DmtCurve:  # dmt_curve, once per tuple of ints and per ordered 
 
 def dmt_at(c: DmtCurve, r) -> Fraction:
     """Evaluate the curve at rational multiplexing gain r by exact interpolation."""
-    r = r if isinstance(r, Fraction) else Fraction(r)
-    m = c.max_gain
-    num, den = r.numerator, r.denominator  # interpolated in ints, one Fraction at the end
-    if not 0 <= num <= m * den:
-        raise ValueError(f"r must lie in [0, {m}], got {r}")
+    m, points = c.max_gain, c.points
+    num, den = (r if type(r) is Fraction else Fraction(r)).as_integer_ratio()  # interpolated
+    if not 0 <= num <= m * den:  # in ints, one Fraction at the end
+        raise ValueError(f"r must lie in [0, {m}], got {Fraction(num, den)}")
     k = num // den
     if k == m:
-        return Fraction(c.points[m][1])
-    (_, d_lo), (_, d_hi) = c.points[k : k + 2]
+        return Fraction(points[m][1])
+    (_, d_lo), (_, d_hi) = points[k : k + 2]
     return Fraction(d_lo * den + (d_hi - d_lo) * (num - k * den), den)
 
 

@@ -90,7 +90,7 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     return p
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4096)  # every shape to dims 16: 2176
 def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once per shape
     if min(m, n, l) < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
@@ -103,12 +103,12 @@ def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once
     return ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2048)  # every coefficient pair to dims 16 (1496), so each keeps one c
 def _lp_cost(a, b):  # c: the coefficients a and b, then 1 per t and 0 per s
     return (*a, *b, *[1] * len(_plus_pairs(len(a), len(b))), *[0] * len(a))
 
 
-@lru_cache(maxsize=128)  # every (na, nb) to dims 12: a warm table keys the rows by identity
+@lru_cache(maxsize=256)  # every (na, nb) to dims 16 (136): a warm table keys the rows by identity
 def _lp_rows(na, nb):
     """a_ub and b_ub but for its last entry, the r of sum s_i <= r; one tuple each."""
     pairs = _plus_pairs(na, nb)
@@ -148,12 +148,12 @@ def solve_lp(p: ExponentProgram, warm=None) -> Fraction:
     swept over r in [0, alpha_dim]; c is kept per (alpha_coeffs, beta_coeffs),
     the rows per size.  r is checked against that range by its ints.
     """
-    na, nb = p.alpha_dim, p.beta_dim
-    if not 0 <= p.r.numerator <= na * p.r.denominator:
-        raise ValueError(f"r must lie in [0, {na}], got {p.r}")
-    c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, nb)
+    na, r = p.alpha_dim, p.r
+    if not 0 <= r.numerator <= na * r.denominator:
+        raise ValueError(f"r must lie in [0, {na}], got {r}")
+    c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, p.beta_dim)
     try:
-        return _simplex.solve_min(c, rows, [*fixed, p.r], warm, span=(0, na))
+        return _simplex.solve_min(c, rows, [*fixed, r], warm, span=(0, na))
     except _simplex.Infeasible as exc:  # impossible for r >= 0
         raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
 
@@ -183,19 +183,19 @@ def greedy_reduce(p: ExponentProgram) -> ReducedObjective:
     one whose coefficient hits 0 parks where it is.  The decrements are
     counted explicitly rather than taken from any closed-form final value.
     """
-    return _greedy(p.alpha_coeffs, p.beta_coeffs)
-
-
-@lru_cache(maxsize=64)
-def _greedy(alpha_coeffs, beta_coeffs) -> ReducedObjective:  # once per coefficient pair
-    passes = [0] * len(alpha_coeffs)
-    for j, coeff in enumerate(beta_coeffs):
-        for i in reversed(range(min(j, len(alpha_coeffs)))):
+    passes = [0] * len(p.alpha_coeffs)
+    for j, coeff in enumerate(p.beta_coeffs):
+        for i in reversed(range(min(j, len(p.alpha_coeffs)))):
             if coeff <= 0:
                 break
             passes[i] += 1
             coeff -= 1
-    return ReducedObjective(tuple(a + extra for a, extra in zip(alpha_coeffs, passes)))
+    return ReducedObjective(tuple(a + extra for a, extra in zip(p.alpha_coeffs, passes)))
+
+
+@lru_cache(maxsize=4096)  # every shape to dims 16: 2176
+def _reduced(m: int, n: int, l: int) -> ReducedObjective:  # greedy_reduce, once per shape
+    return greedy_reduce(_shape(m, n, l))
 
 
 def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
@@ -204,15 +204,14 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     With non-increasing coefficients the optimum zeroes the first floor(r)
     alphas, puts the next at 1 - frac(r), and pins the rest at 1.
     """
-    r = r if isinstance(r, Fraction) else Fraction(r)
-    dim = len(ro.coeffs)
-    num, den = r.numerator, r.denominator  # the sum below is value * den, in ints
-    if not 0 <= num <= dim * den:
-        raise ValueError(f"r must lie in [0, {dim}], got {r}")
+    coeffs, dim = ro.coeffs, len(ro.coeffs)
+    num, den = (r if type(r) is Fraction else Fraction(r)).as_integer_ratio()  # the sum below
+    if not 0 <= num <= dim * den:  # is value * den, in ints
+        raise ValueError(f"r must lie in [0, {dim}], got {Fraction(num, den)}")
     k = num // den
-    value = sum(ro.coeffs[k + 1 :]) * den
+    value = sum(coeffs[k + 1 :]) * den
     if k < dim:
-        value += ro.coeffs[k] * ((k + 1) * den - num)
+        value += coeffs[k] * ((k + 1) * den - num)
     return Fraction(value, den)
 
 
@@ -224,5 +223,5 @@ def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:
     """d(r) by greedy beta elimination plus threshold minimization, on the
-    shape as kept; minimize_threshold checks r."""
-    return minimize_threshold(greedy_reduce(_shape(max(m, n), min(m, n), l)), r)
+    reduction kept per shape; minimize_threshold checks r."""
+    return minimize_threshold(_reduced(max(m, n), min(m, n), l), r)

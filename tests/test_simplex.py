@@ -688,6 +688,60 @@ def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
     assert set(work) == triples - seconds  # every first triple solves: cold, or re-priced
 
 
+def test_every_call_after_a_dicts_first_finds_its_lp_by_identity(monkeypatch):
+    # dims 8 poses 204 coefficient pairs and 36 row sets, and each keeps one c and one a_ub:
+    # so the second triple of a pair finds, in the dict it shares with the first, the very
+    # tuples it passes, and every call after a dict's first reads t alone
+    found, solve = [], _simplex.solve_min
+
+    def checking(c, a_ub, b_ub, warm=None, **kw):
+        if "last" in warm:
+            found.append(warm["last"][0][0] is c and warm["last"][0][1] is a_ub)
+        return solve(c, a_ub, b_ub, warm, **kw)
+
+    monkeypatch.setattr(_simplex, "solve_min", checking)
+    report = cli.run_crosscheck(8, False)
+    assert report["cases"] == 1808 and not report["mismatches"]
+    dicts = {(max(m, n), min(m, n), l) for m, n, l in itertools.product(range(1, 9), repeat=3)}
+    assert len(found) == 1808 - len(dicts) and all(found)
+
+
+def test_an_equal_but_distinct_c_is_looked_up(monkeypatch):
+    # a c equal to the one swept, in a tuple of its own, is answered from the pieces, with no
+    # solve and no pivot, and is kept: the next call with it reads t alone
+    c, a_ub, fixed = _exponent_lp(4, 3, 5)
+    warm, other, rs = {}, tuple([*c]), (Fraction(1, 2), Fraction(5, 4), 3)
+    want = [exponent_solver.dmt_via_lp(4, 3, 5, r) for r in rs]
+    assert _simplex.solve_min(c, a_ub, [*fixed, rs[0]], warm, span=(0, 3)) == want[0]
+    made, read = warm["counts"].copy(), []
+    assert other == c and other is not c
+    monkeypatch.setattr(_simplex, "_exact", lambda v: read.append(v) or v)
+    with pivots_of(_simplex) as pivots:
+        assert _simplex.solve_min(other, a_ub, [*fixed, rs[1]], warm, span=(0, 3)) == want[1]
+        assert warm["last"][0][0] is other and warm["last"][0][1] is a_ub
+        read.clear()
+        assert _simplex.solve_min(other, a_ub, [*fixed, rs[2]], warm, span=(0, 3)) == want[2]
+    assert read == [rs[2]] and not pivots and warm["counts"] == made
+
+
+def test_a_changed_b_or_span_solves_again():
+    # the fast lookup holds the LP, b[:-1] and span of the last sweep: another entry of b, a
+    # b with an entry past the rows (t is still the last row's), or another span is not it
+    c, a_ub, fixed = _exponent_lp(4, 3, 5)
+    moved = [1, *fixed[1:]]  # alpha_0 - beta_1 - t_01 <= 1
+    for b, span, solves in (([*moved, 1], (0, 3), 2), ([*fixed, 1, 7], (0, 3), 1),
+                            ([*fixed, 1], (0, 2), 2)):
+        warm = {}
+        _simplex.solve_min(c, a_ub, [*fixed, Fraction(1, 2)], warm, span=(0, 3))
+        value = _simplex.solve_min(c, a_ub, b, warm, span=span)
+        assert value == _simplex.solve_min(c, a_ub, b[: len(a_ub)]), (b, span)
+        assert warm["counts"]["cold_solves"] == solves, (b, span)
+        assert warm["last"][1:3] == (b[: len(a_ub) - 1], span), (b, span)
+    # a numpy b and span are read as the values they hold: the sweep's, so looked up
+    value = _simplex.solve_min(c, a_ub, np.array([*fixed, 1]), warm, span=np.array([0, 2]))
+    assert value == _simplex.solve_min(c, a_ub, [*fixed, 1]) and warm["counts"]["cold_solves"] == 2
+
+
 def test_pieces_cover_the_range_and_match_cold_solves():
     # after a triple's first call its pieces cover [0, min(m, n, l)] with no gap; at
     # each piece's ends in that range, its midpoint, and r a third and a seventh
