@@ -40,7 +40,7 @@ from .dmt_core import (
     max_diversity,
     order_triple,
 )
-from .exponent_solver import dmt_via_greedy, dmt_via_lp
+from .exponent_solver import _shape, dmt_via_greedy, dmt_via_lp
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 3
@@ -54,7 +54,7 @@ MAX_SIM_TRIALS = 10_000_000  # per SNR point; drawn in blocks, so memory stays f
 MAX_SIM_DIM = 16  # sim --triple dimensions; a block holds a few n x n x 4096 complex arrays
 MAX_CURVE_DIM = 1_000  # curve --triple dimensions; the curve has min(triple) + 1 points
 MAX_VERIFY_TRIALS = 1_000_000  # a Wishart fit holds all of its trials at once
-MAX_DIM = 12  # crosscheck --max-dim; the exact sweep's time grows steeply with it
+MAX_DIM = 16  # crosscheck --max-dim; the exact sweep's time grows steeply with it
 MAX_DIGITS = 1_000  # verify --digits; the mpmath determinants' time grows steeply with it
 
 # the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
@@ -272,31 +272,31 @@ def cmd_curve(args) -> tuple[int, dict]:
 
 def run_crosscheck(max_dim: int, fractional: bool,
                    closed_form=None, lp=None, greedy=None) -> dict:
-    """Sweep all triples with components <= max_dim; the three routes must
-    agree exactly.  The route callables are injectable for fault-testing;
-    lp(m, n, l, r, warm) gets one warm dict per exponent LP, which (m, n, l)
-    and (n, m, l) share: its first call sweeps the LP, and every call looks r
-    up.  All dicts share one table; "lp" holds their counts."""
+    """Sweep all triples with components <= max_dim; the three routes must agree exactly.
+    The route callables are injectable for fault-testing; lp(m, n, l, r, warm) gets one
+    warm dict per exponent LP, shared by every triple whose shape has its coefficient pair
+    and dropped after the last: its first call sweeps the LP, and every call looks r up.
+    All dicts share one table; "lp" holds their counts."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
     den = 4 if fractional else 1
     rs = [Fraction(k, den) for k in range(max_dim * den + 1)]  # r = k / den, once per run
-    cases, mismatches = 0, []
-    counts, shared, table = Counter(reprices=0), {}, {}  # shared: pairs half swept
-    for m, n, l in itertools.product(range(1, max_dim + 1), repeat=3):
-        key, fresh = (max(m, n), min(m, n), l), {"counts": counts, "table": table}
-        warm = shared.pop(key, fresh) if m >= n else shared.setdefault(key, fresh)  # m >= n: last
+    cases, mismatches, counts, shared, table = 0, [], Counter(reprices=0), {}, {}
+    lps = {(m, n, l): (s.alpha_coeffs, s.beta_coeffs) for m, n, l in itertools.product(
+        range(1, max_dim + 1), repeat=3) for s in [_shape(max(m, n), min(m, n), l)]}
+    last = {key: t for t, key in lps.items()}  # each LP's last triple, after which shared drops it
+    for (m, n, l), key in lps.items():
+        fresh = {"counts": counts, "table": table}
+        warm = (shared.pop if last[key] == (m, n, l) else shared.setdefault)(key, fresh)
         for r in rs[: min(m, n, l) * den + 1]:
             a = closed_form((m, n, l), r)
             b = lp(m, n, l, r, warm)
             c = greedy(m, n, l, r)
             cases += 1
             if not (a == b == c):
-                mismatches.append({
-                    "m": m, "n": n, "l": l, "r": str(r),
-                    "closed_form": str(a), "lp": str(b), "greedy": str(c),
-                })
+                mismatches.append({"m": m, "n": n, "l": l, "r": str(r),
+                                   "closed_form": str(a), "lp": str(b), "greedy": str(c)})
     return {"max_dim": max_dim, "fractional": fractional,
             "cases": cases, "mismatches": mismatches, "lp": dict(counts)}
 

@@ -54,11 +54,12 @@ class TestCrosscheck:
         assert out.startswith("0 mismatches / 63 cases")
         report = json.loads((tmp_path / "dmt_crosscheck.json").read_text())
         assert report == {"max_dim": 3, "fractional": False, "cases": 63, "mismatches": []}
-        # the LP counts go to the manifest: (m, n, l) and (n, m, l) share a solve, and
-        # of the 18 LPs the first of each of the 6 row sets is cold, the rest re-priced
+        # the LP counts go to the manifest: the triples whose shapes share a coefficient
+        # pair share a solve, and of the 14 LPs the first of each of the 6 row sets is
+        # cold, the rest re-priced
         manifest = json.loads((tmp_path / "dmt_crosscheck.manifest.json").read_text())
         assert manifest["lp"] == cli.run_crosscheck(3, False)["lp"]
-        assert (manifest["lp"]["cold_solves"], manifest["lp"]["reprices"]) == (6, 12)
+        assert (manifest["lp"]["cold_solves"], manifest["lp"]["reprices"]) == (6, 8)
         assert manifest["lp"].keys() == {
             "cold_solves", "reprices", "pivots", "pieces", "max_bits"}
 

@@ -8,6 +8,7 @@ import itertools
 import marshal
 import math
 import operator
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -588,31 +589,43 @@ def _row_sets(dims):
     return {(min(m, n, l), min(max(m, n), l)) for m, n, l in triples}
 
 
+def _lp_keys(dims):
+    """Each triple with entries <= dims, and the coefficient pair of its shape: the key of
+    its exponent LP, as the shape gives it, whatever order of m and n it comes in."""
+    return {(m, n, l): (s.alpha_coeffs, s.beta_coeffs)
+            for m, n, l in itertools.product(range(1, dims + 1), repeat=3)
+            for s in [exponent_solver._shape(max(m, n), min(m, n), l)]}
+
+
 def test_crosscheck_pivot_count(monkeypatch):
-    # each exponent LP is solved once, for (m, n, l) and (n, m, l) alike: the first LP
-    # of each of the 15 row sets by dual pivots from the slack basis, the other 60 by
-    # primal pivots from the table's optimum, and each is then swept over [0, alpha_dim]
-    # only; every call looks its r up and pivots nowhere; the counts the warm dicts keep
-    # are the ones seen
+    # each of the 55 exponent LPs is solved once, for every triple whose shape has its
+    # coefficient pair: the first LP of each of the 15 row sets by dual pivots from the
+    # slack basis, the other 40 by primal pivots from the table's optimum, and each is
+    # then swept over [0, alpha_dim] only; every call looks its r up and pivots nowhere;
+    # the counts the warm dicts keep are the ones seen
     pivots, phase2s = [], []
     pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 256 and len(phase2s) == 75
+    assert len(pivots) == 232 and len(phase2s) == len(set(_lp_keys(5).values())) == 55
+    assert len(phase2s) == len(_exponent_lps(5))  # the LPs told apart by value
     assert sum(a[3:] == (True,) for a in phase2s) == len(_row_sets(5)) == 15
-    assert report["lp"] == {"cold_solves": 15, "reprices": 60, "pivots": 256, "pieces": 164,
+    assert report["lp"] == {"cold_solves": 15, "reprices": 40, "pivots": 232, "pieces": 124,
                             "max_bits": 5}
 
 
 def test_crosscheck_lp_counts_at_dims_8():
-    # integer r to dims 8, pinned: a change to where a sweep stops, or to a Bland
-    # tie-break, moves the pivots or the pieces
+    # integer r to dims 8, pinned: a change to where a sweep stops, to a Bland
+    # tie-break, or to which triples share a sweep, moves the pivots or the pieces;
+    # each of the 204 LPs is solved once, 36 of them cold
     report = cli.run_crosscheck(8, False)
     assert report["cases"] == 1808 and not report["mismatches"]
-    assert report["lp"] == {"cold_solves": len(_row_sets(8)), "reprices": 252, "pivots": 1726,
-                            "pieces": 838, "max_bits": 6}
+    lp = report["lp"]
+    assert lp["cold_solves"] + lp["reprices"] == len(set(_lp_keys(8).values())) == 204
+    assert report["lp"] == {"cold_solves": len(_row_sets(8)), "reprices": 168, "pivots": 1474,
+                            "pieces": 608, "max_bits": 6}
 
 
 def _rewritten(tableau, old, new, nvar):
@@ -668,9 +681,10 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                      for t in itertools.product(range(1, 6), repeat=3)]
 
 
-def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
-    # dims <= 5: (m, n, l) and (n, m, l) pose one LP, and the pair's second
-    # triple is answered by the pieces of its first: no solve, no pivot
+def test_only_the_first_triple_of_an_lp_solves(monkeypatch):
+    # dims <= 5: every triple whose shape has one coefficient pair poses one LP, (m, n, l)
+    # and (n, m, l) among them, and each triple after the LP's first is answered by the
+    # pieces of its sweep: no solve, no pivot.  So 55 triples solve, cold or re-priced.
     work, now = [], []
     pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (work.append(now[-1]), pivot(*a)))
@@ -682,16 +696,16 @@ def test_second_triple_of_a_pair_solves_nothing(monkeypatch):
 
     report = cli.run_crosscheck(5, True, lp=lp)
     assert report["cases"] == 1025 and not report["mismatches"]
-    triples = set(itertools.product(range(1, 6), repeat=3))
-    seconds = {t for t in triples if t[0] > t[1]}
-    assert not seconds & set(work)
-    assert set(work) == triples - seconds  # every first triple solves: cold, or re-priced
+    firsts = {}
+    for t, key in _lp_keys(5).items():
+        firsts.setdefault(key, t)
+    assert set(work) == set(firsts.values()) and len(firsts) == 55
 
 
 def test_every_call_after_a_dicts_first_finds_its_lp_by_identity(monkeypatch):
     # dims 8 poses 204 coefficient pairs and 36 row sets, and each keeps one c and one a_ub:
-    # so the second triple of a pair finds, in the dict it shares with the first, the very
-    # tuples it passes, and every call after a dict's first reads t alone
+    # so every triple after an LP's first finds, in the dict it shares with the others, the
+    # very tuples it passes, and every call after a dict's first reads t alone
     found, solve = [], _simplex.solve_min
 
     def checking(c, a_ub, b_ub, warm=None, **kw):
@@ -702,8 +716,51 @@ def test_every_call_after_a_dicts_first_finds_its_lp_by_identity(monkeypatch):
     monkeypatch.setattr(_simplex, "solve_min", checking)
     report = cli.run_crosscheck(8, False)
     assert report["cases"] == 1808 and not report["mismatches"]
-    dicts = {(max(m, n), min(m, n), l) for m, n, l in itertools.product(range(1, 9), repeat=3)}
-    assert len(found) == 1808 - len(dicts) and all(found)
+    assert len(found) == 1808 - len(set(_lp_keys(8).values())) == 1808 - 204 and all(found)
+
+
+class _Probe:
+    """Kept in a warm dict alone, it lives exactly as long as the dict does."""
+
+
+def test_triples_share_a_warm_dict_exactly_when_they_pose_one_lp(monkeypatch):
+    # dims <= 8: the triples with one key, the coefficient pair of their shape, are given
+    # one warm dict and pass it the very same c and a_ub tuples, fixed b and span; triples
+    # with two keys are given two dicts and pass a different c or a_ub; and each dict is
+    # dropped after its LP's last triple, so no sweep outlives the triples that read it
+    keys, posed, dicts, made, now = _lp_keys(8), {}, {}, [], []
+    last = {key: i for i, key in enumerate(keys.values())}  # the index of each LP's last triple
+    solve = _simplex.solve_min
+
+    def recording(c, a_ub, b_ub, warm=None, **kw):
+        posed.setdefault(now[-1], []).append((c, a_ub, b_ub[:-1], kw["span"]))
+        return solve(c, a_ub, b_ub, warm, **kw)
+
+    def lp(m, n, l, r, warm):
+        if not r:  # a triple's first call: the dicts of the LPs past their last triple are gone
+            now.append((m, n, l))
+            assert [probe() is not None for _, probe in made] == [
+                last[key] >= len(now) - 1 for key, _ in made], (m, n, l)
+            if "probe" not in warm:
+                warm["probe"] = _Probe()
+                warm["probe"].n = len(made)
+                made.append((keys[m, n, l], weakref.ref(warm["probe"])))
+            dicts[m, n, l] = warm["probe"].n
+        return exponent_solver.dmt_via_lp(m, n, l, r, warm)
+
+    monkeypatch.setattr(_simplex, "solve_min", recording)
+    report = cli.run_crosscheck(8, False, lp=lp)
+    assert report["cases"] == 1808 and not report["mismatches"]
+    assert len(made) == len(last) == 204 and all(probe() is None for _, probe in made)
+    firsts = {}
+    for t, key in keys.items():
+        first = firsts.setdefault(key, t)
+        c, a_ub, fixed, span = posed[first][0]
+        assert dicts[t] == dicts[first], t
+        assert all(c2 is c and a2 is a_ub and f2 == fixed and s2 == span
+                   for c2, a2, f2, s2 in posed[t]), t
+    lps = [posed[t][0][:2] for t in firsts.values()]
+    assert len({dicts[t] for t in firsts.values()}) == len(set(lps)) == len(lps)
 
 
 def test_an_equal_but_distinct_c_is_looked_up(monkeypatch):
