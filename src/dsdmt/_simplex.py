@@ -16,23 +16,20 @@ Every test compares the rationals a Fraction tableau would, so the pivots, the
 optimum and x are the ones it would give.
 
 A warm dict serves calls with one c, a_ub and span that move b's last entry t
-only; another LP, b[:-1] or span is solved at its t, then swept over the span, or
-everywhere if none is given.  Moving t adds its change times the slack column to
-each rhs and keeps the reduced costs, so a basis stays optimal on a t-range, from
-the dual ratio test: a piece, kept with its ends as int pairs and the rhs and slack
-columns that give the value and x in it.  At each end the blocking row leaves by a
-dual pivot, the rhs still at the first t, until the LP has no point beyond
-(parametric rhs; Murty, *Linear Programming*, 1983); a point piece is dropped unread.
-Every call looks t up, and no tableau outlives its sweep: one with the very c and a_ub
-tuples, b[:-1] and span swept reads t alone, and an equal LP is kept for the next.
-Warm dicts may share a table of the optimum per a_ub held and b at a sweep's first
-t: another c there re-prices it and runs primal Bland pivots alone (Chvatal, *Linear
-Programming*, 1983).
+only; another LP, b[:-1] or span is solved and swept: at the span's top and down over
+it, else at t and everywhere.  As t grows it only loosens the last row, so the top of a
+span has a point if any t in it has one.  Moving t adds its change times the slack
+column to each rhs and keeps the reduced costs, so a basis stays optimal on a t-range,
+from the dual ratio test: a piece, kept with its ends as int pairs and the rhs and slack
+columns that give the value and x in it.  At each end the blocking row leaves by a dual
+pivot, the rhs still at the first t, until the LP has no point beyond (parametric rhs;
+Murty, *Linear Programming*, 1983); a point piece is dropped unread.  Every call looks t
+up, and no tableau outlives its sweep: one with the very c and a_ub tuples, b[:-1] and
+span swept reads t alone, and an equal LP is kept for the next.
 """
 
 from __future__ import annotations
 
-import marshal
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, count
@@ -89,51 +86,30 @@ def _pivot(rows, cost, basis, pr, pc):
     basis[pr] = pc
 
 
-def _iterate(rows, cost, basis, ncols):
-    """Run Bland-rule pivots until the cost row has no negative reduced cost; count them.  The
-    LP is bounded (c >= 0 bounds c.x below), so the entering column has a positive entry."""
-    for pivots in count():
-        pc = next((j for j in range(ncols) if cost[j] < 0), None)
-        if pc is None:
-            return pivots
-        pr = None
-        for i, row in enumerate(rows):
-            a = row[pc]
-            if a > 0:
-                if pr is not None:  # row[-1] / a against num / den
-                    lhs, rhs = row[-1] * den, num * a
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[pr]):
-                        continue
-                pr, num, den = i, row[-1], a
-        _pivot(rows, cost, basis, pr, pc)
-
-
 def _slack_rows(nvar, a_ub, b_ub):
     """b, then a_ub, read exactly: the rows [A | slack I | rhs] and the slack basis."""
     m = len(a_ub)
-    b_ub = [_exact(b_ub[i]) for i in range(m)]
+    b_ub, zeros = [_exact(b_ub[i]) for i in range(m)], [0] * m
     rows = []
     for i, b in enumerate(b_ub):
-        ints = type(b) is int and {*map(type, a_ub[i])} <= {int}  # then taken as they are
-        row = [*a_ub[i]] if ints else [_exact(v) for v in a_ub[i]]
-        if len(row) != nvar:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {nvar}")
-        row, scale = (row + [b], 1) if ints else _scaled(row + [b])
-        row[nvar:nvar] = [0] * m
+        if type(b) is int and {*map(type, a_ub[i])} <= {int}:  # then taken as they are
+            row, scale = [*a_ub[i], *zeros, b], 1
+        else:
+            row, scale = _scaled([*map(_exact, a_ub[i]), b])
+            row[-1:-1] = zeros
+        if len(row) != nvar + m + 1:
+            raise ValueError(f"row {i} has {len(row) - m - 1} entries, expected {nvar}")
         row[nvar + i] = scale
         rows.append(row)
     return rows, [nvar + i for i in range(m)]
 
 
-def _phase2(c, rows, basis, dual=False):
-    """Primal pivots, or dual ones if dual, for the exact c from basis: the tableau and pivots."""
-    ncols, iterate = len(c) + len(rows), _dual_iterate if dual else _iterate
+def _phase2(c, rows, basis):
+    """Dual pivots from the slack basis, dual feasible as the exact c is >= 0: the tableau and
+    pivots."""
     cost, scale = _scaled(c)
     cost += [0] * (len(rows) + 1) + [scale]
-    for i, row in enumerate(rows):
-        if f := cost[j := basis[i]]:
-            _combine(cost, row[j], f, row, [*compress(count(), row)], row[j] * cost[-1])
-    return rows, cost, basis, iterate(rows, cost, basis, ncols)
+    return rows, cost, basis, _dual_iterate(rows, cost, basis, len(c) + len(rows))
 
 
 def _dual_iterate(rows, cost, basis, ncols):
@@ -187,7 +163,7 @@ def _sweep(tableau, slack, t0, counts, sides, span=None):
     it, for each of sides (0 down, 1 up): a side stops at the first end at or past span's (int
     pairs lo, hi), if given, else at -inf or inf.  The row that blocks an end leaves by a dual
     pivot, the dual Bland one at end -/+ eps, so none cycles; if none can, no t beyond has a
-    point.  Pivots change rows, so the sweep down pivots a copy."""
+    point.  Pivots change rows, so the sweep down pivots a copy if the sweep up follows."""
     first, start = _ends(tableau, slack, t0)
     pieces, ncols = [_piece(tableau, slack, t0, first)], len(tableau[1]) - 2
     for side in sides:
@@ -195,7 +171,7 @@ def _sweep(tableau, slack, t0, counts, sides, span=None):
         while pr is not None:
             if span and (end[0] * span[side][1] - span[side][0] * end[1]) * (2 * side - 1) >= 0:
                 break
-            if side == 0 and rows is tableau[0]:  # the sweep up starts from the tableau
+            if side < sides[-1] and rows is tableau[0]:  # the sweep up starts from the tableau
                 rows, cost, basis = [row[:] for row in rows], cost[:], basis[:]
             if not _dual_pivot(rows, cost, basis, pr, ncols):
                 break
@@ -227,9 +203,9 @@ def _find(pieces, tn, td):
 
 def _warm_piece(c, a_ub, b_ub, warm, span):
     """(piece, t as (num, den)), t the last entry of b_ub: the first stored piece that holds t.
-    A new LP or span is solved at t and swept over span, or only solved if warm is None; a t
-    outside span raises ValueError first.  warm keeps its counts, table and last sweep; a t in
-    no piece raises Infeasible."""
+    A new LP or span is solved at the span's top and swept down over it, one without a span
+    at t and swept both ways, or only solved at t if warm is None; a t outside span raises
+    ValueError first.  warm keeps its counts and last sweep; a t in no piece raises Infeasible."""
     sides, warm = ((0, 1), warm) if warm is not None else ((), {})
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
     held, fixed, swept, pieces = warm.get("last", (None,) * 4)
@@ -239,30 +215,25 @@ def _warm_piece(c, a_ub, b_ub, warm, span):
         return _find(pieces, *_ratio(b_ub[-1], swept))
     lp = (c, a_ub) if type(c) is tuple and type(a_ub) is tuple and all(
         type(r) is tuple for r in a_ub) else ([*c], [[*row] for row in a_ub])
-    fix = [*b_ub[: len(a_ub)]]
-    t = fix.pop() if fix else 0  # no rows: t = 0 stands in, its column the rhs
+    b = [*b_ub[: len(a_ub)]]
+    fix, t = b[:-1], b[-1] if b else 0  # no rows: t = 0 stands in, its column the rhs
     if span is not None:  # then t is read before c, and must lie in span
         _ratio(t, span := tuple(map(_exact, span)))
     if held == lp and fix == fixed and span == swept:  # else a new LP reads c before t; an
         warm["last"] = lp, fixed, swept, pieces  # equal one is kept, so the next call with it
         return _find(pieces, *_ratio(t))  # compares by identity
-    c = [*map(_exact, c)]  # from the table's optimum at this b, else cold
+    c = [*map(_exact, c)]
     for j, v in enumerate(c):
         if v < 0:
             raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
-    table, key = warm.get("table"), (id(lp[1]), *fix, t)
-    if stored := table and table.get(key):  # it holds lp[1], so no other has that id
-        rows, cost, basis, pivots = _phase2(c, *marshal.loads(stored[1]))
-    else:  # c >= 0, so the slack basis is dual feasible
-        rows, cost, basis, pivots = _phase2(c, *_slack_rows(len(c), a_ub, b_ub), True)
-    counts.update({"reprices" if stored else "cold_solves": 1, "pivots": pivots})
-    if table is not None and (pivots or not stored):  # marshalled, 5 bytes a small int:
-        table[key] = lp[1], marshal.dumps((rows, basis))  # lists take 1.6 MB more at dims 12
-    tt = _ratio(t)
-    pieces = _sweep((rows, cost, basis), len(c) + len(fix), tt, counts, sides,
-                    span and [*map(_ratio, span)])
+    if sides and span is not None and b:  # t only loosens the last row as it grows, so the
+        b[-1], sides = span[1], (0,)  # span's top has a point if any t in it has: sweep down
+    rows, cost, basis, pivots = _phase2(c, *_slack_rows(len(c), a_ub, b))
+    counts.update({"cold_solves": 1, "pivots": pivots})
+    pieces = _sweep((rows, cost, basis), len(c) + len(fix), _ratio(b[-1] if b else 0), counts,
+                    sides, span and [*map(_ratio, span)])
     warm["last"] = lp, fix, span, pieces
-    return _find(pieces, *tt)
+    return _find(pieces, *_ratio(t))
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, span=None):
@@ -274,7 +245,7 @@ def solve_min(c, a_ub, b_ub, warm=None, *, span=None):
     feasible, and ValueError, before any pivot, if an entry of c is negative.
 
     warm, if given, is a dict that keeps the pieces of one LP's sweep (see above) and counts
-    the cold solves, re-prices, pivots, pieces and the most bits a piece held;
+    the cold solves, pivots, pieces and the most bits a piece held;
     every call looks t up in the pieces.  With span, a pair lo <= hi, a sweep stops once it
     covers [lo, hi], and a t outside it raises ValueError before any pivot.
     """

@@ -54,7 +54,7 @@ MAX_SIM_TRIALS = 10_000_000  # per SNR point; drawn in blocks, so memory stays f
 MAX_SIM_DIM = 16  # sim --triple dimensions; a block holds a few n x n x 4096 complex arrays
 MAX_CURVE_DIM = 1_000  # curve --triple dimensions; the curve has min(triple) + 1 points
 MAX_VERIFY_TRIALS = 1_000_000  # a Wishart fit holds all of its trials at once
-MAX_DIM = 16  # crosscheck --max-dim; the exact sweep's time grows steeply with it
+MAX_DIM = 18  # crosscheck --max-dim; the exact sweep's time grows steeply with it
 MAX_DIGITS = 1_000  # verify --digits; the mpmath determinants' time grows steeply with it
 
 # the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
@@ -276,18 +276,18 @@ def run_crosscheck(max_dim: int, fractional: bool,
     The route callables are injectable for fault-testing; lp(m, n, l, r, warm) gets one
     warm dict per exponent LP, shared by every triple whose shape has its coefficient pair
     and dropped after the last: its first call sweeps the LP, and every call looks r up.
-    All dicts share one table; "lp" holds their counts."""
+    "lp" holds their counts."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
     den = 4 if fractional else 1
     rs = [Fraction(k, den) for k in range(max_dim * den + 1)]  # r = k / den, once per run
-    cases, mismatches, counts, shared, table = 0, [], Counter(reprices=0), {}, {}
+    cases, mismatches, counts, shared = 0, [], Counter(), {}
     lps = {(m, n, l): (s.alpha_coeffs, s.beta_coeffs) for m, n, l in itertools.product(
         range(1, max_dim + 1), repeat=3) for s in [_shape(max(m, n), min(m, n), l)]}
     last = {key: t for t, key in lps.items()}  # each LP's last triple, after which shared drops it
     for (m, n, l), key in lps.items():
-        fresh = {"counts": counts, "table": table}
+        fresh = {"counts": counts}
         warm = (shared.pop if last[key] == (m, n, l) else shared.setdefault)(key, fresh)
         for r in rs[: min(m, n, l) * den + 1]:
             a = closed_form((m, n, l), r)

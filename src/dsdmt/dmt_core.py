@@ -125,7 +125,7 @@ def dmt_curve(t) -> DmtCurve:
     return _curve(t if ints else order_triple(t))
 
 
-@lru_cache(maxsize=8192)  # every triple and ordered triple to dims 16: 4096 and 816
+@lru_cache(maxsize=8192)  # every triple and ordered triple to dims 18: 5832 and 1140
 def _curve(t) -> DmtCurve:  # dmt_curve, once per tuple of ints and per ordered triple
     if type(t) is tuple:  # checked and sorted once, then the ordered triple's entry
         return _curve(order_triple(t))

@@ -90,7 +90,7 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     return p
 
 
-@lru_cache(maxsize=4096)  # every shape to dims 16: 2176
+@lru_cache(maxsize=4096)  # every shape to dims 18: 3078
 def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once per shape
     if min(m, n, l) < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
@@ -103,12 +103,12 @@ def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once
     return ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
 
 
-@lru_cache(maxsize=2048)  # every coefficient pair to dims 16 (1496), so each keeps one c
+@lru_cache(maxsize=4096)  # every coefficient pair to dims 18 (2109), so each keeps one c
 def _lp_cost(a, b):  # c: the coefficients a and b, then 1 per t and 0 per s
     return (*a, *b, *[1] * len(_plus_pairs(len(a), len(b))), *[0] * len(a))
 
 
-@lru_cache(maxsize=256)  # every (na, nb) to dims 16 (136): a warm table keys the rows by identity
+@lru_cache(maxsize=256)  # every (na, nb) to dims 18 (171), so a lookup finds its a_ub by identity
 def _lp_rows(na, nb):
     """a_ub and b_ub but for its last entry, the r of sum s_i <= r; one tuple each."""
     pairs = _plus_pairs(na, nb)
@@ -193,7 +193,7 @@ def greedy_reduce(p: ExponentProgram) -> ReducedObjective:
     return ReducedObjective(tuple(a + extra for a, extra in zip(p.alpha_coeffs, passes)))
 
 
-@lru_cache(maxsize=4096)  # every shape to dims 16: 2176
+@lru_cache(maxsize=4096)  # every shape to dims 18: 3078
 def _reduced(m: int, n: int, l: int) -> ReducedObjective:  # greedy_reduce, once per shape
     return greedy_reduce(_shape(m, n, l))
 

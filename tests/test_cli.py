@@ -55,13 +55,10 @@ class TestCrosscheck:
         report = json.loads((tmp_path / "dmt_crosscheck.json").read_text())
         assert report == {"max_dim": 3, "fractional": False, "cases": 63, "mismatches": []}
         # the LP counts go to the manifest: the triples whose shapes share a coefficient
-        # pair share a solve, and of the 14 LPs the first of each of the 6 row sets is
-        # cold, the rest re-priced
+        # pair share a solve, so 14 LPs are solved
         manifest = json.loads((tmp_path / "dmt_crosscheck.manifest.json").read_text())
         assert manifest["lp"] == cli.run_crosscheck(3, False)["lp"]
-        assert (manifest["lp"]["cold_solves"], manifest["lp"]["reprices"]) == (6, 8)
-        assert manifest["lp"].keys() == {
-            "cold_solves", "reprices", "pivots", "pieces", "max_bits"}
+        assert manifest["lp"] == {"cold_solves": 14, "pivots": 51, "pieces": 34, "max_bits": 3}
 
     def test_max_dim_one(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["crosscheck", "--max-dim", "1"], tmp_path, monkeypatch)

@@ -372,13 +372,13 @@ class TestRouteAgreement:
                     assert dmt_via_lp(m, n, l, r) == expected
 
     def test_swept_lp_curve_equals_closed_form_for_every_r(self):
-        # every triple with dims <= 6: its LP, swept from r = 0, is affine on each
+        # every triple with dims <= 6: its LP, swept over [0, min(m, n, l)], is affine on each
         # piece, and the closed form between integer corners, so agreeing at the
         # union of the pieces' ends and the corners in [0, min(m, n, l)] proves the
         # two curves equal there for every real r, not only on a grid
-        table, checked = {}, 0
+        checked = 0
         for t in itertools.product(range(1, 7), repeat=3):
-            warm, curve, top = {"table": table}, dmt_curve(t), min(t)
+            warm, curve, top = {}, dmt_curve(t), min(t)
             dmt_via_lp(*t, 0, warm)
             los, his = zip(*[[Fraction(*e) if e[1] else e[0] * math.inf for e in piece[:2]]
                              for piece in warm["last"][-1]])
@@ -386,7 +386,7 @@ class TestRouteAgreement:
             for r in sorted({e for e in los + his if 0 <= e <= top} | set(range(top + 1))):
                 assert dmt_via_lp(*t, r, warm) == dmt_at(curve, r), (t, r)
                 checked += 1
-            assert warm["counts"]["cold_solves"] + warm["counts"]["reprices"] == 1
+            assert warm["counts"]["cold_solves"] == 1
         assert checked > 216 * 2
 
     @settings(derandomize=True, max_examples=500, deadline=None, database=None)

@@ -1,11 +1,10 @@
 """The internal exact simplex against hand LPs, scipy, a cycling classic, and
-the Fraction tableau it replaced (``fraction_simplex``): its values, and its
-primal pivots one for one; its dual pivots against the dual Bland rule, its
-warm starts against cold solves, and the x each value comes from (``piece_x``)."""
+the Fraction tableau it replaced (``fraction_simplex``): its values; its
+pivots against the dual Bland rule, its warm starts against cold solves, and
+the x each value comes from (``piece_x``)."""
 
 import contextlib
 import itertools
-import marshal
 import math
 import operator
 import weakref
@@ -64,41 +63,23 @@ def pivots_of(module):
         module._pivot = pivot
 
 
-@pytest.mark.parametrize("call", ["cold", "warm", "table"])
+@pytest.mark.parametrize("call", ["cold", "warm"])
 @pytest.mark.parametrize("negative", [-1, Fraction(-1, 3), np.int64(-2), -0.5],
                          ids=["int", "Fraction", "numpy-int", "float"])
 def test_negative_cost_entry_raises(negative, call):
     # only c >= 0 is solved: a negative entry is named when the LP is first read, before
-    # any pivot, and a table then stores nothing and counts no solve
-    c, a_ub, b_ub, table = [1, negative], [[-1, -1], [0, 1]], [-1, 1], {}
-    warm = {"cold": None, "warm": {}, "table": {"table": table}}[call]
+    # any pivot, and a warm dict then counts no solve
+    c, a_ub, b_ub = [1, negative], [[-1, -1], [0, 1]], [-1, 1]
+    warm = {"cold": None, "warm": {}}[call]
     with pivots_of(_simplex) as pivots, pytest.raises(ValueError, match=r"^c\[1\] = -"):
         _simplex.solve_min(c, a_ub, b_ub, warm)
-    assert not pivots and not table
+    assert not pivots
     assert warm is None or not warm["counts"]
 
 
 def test_no_constraints():
     value, x = solve_with_x([2, 3], [], [])
     assert value == 0 and x == [0, 0]
-
-
-def assert_primal_pivots_match(c, rows, basis):
-    """_phase2 for c from basis, primal feasible, on the integer tableau rows takes the pivots
-    fraction_simplex._iterate takes from the same tableau in Fractions, one for one, to the
-    same value: returns that value and the number of pivots."""
-    frows = [[Fraction(v, row[j]) for v in row] for row, j in zip(rows, basis)]
-    fcost = [Fraction(v) for v in c] + [Fraction(0)] * (len(rows) + 1)
-    for row, j in zip(frows, basis):
-        fcost = [v - fcost[j] * a for v, a in zip(fcost, row)]
-    with pivots_of(fraction_simplex) as want:
-        fraction_simplex._iterate(frows, fcost, basis[:], len(c) + len(rows))
-    with pivots_of(_simplex) as got:
-        _, cost, _, count = _simplex._phase2([*map(Fraction, c)], [row[:] for row in rows],
-                                             basis[:])
-    assert got == want and count == len(got)
-    assert Fraction(-cost[-2], cost[-1]) == -fcost[-1]
-    return -fcost[-1], count
 
 
 # classic degenerate LP on which naive pivoting cycles; Bland must finish
@@ -111,12 +92,15 @@ BEALE = (
 
 
 def test_beales_cycling_example():
-    # bounded, though c has negative entries, and b >= 0, so its slack basis is primal
-    # feasible: from there the primal Bland pivots, which every re-price takes, are the
-    # Fraction tableau's, and they finish
+    # min c.x, A x <= b has negative c, so it is solved as its dual, min b.y, -A^T y <= c:
+    # b >= 0, and the dual start meets c's negative entries as right-hand sides.  Dual
+    # pivots with the most negative right-hand side leaving return to the slack basis every
+    # 12; the dual Bland ones finish, at minus Beale's optimum
     c, a_ub, b_ub = BEALE
-    value, count = assert_primal_pivots_match(c, *_simplex._slack_rows(len(c), a_ub, b_ub))
-    assert value == Fraction(-1, 20) and count > 0
+    dual = b_ub, [[-row[j] for row in a_ub] for j in range(len(c))], c
+    with dual_pivots_checked() as (pivots, _):
+        assert _simplex.solve_min(*dual) == Fraction(1, 20) and pivots
+    assert_matches_oracle(dual)
 
 
 def test_redundant_equality_rows():
@@ -177,11 +161,10 @@ def _assert_sweep_pivot(rows, cost, basis, pr, pc, slack):
 
 @contextlib.contextmanager
 def dual_pivots_checked():
-    """Check every dual pivot made inside: a sweep's by _assert_sweep_pivot, any
-    other (its row's rhs negative) against _dual_bland; yields the lists of the
-    dual-start, the sweep and the primal pivots."""
+    """Check every pivot made inside: a sweep's by _assert_sweep_pivot, any other, a dual
+    start's, against _dual_bland; yields the lists of the dual-start and the sweep pivots."""
     pivot, sweep = _simplex._pivot, _simplex._sweep
-    dual, swept, primal, slack = [], [], [], []
+    dual, swept, slack = [], [], []
 
     def sweeping(tableau, column, *rest):
         slack.append(column)
@@ -194,16 +177,14 @@ def dual_pivots_checked():
         if slack:
             _assert_sweep_pivot(rows, cost, basis, pr, pc, slack[-1])
             swept.append((pr, pc))
-        elif rows[pr][-1] < 0:  # primal pivots keep every right-hand side >= 0
-            assert (pr, pc) == _dual_bland(rows, cost, basis)
+        else:  # its row's rhs is negative, as no primal pivot's is
+            assert rows[pr][-1] < 0 and (pr, pc) == _dual_bland(rows, cost, basis)
             dual.append((pr, pc))
-        else:
-            primal.append((pr, pc))
         pivot(rows, cost, basis, pr, pc)
 
     _simplex._pivot, _simplex._sweep = checked, sweeping
     try:
-        yield dual, swept, primal
+        yield dual, swept
     finally:
         _simplex._pivot, _simplex._sweep = pivot, sweep
 
@@ -227,17 +208,16 @@ def _oracle_outcome(lp):
 
 
 def _solved(lp, warm=None):
-    """solve_min's outcome on lp as _oracle_outcome gives the oracle's, every dual pivot
-    checked and none primal unless a table is read, and x feasible with c.x the value."""
+    """solve_min's outcome on lp as _oracle_outcome gives the oracle's, every pivot checked,
+    and x feasible with c.x the value."""
     c, a_ub, b_ub = lp
     try:
-        with dual_pivots_checked() as (_, _, primal):
+        with dual_pivots_checked():
             value, x = solve_with_x(c, a_ub, b_ub, warm)
     except _simplex.Infeasible:
         return "Infeasible"
     except _UNREADABLE as exc:
         return type(exc).__name__, str(exc)
-    assert not primal or "table" in (warm or {})
     assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
     assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
                for row, bi in zip(a_ub, b_ub))
@@ -376,31 +356,6 @@ def test_random_lps_match_oracle(lp):
     assert_matches_oracle(lp)
 
 
-@st.composite
-def slack_feasible_lps(draw):
-    """Small LPs with b >= 0, often 0, so the slack basis is primal feasible, and c of
-    either sign, so primal pivots leave it."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    c = draw(st.lists(_VALUES, min_size=n, max_size=n))
-    a = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=m, max_size=m))
-    b = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), min_size=m, max_size=m))
-    return c, a, b
-
-
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(slack_feasible_lps())
-def test_primal_pivots_from_the_slack_basis_match_oracle(lp):
-    # with c >= 0 the slack basis is already optimal, so these draw c of either sign and
-    # keep the LPs the oracle finds bounded; with b >= 0 the oracle runs no phase 1, so its
-    # pivots are those of fraction_simplex._iterate from the slack basis
-    c, a_ub, b_ub = lp
-    try:
-        expected = fraction_simplex.solve_min(c, a_ub, b_ub)[0]
-    except fraction_simplex.Unbounded:
-        return
-    assert assert_primal_pivots_match(c, *_simplex._slack_rows(len(c), a_ub, b_ub))[0] == expected
-
-
 # Warm starts: one solve, then a parametric sweep of b's last entry t, every dual
 # pivot checked, and every value against a cold solve.
 
@@ -440,7 +395,7 @@ def test_warm_hand_lp():
     # [-2, 0], one at -2 reaches [-3, -2], and at -3 no column can enter
     lp = ([1, 2], [[0, 1], [1, 0], [-1, -1]], [1, 2, None], 2)
     warm = {}
-    with dual_pivots_checked() as (dual, swept, _):
+    with dual_pivots_checked() as (dual, swept):
         values = _outcomes(*lp, [3, Fraction(-1, 2), 0, Fraction(-7, 3), -3, -4], warm)
     assert values == [0, Fraction(1, 2), 0, Fraction(8, 3), 4, _simplex.Infeasible]
     assert not dual and len(swept) == 2
@@ -512,21 +467,52 @@ def test_warm_matches_cold_solves(lp):
             assert _outcomes(*last, inside, warm, span) == [cold[v] for v in inside]
 
 
-@pytest.mark.parametrize("call", ["cold", "warm", "table", "swept"])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(lp_paths())
+def test_no_point_at_the_top_of_a_span_means_none_in_it(lp):
+    # t only loosens the last row as it grows, so an LP with no point at its span's top has
+    # none at any t in the span: which is why a first warm call with a span solves at the
+    # top, by a cold solve's pivots there, and sweeps down from it.  With row k last and the
+    # span over all the path's values, each t on a fresh dict gives a cold solve's outcome
+    # at t, Infeasible for every t when the top raises it
+    c, a, b, k, values = lp
+    a, b, span = [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :]], (min(values), max(values))
+
+    def outcome(t, warm=None, span=None):
+        try:
+            return _simplex.solve_min(c, a, [*b, t], warm, span=span)
+        except _simplex.Infeasible:
+            return _simplex.Infeasible
+
+    with pivots_of(_simplex) as top:
+        at_top = outcome(span[1])
+    for t in values:
+        warm = {}
+        with pivots_of(_simplex) as pivots:
+            value = outcome(t, warm, span)
+        assert value == outcome(t), t
+        if at_top is _simplex.Infeasible:
+            assert pivots == top and "last" not in warm, t
+        else:  # every piece keeps the t its rhs stands at: the top
+            assert pivots[: len(top)] == top, t
+            assert {piece[2] for piece in warm["last"][-1]} == {span[1].as_integer_ratio()}, t
+
+
+@pytest.mark.parametrize("call", ["cold", "warm", "swept"])
 @pytest.mark.parametrize("t", [Fraction(-1, 2), 4, "7/2"])
 def test_t_outside_the_span_raises_before_any_pivot(t, call):
     # with a span, t must lie in it: one outside is named before any pivot, on a dict that
-    # holds the LP's sweep over that span too, and then nothing is counted, the table
-    # stores nothing and the sweep stays
-    c, a_ub, table = [1, 2], [[0, 1], [1, 0], [-1, -1]], {}
-    warm = {"cold": None, "warm": {}, "table": {"table": table}, "swept": {}}[call]
+    # holds the LP's sweep over that span too, and then nothing is counted and the sweep
+    # stays
+    c, a_ub = [1, 2], [[0, 1], [1, 0], [-1, -1]]
+    warm = {"cold": None, "warm": {}, "swept": {}}[call]
     if call == "swept":
         assert _simplex.solve_min(c, a_ub, [1, 2, 1], warm, span=(0, 3)) == 0
     made, last = Counter((warm or {}).get("counts")), (warm or {}).get("last")
     with pivots_of(_simplex) as pivots, pytest.raises(
             ValueError, match=rf"^t = {Fraction(t)} lies outside the span \[0, 3\]$"):
         _simplex.solve_min(c, a_ub, [1, 2, t], warm, span=(0, 3))
-    assert not pivots and not table
+    assert not pivots
     assert warm is None or (Counter(warm.get("counts")), warm.get("last")) == (made, last)
 
 
@@ -549,7 +535,7 @@ def test_exponent_lps_warm_match_cold_solves():
     # every crosscheck case with dims <= 5 and quarter-step r, each triple on
     # one warm dict with r rising and falling, against 1025 cold solves; the
     # first call of each sweeps, every pivot of it checked
-    with dual_pivots_checked() as (_, swept, _):
+    with dual_pivots_checked() as (_, swept):
         for t in itertools.product(range(1, 6), repeat=3):
             rs = [Fraction(k, 4) for k in range(4 * min(t) + 1)]
             cold = [exponent_solver.dmt_via_lp(*t, r) for r in rs]
@@ -563,30 +549,23 @@ def test_exponent_lps_warm_match_cold_solves():
 def test_solve_lp_outside_its_span_raises():
     # solve_lp sweeps [0, alpha_dim] only, and an r below or above it raises ValueError
     # with dmt_via_lp's message, before any pivot, on a fresh warm dict and on one that
-    # holds the LP's sweep alike: nothing is counted, and the table stores nothing.  Most
-    # LPs here have pieces past alpha_dim that the sweep leaves out
+    # holds the LP's sweep alike: nothing is counted.  Most LPs here have pieces past
+    # alpha_dim that the sweep leaves out
     for m, n, l in itertools.product(range(1, 5), repeat=3):
         if n > m:
             continue
-        warm, top = {"table": {}}, min(n, l)
+        warm, top = {}, min(n, l)
         for r in (Fraction(-1, 4), Fraction(top, 2), top + Fraction(1, 3), top + 2, -1, top):
             p = exponent_solver.build_program(m, n, l, r)
             if 0 <= r <= top:
                 assert exponent_solver.solve_lp(p, warm) == exponent_solver.solve_lp(p)
                 continue
-            made, stored = warm.get("counts", Counter()).copy(), dict(warm["table"])
+            made = warm.get("counts", Counter()).copy()
             with pivots_of(_simplex) as pivots, pytest.raises(
                     ValueError, match=rf"^r must lie in \[0, {top}\], got {r}$"):
                 exponent_solver.solve_lp(p, warm)
             assert not pivots and warm.get("counts", Counter()) == made
-            assert warm["table"] == stored
         assert warm["counts"]["cold_solves"] == 1 and "last" in warm
-
-
-def _row_sets(dims):
-    """The (alpha_dim, beta_dim) of the exponent LPs of a crosscheck sweep to dims."""
-    triples = itertools.product(range(1, dims + 1), repeat=3)
-    return {(min(m, n, l), min(max(m, n), l)) for m, n, l in triples}
 
 
 def _lp_keys(dims):
@@ -599,33 +578,48 @@ def _lp_keys(dims):
 
 def test_crosscheck_pivot_count(monkeypatch):
     # each of the 55 exponent LPs is solved once, for every triple whose shape has its
-    # coefficient pair: the first LP of each of the 15 row sets by dual pivots from the
-    # slack basis, the other 40 by primal pivots from the table's optimum, and each is
-    # then swept over [0, alpha_dim] only; every call looks its r up and pivots nowhere;
-    # the counts the warm dicts keep are the ones seen
+    # coefficient pair: by dual pivots from the slack basis at r = alpha_dim, then swept
+    # down over [0, alpha_dim] only; every call looks its r up and pivots nowhere; the
+    # counts the warm dicts keep are the ones seen
     pivots, phase2s = [], []
     pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 232 and len(phase2s) == len(set(_lp_keys(5).values())) == 55
+    assert len(pivots) == 315 and len(phase2s) == len(set(_lp_keys(5).values())) == 55
     assert len(phase2s) == len(_exponent_lps(5))  # the LPs told apart by value
-    assert sum(a[3:] == (True,) for a in phase2s) == len(_row_sets(5)) == 15
-    assert report["lp"] == {"cold_solves": 15, "reprices": 40, "pivots": 232, "pieces": 124,
-                            "max_bits": 5}
+    assert report["lp"] == {"cold_solves": 55, "pivots": 315, "pieces": 160, "max_bits": 5}
 
 
 def test_crosscheck_lp_counts_at_dims_8():
     # integer r to dims 8, pinned: a change to where a sweep stops, to a Bland
     # tie-break, or to which triples share a sweep, moves the pivots or the pieces;
-    # each of the 204 LPs is solved once, 36 of them cold
+    # each of the 204 LPs is solved once
     report = cli.run_crosscheck(8, False)
     assert report["cases"] == 1808 and not report["mismatches"]
-    lp = report["lp"]
-    assert lp["cold_solves"] + lp["reprices"] == len(set(_lp_keys(8).values())) == 204
-    assert report["lp"] == {"cold_solves": len(_row_sets(8)), "reprices": 168, "pivots": 1474,
-                            "pieces": 608, "max_bits": 6}
+    assert report["lp"]["cold_solves"] == len(set(_lp_keys(8).values())) == 204
+    assert report["lp"] == {"cold_solves": 204, "pivots": 2039, "pieces": 744, "max_bits": 6}
+
+
+def test_a_swept_exponent_lp_starts_in_alpha_dim_pivots(monkeypatch):
+    # every exponent LP with dims <= 8, first called at r = 0 as the crosscheck calls it: it is
+    # solved at r = alpha_dim, where x = 0 with every s_i = 1 is optimal for any c >= 0, and
+    # the dual start gets there in exactly alpha_dim pivots, each entering one s_i
+    starts, dual_iterate = [], _simplex._dual_iterate
+
+    def recording(rows, cost, basis, ncols):
+        before = {*basis}
+        starts.append((dual_iterate(rows, cost, basis, ncols), {*basis} - before))
+        return starts[-1][0]
+
+    monkeypatch.setattr(_simplex, "_dual_iterate", recording)
+    lps = _exponent_lps(8)
+    for (c, a_ub, fixed), (m, n, l) in lps:
+        na = fixed.count(-1)
+        exponent_solver.solve_lp(exponent_solver.build_program(m, n, l, 0), {})
+        assert starts.pop() == (na, {*range(len(c) - na, len(c))}), (m, n, l)
+    assert len(lps) == 204
 
 
 def _rewritten(tableau, old, new, nvar):
@@ -653,8 +647,8 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
     # every triple with dims <= 5, r up and then down on one warm dict: each call's
     # value is that of a tableau rewritten to its b on every call and moved there by
     # dual pivots, and its x is feasible with c.x that value; each triple's first
-    # call solves, from the slack basis, and sweeps from r = 0 over [0, alpha_dim], as
-    # solve_lp asks; every call is a lookup
+    # call solves, from the slack basis, at r = alpha_dim and sweeps down over
+    # [0, alpha_dim], as solve_lp asks; every call is a lookup
     swept = []
     sweep = _simplex._sweep
     monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2::3]), sweep(*a))[1])
@@ -666,7 +660,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
             for r in rs + rs[-2::-1]:
                 b = [*fixed, r]
                 if ref is None:
-                    ref = _simplex._phase2(c, *_simplex._slack_rows(len(c), a_ub, b), True)[:3]
+                    ref = _simplex._phase2(c, *_simplex._slack_rows(len(c), a_ub, b))[:3]
                 else:
                     _rewritten(ref, old, b, len(c))
                 old = b
@@ -677,14 +671,14 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                 assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
                            for row, bi in zip(a_ub, b))
             assert warm["counts"]["cold_solves"] == 1
-    assert swept == [((0, 1), [(0, 1), (min(t), 1)])
+    assert swept == [((min(t), 1), [(0, 1), (min(t), 1)])
                      for t in itertools.product(range(1, 6), repeat=3)]
 
 
 def test_only_the_first_triple_of_an_lp_solves(monkeypatch):
     # dims <= 5: every triple whose shape has one coefficient pair poses one LP, (m, n, l)
     # and (n, m, l) among them, and each triple after the LP's first is answered by the
-    # pieces of its sweep: no solve, no pivot.  So 55 triples solve, cold or re-priced.
+    # pieces of its sweep: no solve, no pivot.  So 55 triples solve.
     work, now = [], []
     pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (work.append(now[-1]), pivot(*a)))
@@ -834,8 +828,8 @@ def test_pieces_cover_the_range_and_match_cold_solves():
 
 
 def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
-    # two successive sweeps make the same cold solves, re-prices and pivots: the
-    # table lives for one run, so each run solves the first LP of a row set cold
+    # two successive sweeps make the same solves and pivots: the warm dicts live for one
+    # run, so each run solves each of its 14 LPs
     seen = []
     pivot, phase2 = _simplex._pivot, _simplex._phase2
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (seen.append(a[3:]), pivot(*a)))
@@ -845,12 +839,8 @@ def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
         report = cli.run_crosscheck(3, True)
         runs.append((seen[:], report["lp"]))
         seen.clear()
-    assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(_row_sets(3)) == 6
+    assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(_exponent_lps(3)) == 14
 
-
-# The table: the last optimal tableau per rows held and b, shared by the warm
-# dicts of a run.  Another c at that b starts from a copy of it, re-priced, and
-# runs primal pivots only; its value must be a cold solve's.
 
 def _exponent_lps(dims):
     """Each exponent LP of the triples with entries <= dims, as (c, a_ub, the fixed
@@ -861,53 +851,12 @@ def _exponent_lps(dims):
     return sorted(lps.items())
 
 
-def test_exponent_lps_repriced_match_cold_solves():
-    # every exponent LP with dims <= 6, at every quarter r, each call on a fresh warm
-    # dict and all on one table: the first LP of a row set at an r starts at the slack
-    # basis, and each later one re-prices the optimum the one before it left there
-    table, counts = {}, Counter()
-    for (c, a_ub, fixed), _ in _exponent_lps(6):
-        for k in range(4 * fixed.count(-1) + 1):  # r in [0, alpha_dim]
-            b = [*fixed, Fraction(k, 4)]
-            value = _simplex.solve_min(c, a_ub, b, {"table": table, "counts": counts})
-            assert value == _simplex.solve_min(c, a_ub, b), (c, b)
-    assert counts["cold_solves"] == sum(4 * na + 1 for na, _ in _row_sets(6))
-    assert counts["reprices"] > 2 * counts["cold_solves"]
-
-
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(st.one_of(random_lps(), nonnegative_cost_lps()), st.data())
-def test_random_lps_repriced_match_cold_solves(lp, data):
-    # the optimum of LP(c1), re-priced for c2 at the same rows and b, takes the Fraction
-    # tableau's primal pivots one for one to the cold solve's value; rows and c are
-    # tuples, so every warm dict holds the one a_ub the table is keyed by
-    c1, a, b = lp
-    c2 = data.draw(st.lists(_COSTS, min_size=len(c1), max_size=len(c1)))
-    a_ub, table = tuple(map(tuple, a)), {}
-    try:
-        _simplex.solve_min(tuple(c1), a_ub, b, {"table": table})
-    except (_simplex.Infeasible, ValueError, TypeError, OverflowError):
-        return  # no optimum, or an entry Fraction rejects: nothing to re-price
-    cold = _simplex.solve_min(c2, a, b)
-    (stored,) = table.values()
-    assert assert_primal_pivots_match(c2, *marshal.loads(stored[1]))[0] == cold
-    warm = {"table": table}
-    value, x = solve_with_x(tuple(c2), a_ub, b, warm)
-    assert value == cold and warm["counts"]["reprices"] == 1
-    assert "cold_solves" not in warm["counts"]
-    assert min(x, default=0) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c2, x)) == cold
-    assert all(sum(Fraction(ai) * xi for ai, xi in zip(row, x)) <= Fraction(bi)
-               for row, bi in zip(a, b))
-
-
 def test_one_sweep_answers_every_t_of_its_lp():
     # min x + 2y  s.t. y <= 1, x <= 2, x + y >= -t: 0 for t >= 0, -t on [-2, 0], -2 - 2t
     # on [-3, -2], no point below -3.  The first call, at t = -1/2, solves and sweeps the
     # whole range; every later t is looked up, with no solve and no pivot, and a t below
-    # -3 raises Infeasible and keeps the pieces.  The table holds the optimum at -1/2
-    # only, and another c there re-prices it
-    c, a_ub, table, half = (1, 2), ((0, 1), (1, 0), (-1, -1)), {}, Fraction(1, 2)
-    warm = {"table": table}
+    # -3 raises Infeasible and keeps the pieces
+    c, a_ub, half, warm = (1, 2), ((0, 1), (1, 0), (-1, -1)), Fraction(1, 2), {}
     assert solve_with_x(c, a_ub, [1, 2, -half], warm) == (half, [half, 0])
     assert [_ends(piece)[:2] for piece in warm["last"][-1]] == [(-2, 0), (-3, -2), (0, math.inf)]
     made = warm["counts"].copy()
@@ -917,10 +866,6 @@ def test_one_sweep_answers_every_t_of_its_lp():
     with pytest.raises(_simplex.Infeasible):
         _simplex.solve_min(c, a_ub, [1, 2, -4], warm)
     assert warm["counts"] == made and len(warm["last"][-1]) == 3
-    assert [key[1:] for key in table] == [(1, 2, -half)]
-    other = {"table": table}
-    assert _simplex.solve_min((1, 1), a_ub, [1, 2, -half], other) == half
-    assert other["counts"]["reprices"] == 1 and "cold_solves" not in other["counts"]
 
 
 # The sweep against the Fraction oracle: the pieces tile the interval of t with a
@@ -1015,11 +960,9 @@ def test_sweep_matches_oracle(lp):
 
 def test_exponent_lp_sweeps_match_oracle():
     # every exponent LP with dims <= 6: at every quarter r in [0, alpha_dim] a cold
-    # solve_lp gives the oracle's value; swept from t = 0 on one table as the crosscheck
-    # does, its pieces tile [0, inf), the oracle gives their value at each end and at two
-    # rational points of [0, alpha_dim] off the quarter grid, and below 0 both raise
-    # Infeasible
-    table = {}
+    # solve_lp gives the oracle's value; solved at t = 0 and swept with no span, its pieces
+    # tile [0, inf), the oracle gives their value at each end and at two rational points of
+    # [0, alpha_dim] off the quarter grid, and below 0 both raise Infeasible
     for (c, a_ub, fixed), (m, n, l) in _exponent_lps(6):
         oracle = {}
         for k in range(4 * fixed.count(-1) + 1):
@@ -1027,7 +970,7 @@ def test_exponent_lp_sweeps_match_oracle():
             oracle[r] = _oracle(c, a_ub, [*fixed, r])
             p = exponent_solver.build_program(m, n, l, r)
             assert exponent_solver.solve_lp(p) == oracle[r], (m, n, l, r)
-        warm = {"table": table}
+        warm = {}
         _simplex.solve_min(c, a_ub, [*fixed, 0], warm)
         _check_sweep(warm, lambda lo, hi: (), oracle)
         assert _ends(min(warm["last"][-1], key=lambda p: _ends(p)[0]))[0] == 0
@@ -1036,8 +979,8 @@ def test_exponent_lp_sweeps_match_oracle():
 
 
 def test_every_swept_piece_end_has_a_feasible_optimal_x():
-    # the primal half of a certificate, for every exponent LP with dims <= 6 solved cold at
-    # r = 0 and swept over [0, alpha_dim] as solve_lp sweeps it: at both ends of each piece
+    # the primal half of a certificate, for every exponent LP with dims <= 6 first called at
+    # r = 0 and swept down over [0, alpha_dim] as solve_lp sweeps it: at both ends of each piece
     # in that range, the piece's x is >= 0, meets A x <= b(t) and gives c.x = solve_min's
     # value there, checked on the rows and the cost the program builds, never on the tableau
     ends = 0
@@ -1054,4 +997,4 @@ def test_every_swept_piece_end_has_a_feasible_optimal_x():
                 value = _simplex.solve_min(c, a_ub, b, warm, span=span)
                 assert sum(ci * xi for ci, xi in zip(c, x) if ci) == value, (c, t)
                 ends += 1
-    assert ends == 2 * 232
+    assert ends == 2 * 287
