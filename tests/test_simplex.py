@@ -63,18 +63,19 @@ def pivots_of(module):
         module._pivot = pivot
 
 
-@pytest.mark.parametrize("call", ["cold", "warm"])
+@pytest.mark.parametrize("call", ["cold", "warm", "span"])
 @pytest.mark.parametrize("negative", [-1, Fraction(-1, 3), np.int64(-2), -0.5],
                          ids=["int", "Fraction", "numpy-int", "float"])
 def test_negative_cost_entry_raises(negative, call):
     # only c >= 0 is solved: a negative entry is named when the LP is first read, before
-    # any pivot, and a warm dict then counts no solve
+    # any pivot, with a span before its top is solved, and a warm dict then counts no
+    # solve and keeps no sweep
     c, a_ub, b_ub = [1, negative], [[-1, -1], [0, 1]], [-1, 1]
-    warm = {"cold": None, "warm": {}}[call]
+    warm, span = {"cold": (None, None), "warm": ({}, None), "span": ({}, (0, 2))}[call]
     with pivots_of(_simplex) as pivots, pytest.raises(ValueError, match=r"^c\[1\] = -"):
-        _simplex.solve_min(c, a_ub, b_ub, warm)
+        _simplex.solve_min(c, a_ub, b_ub, warm, span=span)
     assert not pivots
-    assert warm is None or not warm["counts"]
+    assert warm is None or (not warm["counts"] and "last" not in warm)
 
 
 def test_no_constraints():
@@ -498,16 +499,17 @@ def test_no_point_at_the_top_of_a_span_means_none_in_it(lp):
             assert {piece[2] for piece in warm["last"][-1]} == {span[1].as_integer_ratio()}, t
 
 
-@pytest.mark.parametrize("call", ["cold", "warm", "swept"])
+@pytest.mark.parametrize("call", ["cold", "warm", "swept", "other-span"])
 @pytest.mark.parametrize("t", [Fraction(-1, 2), 4, "7/2"])
 def test_t_outside_the_span_raises_before_any_pivot(t, call):
     # with a span, t must lie in it: one outside is named before any pivot, on a dict that
-    # holds the LP's sweep over that span too, and then nothing is counted and the sweep
-    # stays
+    # holds the LP's sweep over that span or over another one that holds t, before a new
+    # span's top is solved, and then nothing is counted and the sweep stays
     c, a_ub = [1, 2], [[0, 1], [1, 0], [-1, -1]]
-    warm = {"cold": None, "warm": {}, "swept": {}}[call]
-    if call == "swept":
-        assert _simplex.solve_min(c, a_ub, [1, 2, 1], warm, span=(0, 3)) == 0
+    warm = {"cold": None, "warm": {}, "swept": {}, "other-span": {}}[call]
+    if call in ("swept", "other-span"):
+        span = (0, 3) if call == "swept" else (-1, 5)
+        assert _simplex.solve_min(c, a_ub, [1, 2, 1], warm, span=span) == 0
     made, last = Counter((warm or {}).get("counts")), (warm or {}).get("last")
     with pivots_of(_simplex) as pivots, pytest.raises(
             ValueError, match=rf"^t = {Fraction(t)} lies outside the span \[0, 3\]$"):
@@ -849,6 +851,28 @@ def _exponent_lps(dims):
     for m, n, l in itertools.product(range(1, dims + 1), repeat=3):
         lps.setdefault(_exponent_lp(m, n, l), (max(m, n), min(m, n), l))
     return sorted(lps.items())
+
+
+def test_exponent_lps_swept_from_the_top_match_cold_solves():
+    # every exponent LP with dims <= 6, first called at each quarter r in [0, alpha_dim] on
+    # a fresh warm dict: each is solved at r = alpha_dim and swept down, so the pivots and
+    # the pieces are the same whatever r comes first, and every r of the sweep gives a
+    # cold solve's value
+    calls = 0
+    for (c, a_ub, fixed), (m, n, l) in _exponent_lps(6):
+        rs, sweeps = [Fraction(k, 4) for k in range(4 * fixed.count(-1) + 1)], set()
+        cold = [_simplex.solve_min(c, a_ub, [*fixed, r]) for r in rs]
+        for first in rs:
+            warm = {}
+            p = exponent_solver.build_program(m, n, l, first)
+            assert exponent_solver.solve_lp(p, warm) == cold[rs.index(first)], (m, n, l, first)
+            assert [_simplex.solve_min(c, a_ub, [*fixed, r], warm, span=(0, rs[-1]))
+                    for r in rs] == cold, (m, n, l, first)
+            assert warm["counts"]["cold_solves"] == 1
+            sweeps.add((tuple(warm["last"][-1]), tuple(sorted(warm["counts"].items()))))
+            calls += 1
+        assert len(sweeps) == 1, (m, n, l)
+    assert calls == sum(4 * fixed.count(-1) + 1 for (_, _, fixed), _ in _exponent_lps(6))
 
 
 def test_one_sweep_answers_every_t_of_its_lp():
