@@ -15,17 +15,17 @@ becomes p*row - f*prow over its gcd, mostly in prow's nonzero columns alone.
 Every test compares the rationals a Fraction tableau would, so the pivots, the
 optimum and x are the ones it would give.
 
-A warm dict serves calls with one c, a_ub and span that move b's last entry t
-only; another LP, b[:-1] or span is solved and swept: at the span's top and down over
-it, else at t and everywhere.  As t grows it only loosens the last row, so the top of a
-span has a point if any t in it has one.  Moving t adds its change times the slack
-column to each rhs and keeps the reduced costs, so a basis stays optimal on a t-range,
-from the dual ratio test: a piece, kept with its ends as int pairs and the rhs and slack
-columns that give the value and x in it.  At each end the blocking row leaves by a dual
-pivot, the rhs still at the first t, until the LP has no point beyond (parametric rhs;
-Murty, *Linear Programming*, 1983); a point piece is dropped unread.  Every call looks t
-up, and no tableau outlives its sweep: one with the very c and a_ub tuples, b[:-1] and
-span swept reads t alone, and an equal LP is kept for the next.
+Every solve starts at the top of a span of b's last entry t and sweeps down to its bottom.
+As t grows it only loosens the last row, so the top has a point if any t in the span has
+one.  Moving t adds its change times the slack column to each rhs and keeps the reduced
+costs, so a basis stays optimal on a t-range, from the dual ratio test: a piece, kept with
+its ends as int pairs and the rhs and slack columns that give the value and x in it.  At
+its lower end the blocking row leaves by a dual pivot, the rhs still at the top, until the
+LP has no point below (parametric rhs; Murty, *Linear Programming*, 1983); a point piece is
+dropped unread.  A warm dict sweeps the span given with it; without one the span is t alone,
+so the sweep stops before its first pivot.  Every call looks t up, and no tableau outlives
+its sweep: a warm dict holds the sweep of a tuple c and tuple rows, and a call with those
+very tuples, b[:-1] and span reads t alone.
 """
 
 from __future__ import annotations
@@ -104,29 +104,24 @@ def _slack_rows(nvar, a_ub, b_ub):
     return rows, [nvar + i for i in range(m)]
 
 
-def _phase2(c, rows, basis):
-    """Dual pivots from the slack basis, dual feasible as the exact c is >= 0: the tableau and
-    pivots."""
-    cost, scale = _scaled(c)
+def _dual_start(c, a_ub, b_ub):
+    """The optimal tableau from the slack basis, dual feasible as the exact c is >= 0, and the
+    dual Bland pivots it took, run until no right-hand side is negative: the negative-rhs row
+    of smallest basic index leaves."""
+    (rows, basis), (cost, scale) = _slack_rows(len(c), a_ub, b_ub), _scaled(c)
     cost += [0] * (len(rows) + 1) + [scale]
-    return rows, cost, basis, _dual_iterate(rows, cost, basis, len(c) + len(rows))
-
-
-def _dual_iterate(rows, cost, basis, ncols):
-    """Run dual Bland pivots until no right-hand side is negative: the
-    negative-rhs row of smallest basic index leaves; count them."""
     for pivots in count():
         if not (neg := [i for i, row in enumerate(rows) if row[-1] < 0]):
-            return pivots
-        if not _dual_pivot(rows, cost, basis, pr := min(neg, key=basis.__getitem__), ncols):
+            return (rows, cost, basis), pivots
+        if not _dual_pivot(rows, cost, basis, pr := min(neg, key=basis.__getitem__)):
             raise Infeasible(f"row {pr} has a negative right-hand side and no negative entry")
 
 
-def _dual_pivot(rows, cost, basis, pr, ncols):
+def _dual_pivot(rows, cost, basis, pr):
     """Pivot row pr out, the column of least cost[j] / |a_j| over a_j < 0 in, the lowest j on
     ties; False if no a_j is negative."""
     prow, pc = rows[pr], None
-    for j in compress(range(ncols), prow):
+    for j in compress(range(len(prow) - 1), prow):
         if (a := prow[j]) < 0 and (pc is None or cost[j] * prow[pc] > cost[pc] * a):
             pc = j
     if pc is not None:
@@ -158,27 +153,20 @@ def _piece(tableau, slack, t0, ends):
     return (*ends, t0, xs[:-1], piv, rhs, col)
 
 
-def _sweep(tableau, slack, t0, counts, sides, span=None):
-    """The pieces of the LP from its optimal tableau at t0: its own, then those below and above
-    it, for each of sides (0 down, 1 up): a side stops at the first end at or past span's (int
-    pairs lo, hi), if given, else at -inf or inf.  The row that blocks an end leaves by a dual
-    pivot, the dual Bland one at end -/+ eps, so none cycles; if none can, no t beyond has a
-    point.  Pivots change rows, so the sweep down pivots a copy if the sweep up follows."""
-    first, start = _ends(tableau, slack, t0)
-    pieces, ncols = [_piece(tableau, slack, t0, first)], len(tableau[1]) - 2
-    for side in sides:
-        (rows, cost, basis), pr, end = tableau, start[side], first[side]
-        while pr is not None:
-            if span and (end[0] * span[side][1] - span[side][0] * end[1]) * (2 * side - 1) >= 0:
-                break
-            if side < sides[-1] and rows is tableau[0]:  # the sweep up starts from the tableau
-                rows, cost, basis = [row[:] for row in rows], cost[:], basis[:]
-            if not _dual_pivot(rows, cost, basis, pr, ncols):
-                break
-            (lo, hi), blocking = _ends((rows, cost, basis), slack, t0)
-            if lo[0] * hi[1] != hi[0] * lo[1]:  # lo < hi: a point is in the piece before it, so
-                pieces.append(_piece((rows, cost, basis), slack, t0, (lo, hi)))  # only the first
-            counts["pivots"], pr, end = counts["pivots"] + 1, blocking[side], (lo, hi)[side]
+def _sweep(tableau, slack, t0, counts, stop):
+    """The pieces of the LP from its optimal tableau at t0, its own, then those below it, until
+    one ends at or below stop (an int pair).  The row that blocks a lower end leaves by a dual
+    pivot, the dual Bland one at end - eps, so none cycles; if none can, no t below has a
+    point.  The pivots change the tableau in place."""
+    ends, blocking = _ends(tableau, slack, t0)
+    pieces = [_piece(tableau, slack, t0, ends)]
+    while blocking[0] is not None and ends[0][0] * stop[1] > stop[0] * ends[0][1]:
+        if not _dual_pivot(*tableau, blocking[0]):
+            break
+        ends, blocking = _ends(tableau, slack, t0)
+        if ends[0][0] * ends[1][1] != ends[1][0] * ends[0][1]:  # lo < hi: a point is in the
+            pieces.append(_piece(tableau, slack, t0, ends))  # piece before, so dropped
+        counts["pivots"] += 1
     counts["pieces"] += len(pieces)
     counts["max_bits"] = max(counts["max_bits"], *(
         max(map(abs, (*p[0], *p[1], *p[4], *p[5], *p[6]))).bit_length() for p in pieces))
@@ -202,37 +190,37 @@ def _find(pieces, tn, td):
 
 
 def _warm_piece(c, a_ub, b_ub, warm, span):
-    """(piece, t as (num, den)), t the last entry of b_ub: the first stored piece that holds t.
-    A new LP or span is solved at the span's top and swept down over it, one without a span
-    at t and swept both ways, or only solved at t if warm is None; a t outside span raises
-    ValueError first.  warm keeps its counts and last sweep; a t in no piece raises Infeasible."""
-    sides, warm = ((0, 1), warm) if warm is not None else ((), {})
+    """(piece, t as (num, den)), t the last entry of b_ub: the first piece that holds t of a sweep
+    from the top of span down to its bottom if warm is given, else of t alone.  A warm dict
+    without a span, and then a t outside span, raise ValueError first.  warm keeps its counts
+    and the last sweep of a tuple c and tuple rows; a t in no piece raises Infeasible."""
+    cold, warm = warm is None, {} if warm is None else warm
+    if span is None and not cold:
+        raise ValueError("a warm dict sweeps a span, and none is given")
     counts = warm.get("counts") or warm.setdefault("counts", Counter())
     held, fixed, swept, pieces = warm.get("last", (None,) * 4)
-    # a tuple of tuple rows cannot change, so it is kept as given and compares by identity
     if (held and held[0] is c and held[1] is a_ub and type(b_ub) is list and type(span) is tuple
             and span == swept and 0 < len(b_ub) == len(a_ub) and b_ub[:-1] == fixed):
         return _find(pieces, *_ratio(b_ub[-1], swept))
+    # a tuple of tuple rows cannot change, so only it is held, as given, to compare by identity
     lp = (c, a_ub) if type(c) is tuple and type(a_ub) is tuple and all(
-        type(r) is tuple for r in a_ub) else ([*c], [[*row] for row in a_ub])
+        type(r) is tuple for r in a_ub) else None
     b = [*b_ub[: len(a_ub)]]
     fix, t = b[:-1], b[-1] if b else 0  # no rows: t = 0 stands in, its column the rhs
     if span is not None:  # then t is read before c, and must lie in span
         _ratio(t, span := tuple(map(_exact, span)))
-    if held == lp and fix == fixed and span == swept:  # else a new LP reads c before t; an
-        warm["last"] = lp, fixed, swept, pieces  # equal one is kept, so the next call with it
-        return _find(pieces, *_ratio(t))  # compares by identity
     c = [*map(_exact, c)]
     for j, v in enumerate(c):
         if v < 0:
             raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
-    if sides and span is not None and b:  # t only loosens the last row as it grows, so the
-        b[-1], sides = span[1], (0,)  # span's top has a point if any t in it has: sweep down
-    rows, cost, basis, pivots = _phase2(c, *_slack_rows(len(c), a_ub, b))
+    stop, top = (t, t) if cold else span
+    if b:  # t only loosens the last row as it grows: the top has a point if any t has
+        b[-1] = top
+    tableau, pivots = _dual_start(c, a_ub, b)
     counts.update({"cold_solves": 1, "pivots": pivots})
-    pieces = _sweep((rows, cost, basis), len(c) + len(fix), _ratio(b[-1] if b else 0), counts,
-                    sides, span and [*map(_ratio, span)])
-    warm["last"] = lp, fix, span, pieces
+    pieces = _sweep(tableau, len(c) + len(fix), _ratio(top), counts, _ratio(stop))
+    if lp:
+        warm["last"] = lp, fix, span, pieces
     return _find(pieces, *_ratio(t))
 
 
@@ -242,12 +230,13 @@ def solve_min(c, a_ub, b_ub, warm=None, *, span=None):
     Entries may be anything ``Fraction`` accepts, and c must be >= 0, so the
     value is too.  Returns the optimal value, one Fraction; the x it comes from
     stays in the piece (see above).  Raises :class:`Infeasible` if no x is
-    feasible, and ValueError, before any pivot, if an entry of c is negative.
+    feasible, and ValueError, before any pivot, if an entry of c is negative,
+    if t lies outside span, a pair lo <= hi, or if warm is given without span.
 
-    warm, if given, is a dict that keeps the pieces of one LP's sweep (see above) and counts
-    the cold solves, pivots, pieces and the most bits a piece held;
-    every call looks t up in the pieces.  With span, a pair lo <= hi, a sweep stops once it
-    covers [lo, hi], and a t outside it raises ValueError before any pivot.
+    warm, a dict, holds the pieces of the last sweep of a tuple c and tuple rows: a call
+    whose tuples, b[:-1] and span it does not hold solves at hi and sweeps down over
+    [lo, hi] (see above), and every call looks t up.  It counts the cold solves, pivots,
+    pieces and the most bits a piece held.  Without warm, one solve at t answers.
     """
     (_, _, (t0, t0_d), _, piv, rhs, col), (tn, td) = _warm_piece(c, a_ub, b_ub, warm, span)
     p, q = tn * t0_d - t0 * td, td * t0_d  # t - t0 = p / q

@@ -144,9 +144,9 @@ def solve_lp(p: ExponentProgram, warm=None) -> Fraction:
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
     so minimization pins them to the plus parts.  r is only the rhs of the row
-    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves the same m, n, l,
-    swept over r in [0, alpha_dim]; c is kept per (alpha_coeffs, beta_coeffs),
-    the rows per size.  r is checked against that range by its ints.
+    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves one coefficient
+    pair, swept over r in [0, alpha_dim]: c is one tuple per pair, the rows one
+    per size.  r is checked against that range by its ints.
     """
     na, r = p.alpha_dim, p.r
     if not 0 <= r.numerator <= na * r.denominator:

@@ -10,7 +10,7 @@ Prints one JSON object: every run, both medians, and the median of the per-pair 
 change / parent.  Each run also reports its cases and mismatches, and its peak resident
 size after the call.  With --tracemalloc each run reports instead the peak that
 ``tracemalloc`` traced during the call; tracing slows the call, so its times then compare
-with nothing.  Standard library only, and not part of the test suite.
+with nothing.  Standard library only; ``test_crosscheck_ratio.py`` runs it once at dims 2.
 """
 
 from __future__ import annotations

@@ -63,15 +63,15 @@ def pivots_of(module):
         module._pivot = pivot
 
 
-@pytest.mark.parametrize("call", ["cold", "warm", "span"])
+@pytest.mark.parametrize("call", ["cold", "span"])
 @pytest.mark.parametrize("negative", [-1, Fraction(-1, 3), np.int64(-2), -0.5],
                          ids=["int", "Fraction", "numpy-int", "float"])
 def test_negative_cost_entry_raises(negative, call):
     # only c >= 0 is solved: a negative entry is named when the LP is first read, before
-    # any pivot, with a span before its top is solved, and a warm dict then counts no
-    # solve and keeps no sweep
-    c, a_ub, b_ub = [1, negative], [[-1, -1], [0, 1]], [-1, 1]
-    warm, span = {"cold": (None, None), "warm": ({}, None), "span": ({}, (0, 2))}[call]
+    # any pivot, on a warm dict after t is checked against the span and before its top is
+    # solved, and the dict then counts no solve and holds no sweep
+    c, a_ub, b_ub = (1, negative), ((-1, -1), (0, 1)), [-1, 1]
+    warm, span = {"cold": (None, None), "span": ({}, (0, 2))}[call]
     with pivots_of(_simplex) as pivots, pytest.raises(ValueError, match=r"^c\[1\] = -"):
         _simplex.solve_min(c, a_ub, b_ub, warm, span=span)
     assert not pivots
@@ -208,13 +208,13 @@ def _oracle_outcome(lp):
         return type(exc).__name__, str(exc)
 
 
-def _solved(lp, warm=None):
+def _solved(lp, warm=None, span=None):
     """solve_min's outcome on lp as _oracle_outcome gives the oracle's, every pivot checked,
     and x feasible with c.x the value."""
     c, a_ub, b_ub = lp
     try:
         with dual_pivots_checked():
-            value, x = solve_with_x(c, a_ub, b_ub, warm)
+            value, x = solve_with_x(c, a_ub, b_ub, warm, span)
     except _simplex.Infeasible:
         return "Infeasible"
     except _UNREADABLE as exc:
@@ -274,16 +274,18 @@ def test_crosscheck_lps_match_oracle(monkeypatch):
         "short-row", "short-b"])
 def test_hand_lps_match_oracle(lp):
     assert_matches_oracle(lp)
-    # a first warm call solves as a cold one does, then sweeps: the same outcome and the
-    # cold pivots first, or the same exception; the warm dict counts all the pivots
+    # a warm call over the span (t, t) solves at t and sweeps nowhere, as a cold call with
+    # that span does: the same outcome and pivots, or the same exception, and the warm dict
+    # counts the pivots of a solve that ends.  Both read the span before c
+    b = [*lp[2][: len(lp[1])]]
+    span = (b[-1] if b else 0,) * 2  # no rows: t = 0
     with pivots_of(_simplex) as cold:
-        outcome = _solved(lp)
+        outcome = _solved(lp, span=span)
     warm = {}
     with pivots_of(_simplex) as pivots:
-        assert _solved(lp, warm) == outcome
-    assert pivots[: len(cold)] == cold
-    assert "last" in warm or pivots == cold
-    assert "last" not in warm or warm["counts"]["pivots"] == len(pivots)
+        assert _solved(lp, warm, span) == outcome
+    assert pivots == cold
+    assert warm["counts"]["pivots"] == (len(pivots) if type(outcome) is Fraction else 0)
 
 
 def test_narrow_numpy_ints_are_exact():
@@ -391,41 +393,72 @@ def _ends(piece):
 
 def test_warm_hand_lp():
     # min x + 2y  s.t. y <= 1, x <= 2, x + y >= -b: 0 for b >= 0, -b on [-2, 0], -2 - 2b on
-    # [-3, -2] and no point below -3.  The first call solves at 3, where the slack basis is
-    # optimal, and sweeps: nothing blocks [0, inf) above, one dual pivot at 0 reaches
-    # [-2, 0], one at -2 reaches [-3, -2], and at -3 no column can enter
-    lp = ([1, 2], [[0, 1], [1, 0], [-1, -1]], [1, 2, None], 2)
+    # [-3, -2] and no point below -3.  The first call solves at 3, the top of the span
+    # [-4, 3], where the slack basis is optimal, and sweeps down: one dual pivot at 0
+    # reaches [-2, 0], one at -2 reaches [-3, -2], and at -3 no column can enter
+    lp, span = ((1, 2), ((0, 1), (1, 0), (-1, -1)), [1, 2, None], 2), (-4, 3)
     warm = {}
     with dual_pivots_checked() as (dual, swept):
-        values = _outcomes(*lp, [3, Fraction(-1, 2), 0, Fraction(-7, 3), -3, -4], warm)
+        values = _outcomes(*lp, [3, Fraction(-1, 2), 0, Fraction(-7, 3), -3, -4], warm, span)
     assert values == [0, Fraction(1, 2), 0, Fraction(8, 3), 4, _simplex.Infeasible]
     assert not dual and len(swept) == 2
     pieces = warm["last"][-1]  # -4 is in no piece, and the pieces stay
     assert [_ends(piece) for piece in pieces] == [(0, math.inf, 3), (-2, 0, 3), (-3, -2, 3)]
     assert pieces[0][:3] == ((0, 1), (1, 0), (3, 1))  # int pairs, (1, 0) for inf
     assert warm["counts"] == {"cold_solves": 1, "pivots": 2, "pieces": 3, "max_bits": 4}
-    assert _outcomes(*lp, [-1], warm) == [1] and warm["counts"]["cold_solves"] == 1
+    assert _outcomes(*lp, [-1], warm, span) == [1] and warm["counts"]["cold_solves"] == 1
     # another LP in the same dict is solved cold, and replaces the first
-    assert _simplex.solve_min([1, 1], [[-1, -1]], [-3], warm) == 3
-    assert warm["last"][0] == ([1, 1], [[-1, -1]])
+    other = (1, 1), ((-1, -1),)
+    assert _simplex.solve_min(*other, [-3], warm, span=(-3, 0)) == 3
+    assert warm["last"][0] == other and warm["counts"]["cold_solves"] == 2
 
 
 def test_warm_rows_changed_in_place_are_seen():
-    # only tuple rows in a tuple are kept uncopied: a list row of a tuple
-    # a_ub, or a list c, changed in place between calls, is a new LP
+    # only a tuple c and tuple rows in a tuple are held: a list row of a tuple a_ub, or a
+    # list c, changed in place between calls, is solved again
     # min 2x + y  s.t. x + y >= 3, y <= 1: 5 at (2, 1)
+    span = (0, 1)
     for c, a_ub in (((2, 1), ([-1, -1], [0, 1])), ([2, 1], ((-1, -1), (0, 1)))):
         warm = {}
-        assert _simplex.solve_min(c, a_ub, [-3, 1], warm) == 5
+        assert _simplex.solve_min(c, a_ub, [-3, 1], warm, span=span) == 5
         if type(c) is list:
             c[1] = 3
         else:
             a_ub[1][1] = 2  # y <= 1/2
-        assert _simplex.solve_min(c, a_ub, [-3, 1], warm) == _simplex.solve_min(c, a_ub, [-3, 1])
-    frozen = ((2, 1), ((-1, -1), (0, 1)))  # kept as given: the next compare is by identity
+        value = _simplex.solve_min(c, a_ub, [-3, 1], warm, span=span)
+        assert value == _simplex.solve_min(c, a_ub, [-3, 1]) != 5
+        assert warm["counts"]["cold_solves"] == 2 and "last" not in warm
+    frozen = ((2, 1), ((-1, -1), (0, 1)))  # held as given: the next compare is by identity
     warm = {}
-    _simplex.solve_min(*frozen, [-3, 1], warm)
+    _simplex.solve_min(*frozen, [-3, 1], warm, span=span)
     assert warm["last"][0][0] is frozen[0] and warm["last"][0][1] is frozen[1]
+
+
+@pytest.mark.parametrize("listed", ["c", "rows", "a_ub"])
+def test_a_list_c_or_list_rows_are_never_held(listed):
+    # a list c, list rows or a list a_ub could change between calls, so the dict never holds
+    # their sweep: two calls with the very same objects make two cold solves, to equal values
+    c, a_ub, fixed = _exponent_lp(4, 3, 5)
+    c, a_ub = {"c": ([*c], a_ub), "rows": (c, (*map(list, a_ub),)), "a_ub": (c, [*a_ub])}[listed]
+    warm, b = {}, [*fixed, Fraction(1, 2)]
+    values = [_simplex.solve_min(c, a_ub, b, warm, span=(0, 3)) for _ in range(2)]
+    assert values[0] == values[1] == exponent_solver.dmt_via_lp(4, 3, 5, Fraction(1, 2))
+    assert warm["counts"]["cold_solves"] == 2 and "last" not in warm
+
+
+def test_a_warm_dict_without_a_span_raises_before_any_pivot():
+    # a warm dict sweeps a span, so a call that gives it none is named before any pivot, on a
+    # fresh dict and on one that holds the LP's sweep alike, and the dict is left as it was
+    c, a_ub, fixed = _exponent_lp(4, 3, 5)
+    held = {}
+    _simplex.solve_min(c, a_ub, [*fixed, 1], held, span=(0, 3))
+    for warm in ({}, held):
+        keys, made, last = [*warm], Counter(warm.get("counts")), warm.get("last")
+        with pivots_of(_simplex) as pivots, pytest.raises(
+                ValueError, match=r"^a warm dict sweeps a span, and none is given$"):
+            _simplex.solve_min(c, a_ub, [*fixed, 1], warm)
+        assert not pivots and [*warm] == keys and warm.get("last") is last
+        assert Counter(warm.get("counts")) == made
 
 
 @st.composite
@@ -455,15 +488,18 @@ def test_warm_matches_cold_solves(lp):
     # warm moves the last entry of b only, and solves a path that moves another
     # entry cold on every call; so each path also runs with its row k moved last, and
     # that one on one warm dict over the spans its first value, its first two and all of
-    # them bound, then swept everywhere: each span sweeps again, and every value in it is
-    # a cold solve's, Infeasible only where a cold solve raises that
+    # them bound: each span sweeps again, and every value in it is a cold solve's,
+    # Infeasible only where a cold solve raises that.  c and the rows are tuples, so the
+    # dict holds each sweep
     c, a, b, k, values = lp
-    last = c, [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :], b[k]], len(a) - 1
+    c, a = tuple(c), tuple(map(tuple, a))
+    last = c, (*a[:k], *a[k + 1 :], a[k]), [*b[:k], *b[k + 1 :], b[k]], len(a) - 1
+    span = (min(values), max(values)) if k == len(a) - 1 else (b[-1], b[-1])
     with dual_pivots_checked():
-        assert _outcomes(*lp, warm={}) == _outcomes(*lp)
+        assert _outcomes(c, a, b, k, values, {}, span) == _outcomes(*lp)
     cold, warm = dict(zip(values, _outcomes(*last, values))), {}
-    for span in ((values[0], values[0]), sorted(values[:2]), (min(values), max(values)), None):
-        inside = [v for v in values if span is None or span[0] <= v <= span[1]]
+    for span in ((values[0], values[0]), tuple(sorted(values[:2])), (min(values), max(values))):
+        inside = [v for v in values if span[0] <= v <= span[1]]
         with dual_pivots_checked():
             assert _outcomes(*last, inside, warm, span) == [cold[v] for v in inside]
 
@@ -477,7 +513,8 @@ def test_no_point_at_the_top_of_a_span_means_none_in_it(lp):
     # span over all the path's values, each t on a fresh dict gives a cold solve's outcome
     # at t, Infeasible for every t when the top raises it
     c, a, b, k, values = lp
-    a, b, span = [*a[:k], *a[k + 1 :], a[k]], [*b[:k], *b[k + 1 :]], (min(values), max(values))
+    c, a = tuple(c), tuple(map(tuple, (*a[:k], *a[k + 1 :], a[k])))
+    b, span = [*b[:k], *b[k + 1 :]], (min(values), max(values))
 
     def outcome(t, warm=None, span=None):
         try:
@@ -505,7 +542,7 @@ def test_t_outside_the_span_raises_before_any_pivot(t, call):
     # with a span, t must lie in it: one outside is named before any pivot, on a dict that
     # holds the LP's sweep over that span or over another one that holds t, before a new
     # span's top is solved, and then nothing is counted and the sweep stays
-    c, a_ub = [1, 2], [[0, 1], [1, 0], [-1, -1]]
+    c, a_ub = (1, 2), ((0, 1), (1, 0), (-1, -1))
     warm = {"cold": None, "warm": {}, "swept": {}, "other-span": {}}[call]
     if call in ("swept", "other-span"):
         span = (0, 3) if call == "swept" else (-1, 5)
@@ -519,10 +556,11 @@ def test_t_outside_the_span_raises_before_any_pivot(t, call):
 
 
 def test_a_new_span_sweeps_again():
-    # the LP of test_warm_hand_lp on one warm dict: swept over [0, 1] from t = 1/2 it holds
-    # [0, inf) alone; a call with the span [-3, -1] is solved at its t and swept again, and
-    # so is [0, 1] after it.  Every t gives a cold solve's value
-    c, a_ub, warm = [1, 2], [[0, 1], [1, 0], [-1, -1]], {}
+    # the LP of test_warm_hand_lp on one warm dict: first called at t = 1/2 over [0, 1], it
+    # is solved at 1 and swept down, and holds [0, inf) alone; a call with the span [-3, -1]
+    # is solved at -1 and swept down again, and so is [0, 1] after it.  Every t gives a cold
+    # solve's value
+    c, a_ub, warm = (1, 2), ((0, 1), (1, 0), (-1, -1)), {}
     for span, ts, pieces in (((0, 1), [Fraction(1, 2), 0, 1], [(0, math.inf)]),
                              ((-3, -1), [-1, -3, Fraction(-5, 2), -2], [(-2, 0), (-3, -2)]),
                              ((0, 1), [1, 0], [(0, math.inf)])):
@@ -583,14 +621,14 @@ def test_crosscheck_pivot_count(monkeypatch):
     # coefficient pair: by dual pivots from the slack basis at r = alpha_dim, then swept
     # down over [0, alpha_dim] only; every call looks its r up and pivots nowhere; the
     # counts the warm dicts keep are the ones seen
-    pivots, phase2s = [], []
-    pivot, phase2 = _simplex._pivot, _simplex._phase2
+    pivots, starts = [], []
+    pivot, dual_start = _simplex._pivot, _simplex._dual_start
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (pivots.append(a[3:]), pivot(*a)))
-    monkeypatch.setattr(_simplex, "_phase2", lambda *a: (phase2s.append(a), phase2(*a))[1])
+    monkeypatch.setattr(_simplex, "_dual_start", lambda *a: (starts.append(a), dual_start(*a))[1])
     report = cli.run_crosscheck(5, True)
     assert report["cases"] == 1025 and not report["mismatches"]
-    assert len(pivots) == 315 and len(phase2s) == len(set(_lp_keys(5).values())) == 55
-    assert len(phase2s) == len(_exponent_lps(5))  # the LPs told apart by value
+    assert len(pivots) == 315 and len(starts) == len(set(_lp_keys(5).values())) == 55
+    assert len(starts) == len(_exponent_lps(5))  # the LPs told apart by value
     assert report["lp"] == {"cold_solves": 55, "pivots": 315, "pieces": 160, "max_bits": 5}
 
 
@@ -608,14 +646,14 @@ def test_a_swept_exponent_lp_starts_in_alpha_dim_pivots(monkeypatch):
     # every exponent LP with dims <= 8, first called at r = 0 as the crosscheck calls it: it is
     # solved at r = alpha_dim, where x = 0 with every s_i = 1 is optimal for any c >= 0, and
     # the dual start gets there in exactly alpha_dim pivots, each entering one s_i
-    starts, dual_iterate = [], _simplex._dual_iterate
+    starts, dual_start = [], _simplex._dual_start
 
-    def recording(rows, cost, basis, ncols):
-        before = {*basis}
-        starts.append((dual_iterate(rows, cost, basis, ncols), {*basis} - before))
-        return starts[-1][0]
+    def recording(c, a_ub, b_ub):
+        (rows, _, basis), pivots = done = dual_start(c, a_ub, b_ub)
+        starts.append((pivots, {*basis} - {*range(len(c), len(c) + len(rows))}))
+        return done
 
-    monkeypatch.setattr(_simplex, "_dual_iterate", recording)
+    monkeypatch.setattr(_simplex, "_dual_start", recording)
     lps = _exponent_lps(8)
     for (c, a_ub, fixed), (m, n, l) in lps:
         na = fixed.count(-1)
@@ -625,7 +663,7 @@ def test_a_swept_exponent_lp_starts_in_alpha_dim_pivots(monkeypatch):
 
 
 def _rewritten(tableau, old, new, nvar):
-    """Every row with an entry in a moved slack taken to b = new, then dual
+    """Every row with an entry in a moved slack taken to b = new, then dual Bland
     pivots: how a warm tableau moved on every call before the pieces."""
     rows, cost, basis = tableau
     ncols = nvar + len(rows)
@@ -635,7 +673,8 @@ def _rewritten(tableau, old, new, nvar):
             for tab in (*rows, cost):
                 if tab[slack]:
                     tab[:] = _simplex._combine(tab, q, -p * tab[slack], {ncols: 1}, (ncols,))
-    _simplex._dual_iterate(rows, cost, basis, ncols)
+    while neg := [i for i, row in enumerate(rows) if row[-1] < 0]:
+        assert _simplex._dual_pivot(rows, cost, basis, min(neg, key=basis.__getitem__))
 
 
 def _exponent_lp(m, n, l):
@@ -653,7 +692,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
     # [0, alpha_dim], as solve_lp asks; every call is a lookup
     swept = []
     sweep = _simplex._sweep
-    monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2::3]), sweep(*a))[1])
+    monkeypatch.setattr(_simplex, "_sweep", lambda *a: (swept.append(a[2::2]), sweep(*a))[1])
     with dual_pivots_checked():
         for m, n, l in itertools.product(range(1, 6), repeat=3):
             c, a_ub, fixed = _exponent_lp(m, n, l)
@@ -662,7 +701,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
             for r in rs + rs[-2::-1]:
                 b = [*fixed, r]
                 if ref is None:
-                    ref = _simplex._phase2(c, *_simplex._slack_rows(len(c), a_ub, b))[:3]
+                    ref = _simplex._dual_start(c, a_ub, b)[0]
                 else:
                     _rewritten(ref, old, b, len(c))
                 old = b
@@ -673,8 +712,7 @@ def test_warm_range_test_matches_a_rewrite_on_every_call(monkeypatch):
                 assert all(sum(ai * xi for ai, xi in zip(row, x) if ai) <= bi
                            for row, bi in zip(a_ub, b))
             assert warm["counts"]["cold_solves"] == 1
-    assert swept == [((min(t), 1), [(0, 1), (min(t), 1)])
-                     for t in itertools.product(range(1, 6), repeat=3)]
+    assert swept == [((min(t), 1), (0, 1)) for t in itertools.product(range(1, 6), repeat=3)]
 
 
 def test_only_the_first_triple_of_an_lp_solves(monkeypatch):
@@ -682,9 +720,10 @@ def test_only_the_first_triple_of_an_lp_solves(monkeypatch):
     # and (n, m, l) among them, and each triple after the LP's first is answered by the
     # pieces of its sweep: no solve, no pivot.  So 55 triples solve.
     work, now = [], []
-    pivot, phase2 = _simplex._pivot, _simplex._phase2
+    pivot, dual_start = _simplex._pivot, _simplex._dual_start
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (work.append(now[-1]), pivot(*a)))
-    monkeypatch.setattr(_simplex, "_phase2", lambda *a: (work.append(now[-1]), phase2(*a))[1])
+    monkeypatch.setattr(_simplex, "_dual_start",
+                        lambda *a: (work.append(now[-1]), dual_start(*a))[1])
 
     def lp(m, n, l, r, warm):
         now.append((m, n, l))
@@ -759,40 +798,50 @@ def test_triples_share_a_warm_dict_exactly_when_they_pose_one_lp(monkeypatch):
     assert len({dicts[t] for t in firsts.values()}) == len(set(lps)) == len(lps)
 
 
-def test_an_equal_but_distinct_c_is_looked_up(monkeypatch):
-    # a c equal to the one swept, in a tuple of its own, is answered from the pieces, with no
-    # solve and no pivot, and is kept: the next call with it reads t alone
+def test_an_equal_but_distinct_c_solves_again(monkeypatch):
+    # a c equal to the one swept, in a tuple of its own, is not the c the dict holds: it is
+    # solved and swept again, by the same pivots to the same pieces, and then held in its
+    # place, so the next call with it reads t alone, with no solve and no pivot
     c, a_ub, fixed = _exponent_lp(4, 3, 5)
     warm, other, rs = {}, tuple([*c]), (Fraction(1, 2), Fraction(5, 4), 3)
     want = [exponent_solver.dmt_via_lp(4, 3, 5, r) for r in rs]
-    assert _simplex.solve_min(c, a_ub, [*fixed, rs[0]], warm, span=(0, 3)) == want[0]
-    made, read = warm["counts"].copy(), []
+    with pivots_of(_simplex) as first:
+        assert _simplex.solve_min(c, a_ub, [*fixed, rs[0]], warm, span=(0, 3)) == want[0]
+    made, pieces, read = warm["counts"].copy(), warm["last"][-1], []
     assert other == c and other is not c
+    with pivots_of(_simplex) as again:
+        assert _simplex.solve_min(other, a_ub, [*fixed, rs[1]], warm, span=(0, 3)) == want[1]
+    assert again == first and warm["last"][-1] == pieces and warm["last"][-1] is not pieces
+    assert warm["last"][0][0] is other and warm["last"][0][1] is a_ub
+    assert warm["counts"] == {**made, "cold_solves": 2, "pivots": 2 * made["pivots"],
+                              "pieces": 2 * made["pieces"]}
+    made = warm["counts"].copy()
     monkeypatch.setattr(_simplex, "_exact", lambda v: read.append(v) or v)
     with pivots_of(_simplex) as pivots:
-        assert _simplex.solve_min(other, a_ub, [*fixed, rs[1]], warm, span=(0, 3)) == want[1]
-        assert warm["last"][0][0] is other and warm["last"][0][1] is a_ub
-        read.clear()
         assert _simplex.solve_min(other, a_ub, [*fixed, rs[2]], warm, span=(0, 3)) == want[2]
     assert read == [rs[2]] and not pivots and warm["counts"] == made
 
 
 def test_a_changed_b_or_span_solves_again():
     # the fast lookup holds the LP, b[:-1] and span of the last sweep: another entry of b, a
-    # b with an entry past the rows (t is still the last row's), or another span is not it
+    # b with an entry past the rows (t is still the last row's), or another span is not it,
+    # and solves again
     c, a_ub, fixed = _exponent_lp(4, 3, 5)
     moved = [1, *fixed[1:]]  # alpha_0 - beta_1 - t_01 <= 1
-    for b, span, solves in (([*moved, 1], (0, 3), 2), ([*fixed, 1, 7], (0, 3), 1),
-                            ([*fixed, 1], (0, 2), 2)):
+    for b, span in (([*moved, 1], (0, 3)), ([*fixed, 1, 7], (0, 3)), ([*fixed, 1], (0, 2))):
         warm = {}
         _simplex.solve_min(c, a_ub, [*fixed, Fraction(1, 2)], warm, span=(0, 3))
         value = _simplex.solve_min(c, a_ub, b, warm, span=span)
         assert value == _simplex.solve_min(c, a_ub, b[: len(a_ub)]), (b, span)
-        assert warm["counts"]["cold_solves"] == solves, (b, span)
+        assert warm["counts"]["cold_solves"] == 2, (b, span)
         assert warm["last"][1:3] == (b[: len(a_ub) - 1], span), (b, span)
-    # a numpy b and span are read as the values they hold: the sweep's, so looked up
-    value = _simplex.solve_min(c, a_ub, np.array([*fixed, 1]), warm, span=np.array([0, 2]))
-    assert value == _simplex.solve_min(c, a_ub, [*fixed, 1]) and warm["counts"]["cold_solves"] == 2
+    # a numpy b or span never takes the lookup, where == would compare it elementwise: each
+    # equals the sweep's, and is solved again to a cold solve's value
+    for b, span in ((np.array([*fixed, 1]), (0, 2)), ([*fixed, 1], np.array([0, 2]))):
+        solves = warm["counts"]["cold_solves"]
+        value = _simplex.solve_min(c, a_ub, b, warm, span=span)
+        assert value == _simplex.solve_min(c, a_ub, [*fixed, 1]), (b, span)
+        assert warm["counts"]["cold_solves"] == solves + 1, (b, span)
 
 
 def test_pieces_cover_the_range_and_match_cold_solves():
@@ -833,9 +882,9 @@ def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
     # two successive sweeps make the same solves and pivots: the warm dicts live for one
     # run, so each run solves each of its 14 LPs
     seen = []
-    pivot, phase2 = _simplex._pivot, _simplex._phase2
+    pivot, dual_start = _simplex._pivot, _simplex._dual_start
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (seen.append(a[3:]), pivot(*a)))
-    monkeypatch.setattr(_simplex, "_phase2", lambda *a: (seen.append(a[0]), phase2(*a))[1])
+    monkeypatch.setattr(_simplex, "_dual_start", lambda *a: (seen.append(a[0]), dual_start(*a))[1])
     runs = []
     for _ in range(2):
         report = cli.run_crosscheck(3, True)
@@ -877,24 +926,25 @@ def test_exponent_lps_swept_from_the_top_match_cold_solves():
 
 def test_one_sweep_answers_every_t_of_its_lp():
     # min x + 2y  s.t. y <= 1, x <= 2, x + y >= -t: 0 for t >= 0, -t on [-2, 0], -2 - 2t
-    # on [-3, -2], no point below -3.  The first call, at t = -1/2, solves and sweeps the
-    # whole range; every later t is looked up, with no solve and no pivot, and a t below
-    # -3 raises Infeasible and keeps the pieces
+    # on [-3, -2], no point below -3.  The first call, at t = -1/2, solves at 7, the top of
+    # the span [-4, 7], and sweeps all of it; every later t is looked up, with no solve and
+    # no pivot, and a t below -3 raises Infeasible and keeps the pieces
     c, a_ub, half, warm = (1, 2), ((0, 1), (1, 0), (-1, -1)), Fraction(1, 2), {}
-    assert solve_with_x(c, a_ub, [1, 2, -half], warm) == (half, [half, 0])
-    assert [_ends(piece)[:2] for piece in warm["last"][-1]] == [(-2, 0), (-3, -2), (0, math.inf)]
+    span = (-4, 7)
+    assert solve_with_x(c, a_ub, [1, 2, -half], warm, span) == (half, [half, 0])
+    assert [_ends(piece)[:2] for piece in warm["last"][-1]] == [(0, math.inf), (-2, 0), (-3, -2)]
     made = warm["counts"].copy()
     for t in (-2, Fraction(-5, 2), 7, Fraction(-1, 3), 0, -3):
         b = [1, 2, t]
-        assert _simplex.solve_min(c, a_ub, b, warm) == _simplex.solve_min(c, a_ub, b)
+        assert _simplex.solve_min(c, a_ub, b, warm, span=span) == _simplex.solve_min(c, a_ub, b)
     with pytest.raises(_simplex.Infeasible):
-        _simplex.solve_min(c, a_ub, [1, 2, -4], warm)
+        _simplex.solve_min(c, a_ub, [1, 2, -4], warm, span=span)
     assert warm["counts"] == made and len(warm["last"][-1]) == 3
 
 
-# The sweep against the Fraction oracle: the pieces tile the interval of t with a
-# point, agree with cold solves at their ends and inside, and outside it every t
-# raises Infeasible, as the oracle does.
+# The sweep against the Fraction oracle: the pieces tile the span from its top down to
+# its bottom or to the lowest t with a point, agree with cold solves at their ends and
+# inside, and below them every t of the span raises Infeasible, as the oracle does.
 
 def _oracle(c, a_ub, b):
     """The Fraction oracle's optimal value at b, or "Infeasible"."""
@@ -904,10 +954,11 @@ def _oracle(c, a_ub, b):
         return "Infeasible"
 
 
-def _warm_outcome(c, a_ub, b, warm):
-    """solve_min's value on warm, its x checked feasible with c.x that value, or "Infeasible"."""
+def _warm_outcome(c, a_ub, b, warm, span):
+    """solve_min's value on warm over span, its x checked feasible with c.x that value, or
+    "Infeasible"."""
     try:
-        value, x = solve_with_x(c, a_ub, b, warm)
+        value, x = solve_with_x(c, a_ub, b, warm, span)
     except _simplex.Infeasible:
         return "Infeasible"
     assert min(x) >= 0 and sum(Fraction(ci) * xi for ci, xi in zip(c, x)) == value
@@ -916,34 +967,29 @@ def _warm_outcome(c, a_ub, b, warm):
 
 
 def _check_sweep(warm, inside, oracle):
-    """The pieces in warm tile an interval of t: sorted, each ends where the next starts, and
-    only the first, the solve's, may be a point.  At each finite end, and at the points
-    inside(lo, hi) of each, the piece alone gives the oracle's value, so the value is continuous
-    where two meet; one below and one above the interval, t raises Infeasible on warm and in
-    the oracle.  oracle holds the oracle's values by t so far, and gains those it makes."""
+    """The pieces in warm tile an interval of t down from the top of their span: sorted, each
+    ends where the next starts, only the first, the solve's, may be a point, and the highest
+    holds the top.  At each end of each piece cut to the span, and at the points inside(lo, hi)
+    of that cut, the piece alone gives the oracle's value, so the value is continuous where two
+    meet; if the pieces end above the span's bottom, a t of the span below them raises
+    Infeasible on warm and in the oracle.  oracle holds the oracle's values by t so far, and
+    gains those it makes."""
     lp, fixed, span, pieces = warm["last"]
     ends = sorted(_ends(piece)[:2] + (piece,) for piece in pieces)
     assert all(_ends(piece)[0] < _ends(piece)[1] for piece in pieces[1:])
     assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+    assert ends[-1][0] <= span[1] <= ends[-1][1]
     for lo, hi, piece in ends:
-        one = {"last": (lp, fixed, span, [piece])}
-        ts = {lo, hi, *inside(lo, hi)} - {-math.inf, math.inf}
-        for t in ts:
+        lo, hi, one = max(lo, span[0]), min(hi, span[1]), {"last": (lp, fixed, span, [piece])}
+        assert lo <= hi
+        for t in {lo, hi, *inside(lo, hi)}:
             if t not in oracle:
                 oracle[t] = _oracle(*lp, [*fixed, t])
-            assert _warm_outcome(*lp, [*fixed, t], one) == oracle[t], (lp, fixed, t)
+            assert _warm_outcome(*lp, [*fixed, t], one, span) == oracle[t], (lp, fixed, t)
         assert not one["counts"]
-    for t in (ends[0][0] - Fraction(1, 3), ends[-1][1] + Fraction(1, 2)):
-        if abs(t) < math.inf:
-            b = [*fixed, t]
-            assert _warm_outcome(*lp, b, warm) == _oracle(*lp, b) == "Infeasible"
-
-
-def _inside(lo, hi, frac=Fraction(2, 7)):
-    """A rational point of [lo, hi], either end possibly infinite."""
-    if abs(lo) < math.inf and abs(hi) < math.inf:
-        return [lo + (hi - lo) * frac]
-    return [hi - 1 - frac if abs(hi) < math.inf else lo + 1 + frac if abs(lo) < math.inf else frac]
+    if ends[0][0] > span[0]:
+        b = [*fixed, max(span[0], ends[0][0] - Fraction(1, 3))]
+        assert _warm_outcome(*lp, b, warm, span) == _oracle(*lp, b) == "Infeasible"
 
 
 @st.composite
@@ -970,23 +1016,25 @@ def swept_lps(draw):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(swept_lps())
 def test_sweep_matches_oracle(lp):
-    # every call on one warm dict gives the oracle's value, or raises what it raises; the
-    # first call with a point sweeps, and its pieces are checked at their ends, at a random
-    # rational point inside each, and past the interval they tile
+    # every call on one warm dict over the span of the ts gives the oracle's value, or
+    # raises what it raises; if the top of the span has a point, the first call sweeps,
+    # and its pieces are checked at their ends, at a random rational point inside each,
+    # and below the interval they tile
     c, a, b, ts, frac = lp
-    warm = {}
+    c, a, warm, span = tuple(c), tuple(map(tuple, a)), {}, (min(ts), max(ts))
     with dual_pivots_checked():
         for t in ts:
-            assert _warm_outcome(c, a, [*b, t], warm) == _oracle(c, a, [*b, t]), (lp, t)
+            assert _warm_outcome(c, a, [*b, t], warm, span) == _oracle(c, a, [*b, t]), (lp, t)
     if "last" in warm:
-        _check_sweep(warm, lambda lo, hi: _inside(lo, hi, frac), {})
+        _check_sweep(warm, lambda lo, hi: [lo + (hi - lo) * frac], {})
 
 
 def test_exponent_lp_sweeps_match_oracle():
     # every exponent LP with dims <= 6: at every quarter r in [0, alpha_dim] a cold
-    # solve_lp gives the oracle's value; solved at t = 0 and swept with no span, its pieces
-    # tile [0, inf), the oracle gives their value at each end and at two rational points of
-    # [0, alpha_dim] off the quarter grid, and below 0 both raise Infeasible
+    # solve_lp gives the oracle's value; first called at t = 0 over the span
+    # [-1, alpha_dim], it is solved at alpha_dim and swept down, its pieces tile
+    # [0, alpha_dim], the oracle gives their value at each end and at two rational points
+    # of [0, alpha_dim] off the quarter grid, and in the span below 0 both raise Infeasible
     for (c, a_ub, fixed), (m, n, l) in _exponent_lps(6):
         oracle = {}
         for k in range(4 * fixed.count(-1) + 1):
@@ -994,12 +1042,13 @@ def test_exponent_lp_sweeps_match_oracle():
             oracle[r] = _oracle(c, a_ub, [*fixed, r])
             p = exponent_solver.build_program(m, n, l, r)
             assert exponent_solver.solve_lp(p) == oracle[r], (m, n, l, r)
-        warm = {}
-        _simplex.solve_min(c, a_ub, [*fixed, 0], warm)
+        warm, span = {}, (-1, fixed.count(-1))
+        _simplex.solve_min(c, a_ub, [*fixed, 0], warm, span=span)
         _check_sweep(warm, lambda lo, hi: (), oracle)
         assert _ends(min(warm["last"][-1], key=lambda p: _ends(p)[0]))[0] == 0
         for t in (fixed.count(-1) * Fraction(3, 7), fixed.count(-1) * Fraction(8, 9)):
-            assert _warm_outcome(c, a_ub, [*fixed, t], warm) == _oracle(c, a_ub, [*fixed, t])
+            b = [*fixed, t]
+            assert _warm_outcome(c, a_ub, b, warm, span) == _oracle(c, a_ub, b)
 
 
 def test_every_swept_piece_end_has_a_feasible_optimal_x():
