@@ -25,7 +25,7 @@ LP has no point below (parametric rhs; Murty, *Linear Programming*, 1983); a poi
 dropped unread.  A warm dict sweeps the span given with it; without one the span is t alone,
 so the sweep stops before its first pivot.  Every call looks t up, and no tableau outlives
 its sweep: a warm dict holds the sweep of a tuple c and tuple rows, and a call with those
-very tuples, b[:-1] and span reads t alone.
+very tuples, b[:-1] and span reads t alone, after comparing b[:-1], one pass over the rows.
 """
 
 from __future__ import annotations
@@ -201,7 +201,10 @@ def _warm_piece(c, a_ub, b_ub, warm, span):
     held, fixed, swept, pieces = warm.get("last", (None,) * 4)
     if (held and held[0] is c and held[1] is a_ub and type(b_ub) is list and type(span) is tuple
             and span == swept and 0 < len(b_ub) == len(a_ub) and b_ub[:-1] == fixed):
-        return _find(pieces, *_ratio(b_ub[-1], swept))
+        tn, td = t.as_integer_ratio() if type(t := b_ub[-1]) is Fraction else (t, None)
+        if type(tn) is type(td) is int and swept[0] * td <= tn <= swept[1] * td:
+            return _find(pieces, tn, td)  # a Fraction of ints in the span, read as it is
+        return _find(pieces, *_ratio(t, swept))
     # a tuple of tuple rows cannot change, so only it is held, as given, to compare by identity
     lp = (c, a_ub) if type(c) is tuple and type(a_ub) is tuple and all(
         type(r) is tuple for r in a_ub) else None

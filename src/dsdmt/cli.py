@@ -288,13 +288,13 @@ def run_crosscheck(max_dim: int, fractional: bool,
     last = {key: t for t, key in lps.items()}  # each LP's last triple, after which shared drops it
     for (m, n, l), key in lps.items():
         fresh = {"counts": counts}
-        warm = (shared.pop if last[key] == (m, n, l) else shared.setdefault)(key, fresh)
-        for r in rs[: min(m, n, l) * den + 1]:
-            a = closed_form((m, n, l), r)
-            b = lp(m, n, l, r, warm)
-            c = greedy(m, n, l, r)
-            cases += 1
-            if not (a == b == c):
+        t = (m, n, l)
+        warm = (shared.pop if last[key] == t else shared.setdefault)(key, fresh)
+        for r in rs[: min(t) * den + 1]:
+            a, b, c = closed_form(t, r), lp(m, n, l, r, warm), greedy(m, n, l, r)
+            cases += 1  # a Fraction is in lowest terms: equal ones have equal int pairs
+            if not (a.as_integer_ratio() == b.as_integer_ratio() == c.as_integer_ratio()
+                    if type(a) is type(b) is type(c) is Fraction else a == b == c):
                 mismatches.append({"m": m, "n": n, "l": l, "r": str(r),
                                    "closed_form": str(a), "lp": str(b), "greedy": str(c)})
     return {"max_dim": max_dim, "fractional": fractional,

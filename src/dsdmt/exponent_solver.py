@@ -86,7 +86,8 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """Build the exact exponent program for (m, n, l) at multiplexing gain r,
     with n <= m: alpha has min(n, l) components and beta min(m, l)."""
     p = object.__new__(ExponentProgram)  # the checked shape, dimensions before r, with r
-    p.__dict__.update(vars(_shape(m, n, l)), r=r if isinstance(r, Fraction) else Fraction(r))
+    (fields := p.__dict__).update(vars(_shape(m, n, l)))
+    fields["r"] = r if type(r) is Fraction else Fraction(r)
     return p
 
 
@@ -149,7 +150,8 @@ def solve_lp(p: ExponentProgram, warm=None) -> Fraction:
     per size.  r is checked against that range by its ints.
     """
     na, r = p.alpha_dim, p.r
-    if not 0 <= r.numerator <= na * r.denominator:
+    num, den = r.as_integer_ratio()
+    if not 0 <= num <= na * den:
         raise ValueError(f"r must lie in [0, {na}], got {r}")
     c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, p.beta_dim)
     try:
@@ -218,10 +220,10 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
 def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
     """d(r) by the exact linear program, for any role order of (m, n, l): n <= m
     by reciprocity; r and warm as in :func:`solve_lp`."""
-    return solve_lp(build_program(max(m, n), min(m, n), l, r), warm)
+    return solve_lp(build_program(m, n, l, r) if n <= m else build_program(n, m, l, r), warm)
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:
     """d(r) by greedy beta elimination plus threshold minimization, on the
     reduction kept per shape; minimize_threshold checks r."""
-    return minimize_threshold(_reduced(max(m, n), min(m, n), l), r)
+    return minimize_threshold(_reduced(m, n, l) if n <= m else _reduced(n, m, l), r)

@@ -9,6 +9,7 @@ import math
 import operator
 import weakref
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import fraction_simplex
@@ -555,6 +556,53 @@ def test_t_outside_the_span_raises_before_any_pivot(t, call):
     assert warm is None or (Counter(warm.get("counts")), warm.get("last")) == (made, last)
 
 
+# t as each type a caller may pass it: a held sweep reads a Fraction of ints itself, and
+# every other t, a Fraction of numpy ints too, as a new dict's call does
+T_TYPES = {"int": 2, "Fraction": Fraction(5, 4), "bool": True, "numpy-int": np.int64(2),
+           "float": 0.5, "Decimal": Decimal("1.25"),
+           "Fraction-of-numpy-ints": Fraction(np.int64(5), np.int64(4))}
+
+
+def _swept_exponent_lp():
+    """c, a_ub, the fixed entries of b and the span of the LP of (5, 3, 4), and a warm
+    dict that holds its sweep over that span."""
+    c, a_ub, fixed = _exponent_lp(5, 3, 4)
+    warm = {}
+    _simplex.solve_min(c, a_ub, [*fixed, 0], warm, span=(0, 3))
+    return c, a_ub, fixed, (0, 3), warm
+
+
+@pytest.mark.parametrize("t", T_TYPES.values(), ids=T_TYPES)
+def test_a_held_sweep_reads_t_of_every_type_as_a_cold_solve(t):
+    # a call with the tuples, rest of b and span its dict holds gives a cold solve's value,
+    # one Fraction of Python ints, and solves, pivots and counts nothing
+    c, a_ub, fixed, span, warm = _swept_exponent_lp()
+    made, last = warm["counts"].copy(), warm["last"]
+    with pivots_of(_simplex) as pivots:
+        value = _simplex.solve_min(c, a_ub, [*fixed, t], warm, span=span)
+    assert not pivots and warm["counts"] == made and warm["last"] is last
+    assert value == _simplex.solve_min(c, a_ub, [*fixed, t]) == _simplex.solve_min(
+        c, a_ub, [*fixed, Fraction(t)])
+    assert type(value) is Fraction and type(value.numerator) is type(value.denominator) is int
+
+
+@pytest.mark.parametrize("t", [Fraction(-1, 10**9), 3 + Fraction(1, 10**9), -1, np.int64(4),
+                               Fraction(np.int64(13), np.int64(4)), -0.5, Decimal("3.01")],
+                         ids=["below", "above", "int", "numpy-int", "Fraction-of-numpy-ints",
+                              "float", "Decimal"])
+def test_a_held_sweep_names_a_t_past_its_span_as_a_new_dict_does(t):
+    # a t just past either end of the span raises the ValueError a call on a new dict
+    # raises, before any pivot, and the held dict's counts and sweep stay as they were
+    c, a_ub, fixed, span, warm = _swept_exponent_lp()
+    made, last = warm["counts"].copy(), warm["last"]
+    with pytest.raises(ValueError) as new:
+        _simplex.solve_min(c, a_ub, [*fixed, t], {}, span=span)
+    with pivots_of(_simplex) as pivots, pytest.raises(ValueError) as held:
+        _simplex.solve_min(c, a_ub, [*fixed, t], warm, span=span)
+    assert str(held.value) == str(new.value) and str(new.value).endswith("[0, 3]")
+    assert not pivots and warm["counts"] == made and warm["last"] is last
+
+
 def test_a_new_span_sweeps_again():
     # the LP of test_warm_hand_lp on one warm dict: first called at t = 1/2 over [0, 1], it
     # is solved at 1 and swept down, and holds [0, inf) alone; a call with the span [-3, -1]
@@ -891,6 +939,14 @@ def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
         runs.append((seen[:], report["lp"]))
         seen.clear()
     assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(_exponent_lps(3)) == 14
+
+
+def test_two_crosscheck_runs_in_one_process_report_alike():
+    # a run pays for every sweep it reads, as a benchmark's pass loop must measure it: the
+    # second of two runs in one process solves its 55 LPs again and reports the same
+    first, second = cli.run_crosscheck(5, True), cli.run_crosscheck(5, True)
+    assert first == second and first["cases"] == 1025 and not first["mismatches"]
+    assert first["lp"] == {"cold_solves": 55, "pivots": 315, "pieces": 160, "max_bits": 5}
 
 
 def _exponent_lps(dims):
