@@ -175,7 +175,9 @@ def _sweep(tableau, slack, t0, counts, stop):
 
 def _ratio(v, span=None):
     """v read exactly, as an int pair (num, den); ValueError if outside span, exact lo <= hi."""
-    n, d = map(int, _exact(v).as_integer_ratio())  # a Fraction may keep numpy ints
+    n, d = (v if type(v) is Fraction else _exact(v)).as_integer_ratio()
+    if not type(n) is type(d) is int:  # a Fraction may keep numpy ints
+        n, d = int(n), int(d)
     if span is not None and not span[0] * d <= n <= span[1] * d:
         raise ValueError(f"t = {Fraction(n, d)} lies outside the span [{span[0]}, {span[1]}]")
     return n, d
@@ -201,10 +203,7 @@ def _warm_piece(c, a_ub, b_ub, warm, span):
     held, fixed, swept, pieces = warm.get("last", (None,) * 4)
     if (held and held[0] is c and held[1] is a_ub and type(b_ub) is list and type(span) is tuple
             and span == swept and 0 < len(b_ub) == len(a_ub) and b_ub[:-1] == fixed):
-        tn, td = t.as_integer_ratio() if type(t := b_ub[-1]) is Fraction else (t, None)
-        if type(tn) is type(td) is int and swept[0] * td <= tn <= swept[1] * td:
-            return _find(pieces, tn, td)  # a Fraction of ints in the span, read as it is
-        return _find(pieces, *_ratio(t, swept))
+        return _find(pieces, *_ratio(b_ub[-1], swept))
     # a tuple of tuple rows cannot change, so only it is held, as given, to compare by identity
     lp = (c, a_ub) if type(c) is tuple and type(a_ub) is tuple and all(
         type(r) is tuple for r in a_ub) else None

@@ -292,9 +292,8 @@ def run_crosscheck(max_dim: int, fractional: bool,
         warm = (shared.pop if last[key] == t else shared.setdefault)(key, fresh)
         for r in rs[: min(t) * den + 1]:
             a, b, c = closed_form(t, r), lp(m, n, l, r, warm), greedy(m, n, l, r)
-            cases += 1  # a Fraction is in lowest terms: equal ones have equal int pairs
-            if not (a.as_integer_ratio() == b.as_integer_ratio() == c.as_integer_ratio()
-                    if type(a) is type(b) is type(c) is Fraction else a == b == c):
+            cases += 1  # an int pair in lowest terms: equal values have equal pairs
+            if not a.as_integer_ratio() == b.as_integer_ratio() == c.as_integer_ratio():
                 mismatches.append({"m": m, "n": n, "l": l, "r": str(r),
                                    "closed_form": str(a), "lp": str(b), "greedy": str(c)})
     return {"max_dim": max_dim, "fractional": fractional,

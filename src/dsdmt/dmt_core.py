@@ -134,7 +134,7 @@ def _curve(t) -> DmtCurve:  # dmt_curve, once per tuple of ints and per ordered 
 
 def dmt_at(c: DmtCurve, r) -> Fraction:
     """Evaluate the curve at rational multiplexing gain r by exact interpolation."""
-    m, points = len(c.points) - 1, c.points
+    m, points = c.max_gain, c.points
     num, den = (r if type(r) is Fraction else Fraction(r)).as_integer_ratio()  # interpolated
     if not 0 <= num <= m * den:  # in ints, one Fraction at the end
         raise ValueError(f"r must lie in [0, {m}], got {Fraction(num, den)}")

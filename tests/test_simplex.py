@@ -556,8 +556,8 @@ def test_t_outside_the_span_raises_before_any_pivot(t, call):
     assert warm is None or (Counter(warm.get("counts")), warm.get("last")) == (made, last)
 
 
-# t as each type a caller may pass it: a held sweep reads a Fraction of ints itself, and
-# every other t, a Fraction of numpy ints too, as a new dict's call does
+# t as each type a caller may pass it: a Fraction of Python ints is read as its int pair,
+# and every other t, a Fraction of numpy ints too, is made exact first
 T_TYPES = {"int": 2, "Fraction": Fraction(5, 4), "bool": True, "numpy-int": np.int64(2),
            "float": 0.5, "Decimal": Decimal("1.25"),
            "Fraction-of-numpy-ints": Fraction(np.int64(5), np.int64(4))}
@@ -926,27 +926,22 @@ def test_pieces_cover_the_range_and_match_cold_solves():
                            for row, bi in zip(a_ub, [*fixed, r]))
 
 
-def test_crosscheck_keeps_no_state_between_runs(monkeypatch):
-    # two successive sweeps make the same solves and pivots: the warm dicts live for one
-    # run, so each run solves each of its 14 LPs
+@pytest.mark.parametrize("dims, solves", [(3, 14), (5, 55)])
+def test_crosscheck_keeps_no_state_between_runs(monkeypatch, dims, solves):
+    # two successive runs in one process make the same solves and pivots and report the
+    # same: the warm dicts live for one run, so each run solves each of its LPs again, and
+    # a benchmark's pass loop measures what one run costs
     seen = []
     pivot, dual_start = _simplex._pivot, _simplex._dual_start
     monkeypatch.setattr(_simplex, "_pivot", lambda *a: (seen.append(a[3:]), pivot(*a)))
     monkeypatch.setattr(_simplex, "_dual_start", lambda *a: (seen.append(a[0]), dual_start(*a))[1])
     runs = []
     for _ in range(2):
-        report = cli.run_crosscheck(3, True)
-        runs.append((seen[:], report["lp"]))
+        report = cli.run_crosscheck(dims, True)
+        runs.append((seen[:], report))
         seen.clear()
-    assert runs[0] == runs[1] and runs[0][1]["cold_solves"] == len(_exponent_lps(3)) == 14
-
-
-def test_two_crosscheck_runs_in_one_process_report_alike():
-    # a run pays for every sweep it reads, as a benchmark's pass loop must measure it: the
-    # second of two runs in one process solves its 55 LPs again and reports the same
-    first, second = cli.run_crosscheck(5, True), cli.run_crosscheck(5, True)
-    assert first == second and first["cases"] == 1025 and not first["mismatches"]
-    assert first["lp"] == {"cold_solves": 55, "pivots": 315, "pieces": 160, "max_bits": 5}
+    assert runs[0] == runs[1] and not runs[0][1]["mismatches"]
+    assert runs[0][1]["lp"]["cold_solves"] == len(_exponent_lps(dims)) == solves
 
 
 def _exponent_lps(dims):
