@@ -8,12 +8,13 @@ right-hand side is negative, or a row shows that no point exists (Lemke,
 are exact rationals and the solver always terminates.  Internal to the
 package: sized for a few dozen variables, not a general LP surface.
 
-The tableau holds Python ints: a row stands for itself over its basic entry,
-kept > 0, and the cost row ends in its own scale.  Pivots are fraction-free
-(Bareiss, Math. Comp. 22, 1968) and in place: a row with f = row[pc] != 0
-becomes p*row - f*prow over its gcd, mostly in prow's nonzero columns alone.
-Every test compares the rationals a Fraction tableau would, so the pivots, the
-optimum and x are the ones it would give.
+The tableau holds Python ints: a row stands for itself over its basic entry, kept > 0, and
+the cost row ends in its own scale.  A new LP's c, and its b with the rows, go in as they
+are when one type pass finds ints alone; any other entry is read as an exact rational and
+scaled to ints first.  Pivots are fraction-free (Bareiss, Math. Comp. 22, 1968) and in
+place: a row with f = row[pc] != 0 becomes p*row - f*prow over its gcd, mostly in prow's
+nonzero columns alone.  Every test compares the rationals a Fraction tableau would, so the
+pivots, the optimum and x are the ones it would give.
 
 Every solve starts at the top of a span of b's last entry t and sweeps down to its bottom.
 As t grows it only loosens the last row, so the top has a point if any t in the span has
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 
 __all__ = ["Infeasible", "solve_min"]
 
@@ -49,7 +50,9 @@ def _exact(v):
 
 def _scaled(values):
     """The rationals values times the lcm of their denominators, and that lcm,
-    in Python ints (a Fraction keeps a numpy integer as its numerator)."""
+    in Python ints (a Fraction keeps a numpy integer as its numerator); ints as they are."""
+    if {*map(type, values)} <= {int}:
+        return [*values], 1
     scale = lcm(*[v.denominator for v in values])
     return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
 
@@ -89,10 +92,10 @@ def _pivot(rows, cost, basis, pr, pc):
 def _slack_rows(nvar, a_ub, b_ub):
     """b, then a_ub, read exactly: the rows [A | slack I | rhs] and the slack basis."""
     m = len(a_ub)
-    b_ub, zeros = [_exact(b_ub[i]) for i in range(m)], [0] * m
-    rows = []
+    ints = len(b_ub) == m and {*map(type, chain(b_ub, *a_ub))} <= {int}
+    b_ub, zeros, rows = b_ub if ints else [_exact(b_ub[i]) for i in range(m)], [0] * m, []
     for i, b in enumerate(b_ub):
-        if type(b) is int and {*map(type, a_ub[i])} <= {int}:  # then taken as they are
+        if ints:
             row, scale = [*a_ub[i], *zeros, b], 1
         else:
             row, scale = _scaled([*map(_exact, a_ub[i]), b])
@@ -168,26 +171,28 @@ def _sweep(tableau, slack, t0, counts, stop):
             pieces.append(_piece(tableau, slack, t0, ends))  # piece before, so dropped
         counts["pivots"] += 1
     counts["pieces"] += len(pieces)
-    counts["max_bits"] = max(counts["max_bits"], *(
-        max(map(abs, (*p[0], *p[1], *p[4], *p[5], *p[6]))).bit_length() for p in pieces))
+    counts["max_bits"] = max(counts["max_bits"], max(map(abs, chain.from_iterable(
+        (*p[0], *p[1], *p[4], *p[5], *p[6]) for p in pieces))).bit_length())
     return pieces
 
 
 def _ratio(v, span=None):
     """v read exactly, as an int pair (num, den); ValueError if outside span, exact lo <= hi."""
-    n, d = (v if type(v) is Fraction else _exact(v)).as_integer_ratio()
+    n, d = t = (v if type(v) is Fraction else _exact(v)).as_integer_ratio()
     if not type(n) is type(d) is int:  # a Fraction may keep numpy ints
-        n, d = int(n), int(d)
+        n, d = t = int(n), int(d)
     if span is not None and not span[0] * d <= n <= span[1] * d:
         raise ValueError(f"t = {Fraction(n, d)} lies outside the span [{span[0]}, {span[1]}]")
-    return n, d
+    return t
 
 
-def _find(pieces, tn, td):
-    """(the first of pieces with lo <= t <= hi, (tn, td)); Infeasible if none."""
+def _find(pieces, t):
+    """(the first of pieces with lo <= t <= hi, t), t an int pair; Infeasible if none."""
+    tn, td = t
     for piece in pieces:
-        if piece[0][0] * td <= tn * piece[0][1] and tn * piece[1][1] <= piece[1][0] * td:
-            return piece, (tn, td)
+        (lo, lo_d), (hi, hi_d) = piece[0], piece[1]
+        if lo * td <= tn * lo_d and tn * hi_d <= hi * td:
+            return piece, t
     raise Infeasible(f"no piece holds {Fraction(tn, td)}: no point for that b")
 
 
@@ -203,27 +208,26 @@ def _warm_piece(c, a_ub, b_ub, warm, span):
     held, fixed, swept, pieces = warm.get("last", (None,) * 4)
     if (held and held[0] is c and held[1] is a_ub and type(b_ub) is list and type(span) is tuple
             and span == swept and 0 < len(b_ub) == len(a_ub) and b_ub[:-1] == fixed):
-        return _find(pieces, *_ratio(b_ub[-1], swept))
+        return _find(pieces, _ratio(b_ub[-1], swept))
     # a tuple of tuple rows cannot change, so only it is held, as given, to compare by identity
-    lp = (c, a_ub) if type(c) is tuple and type(a_ub) is tuple and all(
-        type(r) is tuple for r in a_ub) else None
+    lp = (c, a_ub) if {*map(type, (c, a_ub, *a_ub))} <= {tuple} else None
     b = [*b_ub[: len(a_ub)]]
     fix, t = b[:-1], b[-1] if b else 0  # no rows: t = 0 stands in, its column the rhs
     if span is not None:  # then t is read before c, and must lie in span
         _ratio(t, span := tuple(map(_exact, span)))
     c = [*map(_exact, c)]
-    for j, v in enumerate(c):
-        if v < 0:
-            raise ValueError(f"c[{j}] = {v} is negative; only c >= 0 is solved")
+    if (j := next(compress(count(), map(lt, c, repeat(0))), None)) is not None:
+        raise ValueError(f"c[{j}] = {c[j]} is negative; only c >= 0 is solved")
     stop, top = (t, t) if cold else span
     if b:  # t only loosens the last row as it grows: the top has a point if any t has
         b[-1] = top
     tableau, pivots = _dual_start(c, a_ub, b)
-    counts.update({"cold_solves": 1, "pivots": pivots})
+    counts["cold_solves"] += 1
+    counts["pivots"] += pivots
     pieces = _sweep(tableau, len(c) + len(fix), _ratio(top), counts, _ratio(stop))
     if lp:
         warm["last"] = lp, fix, span, pieces
-    return _find(pieces, *_ratio(t))
+    return _find(pieces, _ratio(t))
 
 
 def solve_min(c, a_ub, b_ub, warm=None, *, span=None):

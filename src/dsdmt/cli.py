@@ -328,7 +328,7 @@ def _parse_corr(spec: str, dim: int):
 
 
 def cmd_sim(args, cfg) -> tuple[int, dict]:
-    from . import outage_sim
+    from . import outage_sim, randmat
 
     estimates = outage_sim.run_simulation(cfg)
     csv_path = f"{args.output}.csv"
@@ -339,7 +339,7 @@ def cmd_sim(args, cfg) -> tuple[int, dict]:
         fit = outage_sim.fit_slope(estimates)
     except outage_sim.InsufficientDataError as exc:
         print(f"insufficient tail data: {exc}", file=sys.stderr)
-        return INSUFFICIENT_DATA, {"outputs": outputs}
+        return INSUFFICIENT_DATA, {"outputs": outputs, "stream_layout": randmat.STREAM_LAYOUT}
     json_path = f"{args.output}.json"
     _write_json(json_path, {
         "triple": list(args.triple.as_tuple()),
@@ -356,11 +356,11 @@ def cmd_sim(args, cfg) -> tuple[int, dict]:
     })
     outputs.append(json_path)
     print(f"slope {fit.slope:.4f} +- {fit.stderr:.4f} over {fit.points_used} points")
-    return 0, {"outputs": outputs}
+    return 0, {"outputs": outputs, "stream_layout": randmat.STREAM_LAYOUT}
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    from . import lemma_verify
+    from . import lemma_verify, randmat
 
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     report = {}
@@ -388,8 +388,8 @@ def cmd_verify(args) -> tuple[int, dict]:
     if failed:
         print(json.dumps({k: report[k] for k in failed}, indent=2, sort_keys=True,
                          default=str), file=sys.stderr)
-    return (VERIFICATION_FAILURE if failed else 0), {"outputs": [path], "suite_s": suite_s,
-                                                     "ineq_margin": margins}
+    entries = {"suite_s": suite_s, "ineq_margin": margins, "stream_layout": randmat.STREAM_LAYOUT}
+    return (VERIFICATION_FAILURE if failed else 0), {"outputs": [path], **entries}
 
 
 def main(argv=None) -> int:

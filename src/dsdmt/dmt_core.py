@@ -141,8 +141,8 @@ def dmt_at(c: DmtCurve, r) -> Fraction:
     k = num // den
     if k == m:
         return Fraction(points[m][1])
-    (_, d_lo), (_, d_hi) = points[k : k + 2]
-    return Fraction(d_lo * den + (d_hi - d_lo) * (num - k * den), den)
+    d_lo = points[k][1]
+    return Fraction(d_lo * den + (points[k + 1][1] - d_lo) * (num - k * den), den)
 
 
 def is_rayleigh_equivalent(t) -> bool:

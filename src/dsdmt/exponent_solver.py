@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _simplex
 
@@ -75,6 +75,11 @@ class ExponentProgram:
         if any(b < 0 for b in self.beta_coeffs) or any(a <= 0 for a in self.alpha_coeffs):
             raise ValueError("coefficients out of range")
 
+    @cached_property
+    def _lp(self):  # (c, a_ub, b_ub but its last entry), the tuples solve_lp reads
+        return _lp_cost(self.alpha_coeffs, self.beta_coeffs), *_lp_rows(self.alpha_dim,
+                                                                        self.beta_dim)
+
 
 def _plus_pairs(na: int, nb: int) -> tuple[tuple[int, int], ...]:
     """0-based (i, j), i < j, i first then j rising: each contributes
@@ -86,7 +91,7 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     """Build the exact exponent program for (m, n, l) at multiplexing gain r,
     with n <= m: alpha has min(n, l) components and beta min(m, l)."""
     p = object.__new__(ExponentProgram)  # the checked shape, dimensions before r, with r
-    (fields := p.__dict__).update(vars(_shape(m, n, l)))
+    (fields := p.__dict__).update(_shape(m, n, l).__dict__)
     fields["r"] = r if type(r) is Fraction else Fraction(r)
     return p
 
@@ -101,7 +106,9 @@ def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once
     alpha_coeffs = tuple(n - i for i in range(alpha_dim))
     beta_coeffs = tuple(l + m - n - j if j <= n + 1 else l + m + 1 - 2 * j
                         for j in range(1, beta_dim + 1))  # j 1-based, as in the module note
-    return ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
+    shape = ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
+    shape._lp  # read here, so that build_program's copies carry it
+    return shape
 
 
 @lru_cache(maxsize=4096)  # every coefficient pair to dims 18 (2109), so each keeps one c
@@ -146,14 +153,15 @@ def solve_lp(p: ExponentProgram, warm=None) -> Fraction:
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
     so minimization pins them to the plus parts.  r is only the rhs of the row
     sum s_i <= r, so warm (see ``_simplex.solve_min``) serves one coefficient
-    pair, swept over r in [0, alpha_dim]: c is one tuple per pair, the rows one
-    per size.  r is checked against that range by its ints.
+    pair, swept over r in [0, alpha_dim], r checked by its ints.  c, the rows
+    and b but r are one attribute of the program, set once per shape: c one
+    tuple per pair, the rows one per size.
     """
     na, r = p.alpha_dim, p.r
     num, den = r.as_integer_ratio()
     if not 0 <= num <= na * den:
         raise ValueError(f"r must lie in [0, {na}], got {r}")
-    c, (rows, fixed) = _lp_cost(p.alpha_coeffs, p.beta_coeffs), _lp_rows(na, p.beta_dim)
+    c, rows, fixed = p._lp
     try:
         return _simplex.solve_min(c, rows, [*fixed, r], warm, span=(0, na))
     except _simplex.Infeasible as exc:  # impossible for r >= 0
@@ -206,15 +214,13 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     With non-increasing coefficients the optimum zeroes the first floor(r)
     alphas, puts the next at 1 - frac(r), and pins the rest at 1.
     """
-    coeffs, dim = ro.coeffs, len(ro.coeffs)
+    dim = len(coeffs := ro.coeffs)
     num, den = (r if type(r) is Fraction else Fraction(r)).as_integer_ratio()  # the sum below
     if not 0 <= num <= dim * den:  # is value * den, in ints
         raise ValueError(f"r must lie in [0, {dim}], got {Fraction(num, den)}")
-    k = num // den
-    value = sum(coeffs[k + 1 :]) * den
-    if k < dim:
-        value += coeffs[k] * ((k + 1) * den - num)
-    return Fraction(value, den)
+    if (k := num // den) == dim:
+        return Fraction(0)
+    return Fraction(sum(coeffs[k + 1 :]) * den + coeffs[k] * ((k + 1) * den - num), den)
 
 
 def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:

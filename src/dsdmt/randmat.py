@@ -30,6 +30,7 @@ __all__ = [
     "density_gof_identity",
 ]
 
+STREAM_LAYOUT = 1  # the draw order's version, in sim and verify manifests: a moved draw raises it
 TIE_TOL = 1e-9
 _GOF_BINS = 20  # equal-mass bins of the q = 1 density fit, before pooling
 

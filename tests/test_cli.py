@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsdmt
-from dsdmt import cli, lemma_verify
+from dsdmt import cli, lemma_verify, randmat
 
 
 def run_cli(argv, tmp_path, monkeypatch):
@@ -154,6 +154,22 @@ class TestSim:
         # the CSV and manifest still exist for post-mortem
         assert (tmp_path / "dmt_sim.csv").exists()
         assert (tmp_path / "dmt_sim.manifest.json").exists()
+
+    def test_manifests_record_the_stream_layout(self, tmp_path, monkeypatch, capsys):
+        # sim (on both of its exits) and verify draw from the documented streams, and their
+        # manifests say which version of that draw order they used
+        runs = {"sim": ["--triple", "1,1,1", "--r", "0.1", "--snr-db", "35:40:5",
+                        "--trials", "300", "--seed", "3"],
+                "sim-fit": ["--triple", "1,1,1", "--r", "0.5", "--snr-db", "10:15:5",
+                            "--trials", "4000", "--seed", "3"],
+                "verify": ["--suite", "lemma4", "--trials", "20", "--seed", "1"]}
+        for name, args in runs.items():
+            (out := tmp_path / name).mkdir()
+            code = run_cli([name.split("-")[0], *args], out, monkeypatch)
+            assert code == {"sim": 4, "sim-fit": 0, "verify": 0}[name], name
+            manifest = json.loads(next(out.glob("*.manifest.json")).read_text())
+            assert manifest["stream_layout"] == randmat.STREAM_LAYOUT >= 1, name
+        capsys.readouterr()
 
     def test_correlated_run(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["sim", "--triple", "2,2,2", "--r", "1", "--snr-db", "10:20:5",

@@ -167,6 +167,33 @@ class TestProgramMemo:
 
 
 class TestSolveLp:
+    def test_built_and_direct_programs_hand_over_one_lp(self, monkeypatch):
+        # a program from build_program and one made directly, from equal coefficient
+        # tuples of its own, give solve_min the very same c and row tuples, so one
+        # warm dict makes one cold solve for both, at two values of r
+        from dsdmt import _simplex
+
+        built = build_program(4, 3, 5, Fraction(1, 2))
+        direct = ExponentProgram(4, 3, 5, built.alpha_dim, built.beta_dim,
+                                 tuple([*built.alpha_coeffs]), tuple([*built.beta_coeffs]),
+                                 Fraction(5, 4))
+        assert direct.alpha_coeffs is not built.alpha_coeffs
+        # a built program carries its shape's inputs, read once per shape, before any solve
+        assert vars(built)["_lp"] is vars(build_program(4, 3, 5, 3))["_lp"]
+        handed, solve = [], _simplex.solve_min
+
+        def recording(c, a_ub, b_ub, warm=None, **kw):
+            handed.append((c, a_ub))
+            return solve(c, a_ub, b_ub, warm, **kw)
+
+        monkeypatch.setattr(_simplex, "solve_min", recording)
+        warm = {}
+        assert solve_lp(built, warm) == dmt_via_greedy(4, 3, 5, Fraction(1, 2))
+        assert solve_lp(direct, warm) == dmt_via_greedy(4, 3, 5, Fraction(5, 4))
+        (c, rows), (c2, rows2) = handed
+        assert c2 is c and rows2 is rows and type(c) is type(rows) is tuple
+        assert warm["counts"]["cold_solves"] == 1
+
     def test_2_2_2_values(self):
         assert solve_lp(build_program(2, 2, 2, 0)) == 3
         assert solve_lp(build_program(2, 2, 2, 2)) == 0

@@ -65,13 +65,16 @@ def pivots_of(module):
 
 
 @pytest.mark.parametrize("call", ["cold", "span"])
+@pytest.mark.parametrize("tail", [(), (-5, 0)], ids=["alone", "first-of-two"])
 @pytest.mark.parametrize("negative", [-1, Fraction(-1, 3), np.int64(-2), -0.5],
                          ids=["int", "Fraction", "numpy-int", "float"])
-def test_negative_cost_entry_raises(negative, call):
+def test_negative_cost_entry_raises(negative, tail, call):
     # only c >= 0 is solved: a negative entry is named when the LP is first read, before
     # any pivot, on a warm dict after t is checked against the span and before its top is
-    # solved, and the dict then counts no solve and holds no sweep
-    c, a_ub, b_ub = (1, negative), ((-1, -1), (0, 1)), [-1, 1]
+    # solved, and the dict then counts no solve and holds no sweep.  With a smaller entry
+    # after it, the first negative entry is named, not the least
+    c, b_ub = (1, negative, *tail), [-1, 1]
+    a_ub = tuple((*row, *[0] * len(tail)) for row in ((-1, -1), (0, 1)))
     warm, span = {"cold": (None, None), "span": ({}, (0, 2))}[call]
     with pivots_of(_simplex) as pivots, pytest.raises(ValueError, match=r"^c\[1\] = -"):
         _simplex.solve_min(c, a_ub, b_ub, warm, span=span)
@@ -287,6 +290,40 @@ def test_hand_lps_match_oracle(lp):
         assert _solved(lp, warm, span) == outcome
     assert pivots == cold
     assert warm["counts"]["pivots"] == (len(pivots) if type(outcome) is Fraction else 0)
+
+
+def test_ints_alone_go_in_as_they_are(monkeypatch):
+    # c, and b with the rows, of Python ints alone are copied in without a read of any
+    # entry and give the lists and scales their values as Fractions give; one entry of
+    # another type (a bool, a numpy int, a float) sends its LP through _exact, to the same
+    # lists as its value as a Fraction
+    c, a_ub, fixed = _exponent_lp(4, 3, 5)
+    b = [*fixed, 3]
+    frac = lambda xs: [*map(Fraction, xs)]  # noqa: E731
+    read = []
+    exact = _simplex._exact
+    monkeypatch.setattr(_simplex, "_exact", lambda v: read.append(v) or exact(v))
+    rows, basis = _simplex._slack_rows(len(c), a_ub, b)
+    cost, scale = _simplex._scaled(c)
+    assert not read and scale == 1 and cost == [*c]
+    assert all(type(v) is int for row in [cost, *rows] for v in row)
+    assert (rows, basis) == _simplex._slack_rows(len(c), [*map(frac, a_ub)], frac(b))
+    assert (cost, scale) == _simplex._scaled(frac(c))
+    for odd in (True, np.int64(1)):  # exact, but not Python ints: scaled, not copied
+        assert [*map(type, _simplex._scaled([odd, 2])[0])] == [int, int]
+    for odd in (True, np.int64(1), 1.0, 0.5):
+        for where in ("row", "b"):
+            read.clear()
+            got = [*a_ub[0][:-1], odd] if where == "row" else [*a_ub[0]]
+            rhs = [odd if where == "b" else b[0], *b[1:]]
+            made = _simplex._slack_rows(len(c), [got, *a_ub[1:]], rhs)
+            assert any(v is odd for v in read), (odd, where)
+            assert made == _simplex._slack_rows(len(c), [frac(got), *a_ub[1:]], frac(rhs))
+            assert all(type(v) is int for row in made[0] for v in row)
+        read.clear()
+        value = _simplex.solve_min((odd, *c[1:]), a_ub, b)
+        assert any(v is odd for v in read), odd
+        assert value == _simplex.solve_min((Fraction(odd), *c[1:]), a_ub, b)
 
 
 def test_narrow_numpy_ints_are_exact():
