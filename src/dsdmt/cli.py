@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -54,7 +53,7 @@ MAX_SIM_TRIALS = 10_000_000  # per SNR point; drawn in blocks, so memory stays f
 MAX_SIM_DIM = 16  # sim --triple dimensions; a block holds a few n x n x 4096 complex arrays
 MAX_CURVE_DIM = 1_000  # curve --triple dimensions; the curve has min(triple) + 1 points
 MAX_VERIFY_TRIALS = 1_000_000  # a Wishart fit holds all of its trials at once
-MAX_DIM = 18  # crosscheck --max-dim; the exact sweep's time grows steeply with it
+MAX_DIM = 28  # crosscheck --max-dim; cases grow as d**4: 681 296 at 28 with --fractional
 MAX_DIGITS = 1_000  # verify --digits; the mpmath determinants' time grows steeply with it
 
 # the `dmt verify` suites, in run order; each is a key of lemma_verify.SUITES
@@ -273,36 +272,33 @@ def cmd_curve(args) -> tuple[int, dict]:
 def run_crosscheck(max_dim: int, fractional: bool,
                    closed_form=None, lp=None, greedy=None) -> dict:
     """Sweep all triples with components <= max_dim; the three routes must agree exactly.
-    The route callables are injectable for fault-testing; lp(m, n, l, r, warm) gets one
-    warm dict per exponent LP, shared by every triple whose shape has its coefficient pair
-    and dropped after the last: its first call sweeps the LP, and every call looks r up.
-    "lp" holds their counts."""
+    The route callables are injectable for fault-testing, lp as lp(m, n, l, r).  "lp" holds
+    the LP route's counts: the distinct exponent LPs (coefficient pairs) the triples pose,
+    and the most bits of an entry of their hulls."""
     closed_form = closed_form or (lambda t, r: dmt_at(dmt_curve(t), r))
     lp = lp or dmt_via_lp
     greedy = greedy or dmt_via_greedy
     den = 4 if fractional else 1
     rs = [Fraction(k, den) for k in range(max_dim * den + 1)]  # r = k / den, once per run
-    cases, mismatches, counts, shared = 0, [], Counter(), {}
-    lps = {(m, n, l): (s.alpha_coeffs, s.beta_coeffs) for m, n, l in itertools.product(
-        range(1, max_dim + 1), repeat=3) for s in [_shape(max(m, n), min(m, n), l)]}
-    last = {key: t for t, key in lps.items()}  # each LP's last triple, after which shared drops it
-    for (m, n, l), key in lps.items():
-        fresh = {"counts": counts}
-        t = (m, n, l)
-        warm = (shared.pop if last[key] == t else shared.setdefault)(key, fresh)
+    cases, mismatches, hulls = 0, [], {}
+    for t in itertools.product(range(1, max_dim + 1), repeat=3):
+        m, n, l = t
+        s = _shape(max(m, n), min(m, n), l)
+        hulls[s.alpha_coeffs, s.beta_coeffs] = s._hull
         for r in rs[: min(t) * den + 1]:
-            a, b, c = closed_form(t, r), lp(m, n, l, r, warm), greedy(m, n, l, r)
+            a, b, c = closed_form(t, r), lp(m, n, l, r), greedy(m, n, l, r)
             cases += 1  # an int pair in lowest terms: equal values have equal pairs
             if not a.as_integer_ratio() == b.as_integer_ratio() == c.as_integer_ratio():
                 mismatches.append({"m": m, "n": n, "l": l, "r": str(r),
                                    "closed_form": str(a), "lp": str(b), "greedy": str(c)})
-    return {"max_dim": max_dim, "fractional": fractional,
-            "cases": cases, "mismatches": mismatches, "lp": dict(counts)}
+    bits = max(abs(v).bit_length() for hull in hulls.values() for seg in hull for v in seg)
+    return {"max_dim": max_dim, "fractional": fractional, "cases": cases,
+            "mismatches": mismatches, "lp": {"lps": len(hulls), "max_bits": bits}}
 
 
 def cmd_crosscheck(args) -> tuple[int, dict]:
     report = run_crosscheck(args.max_dim, args.fractional)
-    lp = report.pop("lp")  # the sweep's LP counts go to the manifest
+    lp = report.pop("lp")  # the LP route's counts go to the manifest
     path = f"{args.output}.json"
     _write_json(path, report)
     print(f"{len(report['mismatches'])} mismatches / {report['cases']} cases")

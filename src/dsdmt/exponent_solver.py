@@ -12,8 +12,16 @@ infimum over the open set is the same and a closed set is LP-representable.)
 
 Two solvers are provided and must agree exactly:
 
-* :func:`solve_lp` -- the exact rational linear program, via the internal
-  simplex's dual pivots from the slack basis.  This is the ground-truth oracle.
+* :func:`solve_lp` -- the exact optimum of that program as a linear program
+  (the LP below), read off its Lagrangian envelope.  Without its one row
+  sum s_i <= r the LP's rows are totally unimodular (Hoffman and Kruskal,
+  1956), so with that row priced by lambda >= 0 an optimum lies at 0/1 step
+  vectors: alpha with p leading zeros, beta with q >= p.  Let F(p) be the
+  least cost of such a point over q.  By LP duality d(r) = max over lambda of
+  min over p of F(p) + lambda (p - r), the lower convex hull of the points
+  (p, F(p)) at r, for every real r in [0, alpha_dim] (Geoffrion, *Math.
+  Prog. Study* 2, 1974).  tests/test_envelope.py checks both steps on the
+  LP's own rows, and the internal simplex (``_simplex``) against the hull.
 * :func:`greedy_reduce` + :func:`minimize_threshold` -- the "beta passes
   alpha" elimination: walking each beta leftward through the alpha chain
   while its running coefficient stays positive turns the objective into a
@@ -31,8 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-from . import _simplex
+from itertools import accumulate
 
 __all__ = [
     "ExponentProgram",
@@ -76,7 +83,11 @@ class ExponentProgram:
             raise ValueError("coefficients out of range")
 
     @cached_property
-    def _lp(self):  # (c, a_ub, b_ub but its last entry), the tuples solve_lp reads
+    def _hull(self):  # the envelope's segment over [k, k + 1], k <= alpha_dim: solve_lp's input
+        return _lower_hull(_step_costs(self.alpha_coeffs, self.beta_coeffs))
+
+    @cached_property
+    def _lp(self):  # (c, a_ub, b_ub but its last entry): the LP, for the simplex oracle
         return _lp_cost(self.alpha_coeffs, self.beta_coeffs), *_lp_rows(self.alpha_dim,
                                                                         self.beta_dim)
 
@@ -96,7 +107,7 @@ def build_program(m: int, n: int, l: int, r) -> ExponentProgram:
     return p
 
 
-@lru_cache(maxsize=4096)  # every shape to dims 18: 3078
+@lru_cache(maxsize=12288)  # every shape to dims 28: 11368
 def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once per shape
     if min(m, n, l) < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n}, {l})")
@@ -107,16 +118,43 @@ def _shape(m: int, n: int, l: int) -> ExponentProgram:  # at r = 0, checked once
     beta_coeffs = tuple(l + m - n - j if j <= n + 1 else l + m + 1 - 2 * j
                         for j in range(1, beta_dim + 1))  # j 1-based, as in the module note
     shape = ExponentProgram(m, n, l, alpha_dim, beta_dim, alpha_coeffs, beta_coeffs, Fraction(0))
-    shape._lp  # read here, so that build_program's copies carry it
+    shape._hull  # read here, so that build_program's copies carry it
     return shape
 
 
-@lru_cache(maxsize=4096)  # every coefficient pair to dims 18 (2109), so each keeps one c
+def _step_costs(a, b):
+    """F(p) for p = 0..len(a): the least cost of a 0/1 step vector with sum s_i = p, alpha
+    with p leading zeros and beta with q >= p.  It costs the a_i from p on, the b_j from q
+    on, and 1 per pair p <= i < na, i < j < q: (q - p)(q - p - 1) / 2 pairs for q <= na,
+    and (na - p)(2q - na - p - 1) / 2 beyond.  Suffix sums and those counts, per (p, q)."""
+    na, nb = len(a), len(b)
+    sa = [*accumulate(reversed(a), initial=0)][::-1]  # sa[p]: the sum of the a_i from p on
+    sb = [*accumulate(reversed(b), initial=0)][::-1]
+    return [sa[p] + min([sb[q] + (q - p) * (q - p - 1) // 2 for q in range(p, na + 1)]
+                        + [sb[q] + (na - p) * (2 * q - na - p - 1) // 2
+                           for q in range(na + 1, nb + 1)])
+            for p in range(na + 1)]
+
+
+def _lower_hull(f):
+    """The lower convex hull of the points (p, f[p]) (Andrew's monotone chain, the points
+    sorted by p) as the segment (x0, f[x0], dx, dy) that holds [k, k + 1], for each k in
+    range(len(f) - 1), and the last one again for k = len(f) - 1; one point is a flat one."""
+    hull = []
+    for p, y in enumerate(f):  # drop the last vertex while it lies on or above the chord
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (p - hull[-2][0])):
+            hull.pop()
+        hull.append((p, y))
+    segments = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+                for _ in range(x0, x1)] or [(0, f[0], 1, 0)]
+    return (*segments, segments[-1])
+
+
 def _lp_cost(a, b):  # c: the coefficients a and b, then 1 per t and 0 per s
     return (*a, *b, *[1] * len(_plus_pairs(len(a), len(b))), *[0] * len(a))
 
 
-@lru_cache(maxsize=256)  # every (na, nb) to dims 18 (171), so a lookup finds its a_ub by identity
 def _lp_rows(na, nb):
     """a_ub and b_ub but for its last entry, the r of sum s_i <= r; one tuple each."""
     pairs = _plus_pairs(na, nb)
@@ -142,30 +180,27 @@ def _lp_rows(na, nb):
         add([(ofs_b + j, 1), (ofs_b + j + 1, -1)], 0)
     for i in range(na):  # beta_i <= alpha_i
         add([(ofs_b + i, 1), (i, -1)], 0)
-    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r, last: the swept t
+    add([(ofs_s + i, 1) for i in range(na)], None)  # sum s_i <= r, last
     return tuple(rows), tuple(rhs[:-1])
 
 
-def solve_lp(p: ExponentProgram, warm=None) -> Fraction:
+def solve_lp(p: ExponentProgram) -> Fraction:
     """Exact optimum of the exponent program, d(r), for r in [0, alpha_dim].
 
     Variables are x = [alpha, beta, t (one per plus pair), s (one per alpha)]
     with t_ij >= (alpha_i - beta_j) and s_i >= (1 - alpha_i) relaxed upward,
-    so minimization pins them to the plus parts.  r is only the rhs of the row
-    sum s_i <= r, so warm (see ``_simplex.solve_min``) serves one coefficient
-    pair, swept over r in [0, alpha_dim], r checked by its ints.  c, the rows
-    and b but r are one attribute of the program, set once per shape: c one
-    tuple per pair, the rows one per size.
+    so minimization pins them to the plus parts; r is the rhs of the last row,
+    sum s_i <= r (``_lp_rows``).  The optimum is the envelope of the module
+    note at r, read by r's ints off the hull segment its shape holds.
     """
     na, r = p.alpha_dim, p.r
     num, den = r.as_integer_ratio()
+    if not type(num) is type(den) is int:  # a Fraction may keep numpy ints
+        num, den = int(num), int(den)
     if not 0 <= num <= na * den:
         raise ValueError(f"r must lie in [0, {na}], got {r}")
-    c, rows, fixed = p._lp
-    try:
-        return _simplex.solve_min(c, rows, [*fixed, r], warm, span=(0, na))
-    except _simplex.Infeasible as exc:  # impossible for r >= 0
-        raise RuntimeError(f"exponent LP unexpectedly infeasible: {exc}") from exc
+    x0, y0, dx, dy = p._hull[num // den]
+    return Fraction(y0 * dx * den + dy * (num - x0 * den), dx * den)
 
 
 @dataclass(frozen=True)
@@ -203,7 +238,7 @@ def greedy_reduce(p: ExponentProgram) -> ReducedObjective:
     return ReducedObjective(tuple(a + extra for a, extra in zip(p.alpha_coeffs, passes)))
 
 
-@lru_cache(maxsize=4096)  # every shape to dims 18: 3078
+@lru_cache(maxsize=12288)  # every shape to dims 28: 11368
 def _reduced(m: int, n: int, l: int) -> ReducedObjective:  # greedy_reduce, once per shape
     return greedy_reduce(_shape(m, n, l))
 
@@ -223,10 +258,10 @@ def minimize_threshold(ro: ReducedObjective, r) -> Fraction:
     return Fraction(sum(coeffs[k + 1 :]) * den + coeffs[k] * ((k + 1) * den - num), den)
 
 
-def dmt_via_lp(m: int, n: int, l: int, r, warm=None) -> Fraction:
+def dmt_via_lp(m: int, n: int, l: int, r) -> Fraction:
     """d(r) by the exact linear program, for any role order of (m, n, l): n <= m
-    by reciprocity; r and warm as in :func:`solve_lp`."""
-    return solve_lp(build_program(m, n, l, r) if n <= m else build_program(n, m, l, r), warm)
+    by reciprocity; r as in :func:`solve_lp`."""
+    return solve_lp(build_program(m, n, l, r) if n <= m else build_program(n, m, l, r))
 
 
 def dmt_via_greedy(m: int, n: int, l: int, r) -> Fraction:

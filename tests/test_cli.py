@@ -55,10 +55,10 @@ class TestCrosscheck:
         report = json.loads((tmp_path / "dmt_crosscheck.json").read_text())
         assert report == {"max_dim": 3, "fractional": False, "cases": 63, "mismatches": []}
         # the LP counts go to the manifest: the triples whose shapes share a coefficient
-        # pair share a solve, so 14 LPs are solved
+        # pair pose one LP, so they pose 14, and their hulls' largest entry has 3 bits
         manifest = json.loads((tmp_path / "dmt_crosscheck.manifest.json").read_text())
         assert manifest["lp"] == cli.run_crosscheck(3, False)["lp"]
-        assert manifest["lp"] == {"cold_solves": 14, "pivots": 51, "pieces": 34, "max_bits": 3}
+        assert manifest["lp"] == {"lps": 14, "max_bits": 3}
 
     def test_max_dim_one(self, tmp_path, monkeypatch, capsys):
         code = run_cli(["crosscheck", "--max-dim", "1"], tmp_path, monkeypatch)
@@ -94,8 +94,8 @@ class TestCrosscheck:
         # an LP route that is wrong at r = 1/2 of (2,1,2) only
         from fractions import Fraction
 
-        def faulty_lp(m, n, l, r, warm):
-            value = cli.dmt_via_lp(m, n, l, r, warm)
+        def faulty_lp(m, n, l, r):
+            value = cli.dmt_via_lp(m, n, l, r)
             return value + 1 if (m, n, l, r) == (2, 1, 2, Fraction(1, 2)) else value
 
         report = cli.run_crosscheck(2, True, lp=faulty_lp)

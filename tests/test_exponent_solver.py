@@ -6,13 +6,12 @@ other offset breaks the closed-form equality swept in the acceptance run).
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+import fraction_simplex
 from hypothesis import strategies as st
-from piece_x import solve_with_x
 
 from dsdmt import exponent_solver
 from dsdmt.dmt_core import dmt_at, dmt_curve
@@ -167,50 +166,45 @@ class TestProgramMemo:
 
 
 class TestSolveLp:
-    def test_built_and_direct_programs_hand_over_one_lp(self, monkeypatch):
-        # a program from build_program and one made directly, from equal coefficient
-        # tuples of its own, give solve_min the very same c and row tuples, so one
-        # warm dict makes one cold solve for both, at two values of r
-        from dsdmt import _simplex
-
+    def test_built_and_direct_programs_read_one_hull(self):
+        # a built program carries its shape's hull, made once per shape, before any solve,
+        # and no LP rows; a program made directly, from equal coefficient tuples of its own,
+        # makes an equal hull on its first solve, and both give the greedy route's values
+        exponent_solver._shape.cache_clear()  # so that no earlier test has read a shape's LP
         built = build_program(4, 3, 5, Fraction(1, 2))
         direct = ExponentProgram(4, 3, 5, built.alpha_dim, built.beta_dim,
                                  tuple([*built.alpha_coeffs]), tuple([*built.beta_coeffs]),
                                  Fraction(5, 4))
         assert direct.alpha_coeffs is not built.alpha_coeffs
-        # a built program carries its shape's inputs, read once per shape, before any solve
-        assert vars(built)["_lp"] is vars(build_program(4, 3, 5, 3))["_lp"]
-        handed, solve = [], _simplex.solve_min
-
-        def recording(c, a_ub, b_ub, warm=None, **kw):
-            handed.append((c, a_ub))
-            return solve(c, a_ub, b_ub, warm, **kw)
-
-        monkeypatch.setattr(_simplex, "solve_min", recording)
-        warm = {}
-        assert solve_lp(built, warm) == dmt_via_greedy(4, 3, 5, Fraction(1, 2))
-        assert solve_lp(direct, warm) == dmt_via_greedy(4, 3, 5, Fraction(5, 4))
-        (c, rows), (c2, rows2) = handed
-        assert c2 is c and rows2 is rows and type(c) is type(rows) is tuple
-        assert warm["counts"]["cold_solves"] == 1
+        assert vars(built)["_hull"] is vars(build_program(4, 3, 5, 3))["_hull"]
+        assert "_lp" not in vars(built) and "_hull" not in vars(direct)
+        assert solve_lp(built) == dmt_via_greedy(4, 3, 5, Fraction(1, 2))
+        assert solve_lp(direct) == dmt_via_greedy(4, 3, 5, Fraction(5, 4))
+        assert vars(direct)["_hull"] == built._hull
 
     def test_2_2_2_values(self):
         assert solve_lp(build_program(2, 2, 2, 0)) == 3
         assert solve_lp(build_program(2, 2, 2, 2)) == 0
         assert solve_lp(build_program(2, 2, 2, Fraction(1, 2))) == 2
 
+    def test_a_program_with_no_alpha_is_0(self):
+        # made directly, with every dimension 0 (build_program rejects it): its LP has the sum
+        # row alone, so its value at r = 0 is 0, and its hull is one flat point
+        p = ExponentProgram(0, 0, 0, 0, 0, (), (), Fraction(0))
+        assert solve_lp(p) == 0 == fraction_simplex.solve_min(*p._lp[:2], [0])[0]
+
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             solve_lp(build_program(2, 2, 2, -1))
 
     def test_vertex_is_feasible(self):
-        # x read off the piece of the program's own LP (piece_x); its value is solve_lp's
+        # the optimal vertex of the program's own LP, by the Fraction simplex oracle; its
+        # value is solve_lp's
         for m, n, l, r in [(2, 2, 2, 0), (4, 2, 3, 1), (2, 2, 5, Fraction(3, 2)), (5, 5, 5, 2)]:
             p = build_program(m, n, l, Fraction(r))
             na, nb = p.alpha_dim, p.beta_dim
-            rows, fixed = exponent_solver._lp_rows(na, nb)
-            c = exponent_solver._lp_cost(p.alpha_coeffs, p.beta_coeffs)
-            lp_value, x = solve_with_x(c, rows, [*fixed, p.r])
+            c, rows, fixed = p._lp
+            lp_value, x = fraction_simplex.solve_min(c, rows, [*fixed, p.r])
             assert lp_value == solve_lp(p)
             a, b = x[:na], x[na : na + nb]
             assert all(x <= y for x, y in zip(a, a[1:]))
@@ -328,14 +322,6 @@ class TestDmtViaLp:
         with pytest.raises(ValueError):
             dmt_via_lp(2, 2, 2, Fraction(-1, 4))
 
-    def test_warm_checks_every_r(self):
-        warm = {}
-        assert [dmt_via_lp(4, 2, 3, r, warm) for r in (1, "1/2", 0, 2)] == [
-            dmt_via_lp(4, 2, 3, r) for r in (1, Fraction(1, 2), 0, 2)]
-        for r in (3, Fraction(-1, 4)):
-            with pytest.raises(ValueError):
-                dmt_via_lp(2, 2, 2, r, warm)
-
 
 class TestReciprocalProgramMemo:
     """Each shape's program is checked once, and every r is read by its ints:
@@ -348,7 +334,7 @@ class TestReciprocalProgramMemo:
         exponent_solver._shape.cache_clear()
         for r in order:
             assert dmt_via_lp(3, 2, 4, r) == dmt_via_greedy(3, 2, 4, r) == 4
-            assert dmt_via_lp(2, 3, 4, r, {}) == 4
+            assert dmt_via_lp(2, 3, 4, r) == 4
             assert exponent_solver.build_program(3, 2, 4, r).r == Fraction(1, 2)
 
     @pytest.mark.parametrize("route", [dmt_via_lp, dmt_via_greedy])
@@ -398,23 +384,19 @@ class TestRouteAgreement:
                     expected = v0 + (v1 - v0) * Fraction(num, 4)
                     assert dmt_via_lp(m, n, l, r) == expected
 
-    def test_swept_lp_curve_equals_closed_form_for_every_r(self):
-        # every triple with dims <= 6: its LP, swept over [0, min(m, n, l)], is affine on each
-        # piece, and the closed form between integer corners, so agreeing at the
-        # union of the pieces' ends and the corners in [0, min(m, n, l)] proves the
-        # two curves equal there for every real r, not only on a grid
+    def test_lp_curve_equals_closed_form_for_every_r(self):
+        # every triple with dims <= 6: the LP route's curve is affine on each [k, k + 1], as
+        # its hull's vertices are integer points (test_envelope.py), and the closed form is
+        # affine between integer corners, so agreeing at the corners in [0, min(m, n, l)]
+        # proves the two curves equal there for every real r, not only on a grid; the
+        # midpoints check that the route reads the segment it should
         checked = 0
         for t in itertools.product(range(1, 7), repeat=3):
-            warm, curve, top = {}, dmt_curve(t), min(t)
-            dmt_via_lp(*t, 0, warm)
-            los, his = zip(*[[Fraction(*e) if e[1] else e[0] * math.inf for e in piece[:2]]
-                             for piece in warm["last"][-1]])
-            assert min(los) == 0 and max(his) >= top  # the pieces tile, so they cover [0, top]
-            for r in sorted({e for e in los + his if 0 <= e <= top} | set(range(top + 1))):
-                assert dmt_via_lp(*t, r, warm) == dmt_at(curve, r), (t, r)
+            curve, top = dmt_curve(t), min(t)
+            for r in [*range(top + 1), *(k + Fraction(1, 2) for k in range(top))]:
+                assert dmt_via_lp(*t, r) == dmt_at(curve, r), (t, r)
                 checked += 1
-            assert warm["counts"]["cold_solves"] == 1
-        assert checked > 216 * 2
+        assert checked == sum(2 * min(t) + 1 for t in itertools.product(range(1, 7), repeat=3))
 
     @settings(derandomize=True, max_examples=500, deadline=None, database=None)
     @given(triples_and_rates())
