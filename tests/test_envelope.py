@@ -16,13 +16,16 @@ by two standard theorems, each checked here on ``_lp_rows`` and ``_lp_cost``:
   Study* 2, 1974), d(r) = max over lambda of min over p of F(p) + lambda (p - r): the
   lower convex envelope of (p, F(p)) at r.
 
-(c) checks the envelope against the internal simplex, and (d) the paper's claims
-that follow from it.
+(c) checks the envelope against the internal simplex, (d) the paper's claims that
+follow from it, and (e) the envelope against the exponent itself, eps(alpha, beta) of
+the ``exponent_solver`` module note, at points of its own constraint set.
 """
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,3 +203,61 @@ def test_rayleigh_condition_to_dims_30():
         rayleigh = all(solve_lp(build_program(l, n, m, k)) == (m - k) * (n - k)
                        for k in range(m + 1))
         assert rayleigh == (l + 1 >= m + n), (m, n, l)
+
+
+# (e) the exponent itself: eps at points of the program's constraint set, not the LP
+
+# (m, n, l), n <= m, in each of the paper's cases: n >= l; n < l <= m; n <= m < l
+TRIPLES = [(2, 2, 2), (3, 3, 2), (4, 3, 3), (5, 4, 1), (4, 2, 3), (5, 2, 4), (6, 3, 5),
+           (2, 2, 4), (3, 2, 5), (3, 3, 6)]
+
+
+def eps(a, b, alpha, beta):
+    """sum a_i alpha_i + sum b_j beta_j + sum (alpha_i - beta_j)^+ over i < j."""
+    return (sum(map(mul, a, alpha)) + sum(map(mul, b, beta))
+            + sum(max(alpha[i] - beta[j], 0) for i in range(len(alpha))
+                  for j in range(i + 1, len(beta))))
+
+
+def least_eps(s, values):
+    """{u: the least eps} over the points with entries in values that meet the constraints,
+    alpha and beta non-decreasing and 0 <= beta_i <= alpha_i at each alpha index, by
+    u = sum (1 - alpha_i)^+, the outage set's sum."""
+    rising = lambda v: all(x <= y for x, y in zip(v, v[1:]))  # noqa: E731
+    least = {}
+    for alpha in filter(rising, itertools.product(values, repeat=s.alpha_dim)):
+        u = sum(max(1 - x, 0) for x in alpha)
+        for beta in filter(rising, itertools.product(values, repeat=s.beta_dim)):
+            if all(0 <= y <= x for x, y in zip(alpha, beta)):
+                e = eps(s.alpha_coeffs, s.beta_coeffs, alpha, beta)
+                least[u] = min(least.get(u, e), e)
+    return least
+
+
+@pytest.mark.parametrize("m, n, l", TRIPLES, ids=map(str, TRIPLES))
+def test_f_is_the_least_eps_of_a_0_1_point(m, n, l):
+    # over every 0/1 point of the constraint set, read off the constraints and not assumed a
+    # step vector: the least eps with u = p is F(p), for each p = 0..alpha_dim
+    s = _shape(m, n, l)
+    least = least_eps(s, (0, 1))
+    assert [least[p] for p in range(s.alpha_dim + 1)] == _step_costs(s.alpha_coeffs,
+                                                                     s.beta_coeffs)
+
+
+@pytest.mark.parametrize("m, n, l", TRIPLES, ids=map(str, TRIPLES))
+def test_the_envelope_bounds_eps_on_a_half_grid(m, n, l):
+    # at each half-integer r in [0, alpha_dim], every point with entries in {0, 1/2, 1} and
+    # u <= r has eps >= solve_lp's d(r), as d(r) is the least eps over the outage set.  The
+    # bound is met at each hull vertex, by a step vector, and at the midpoint of a hull
+    # segment of width 1: there the mean of its ends' step vectors is on the grid, and eps,
+    # convex, is at most the mean of their eps, d(r)
+    s, half = _shape(m, n, l), Fraction(1, 2)
+    least = least_eps(s, (0, half, 1))
+    vertices = {x for x0, _, dx, _ in s._hull for x in (x0, x0 + dx)}
+    tight = vertices | {x0 + half for x0, _, dx, _ in s._hull if dx == 1}
+    for k in range(2 * s.alpha_dim + 1):
+        r = k * half
+        d = solve_lp(build_program(m, n, l, r))
+        best = min(e for u, e in least.items() if u <= r)
+        assert best >= d, (r, best, d)
+        assert best == d or r not in tight, (r, best, d)

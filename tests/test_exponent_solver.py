@@ -8,9 +8,9 @@ other offset breaks the closed-form equality swept in the acceptance run).
 import itertools
 from fractions import Fraction
 
+import fraction_simplex
 import pytest
 from hypothesis import given, settings
-import fraction_simplex
 from hypothesis import strategies as st
 
 from dsdmt import exponent_solver
@@ -321,6 +321,18 @@ class TestDmtViaLp:
             dmt_via_lp(2, 2, 2, 3)
         with pytest.raises(ValueError):
             dmt_via_lp(2, 2, 2, Fraction(-1, 4))
+
+    def test_checks_every_r(self):
+        # each call reads its own r, whatever the calls before it: one value per r, of any
+        # type, in either order, the greedy route's and (4, 2, 3)'s Rayleigh (2 - k)(3 - k)
+        # between integers; and a ValueError for each r out of range, after a call in range
+        rs = (1, "1/2", 0, 2, Fraction(1, 2), 1)
+        assert [dmt_via_lp(4, 2, 3, r) for r in rs] == [dmt_via_greedy(4, 2, 3, r) for r in rs]
+        assert [dmt_via_lp(4, 2, 3, r) for r in rs[::-1]] == [2, 4, 0, 6, 4, 2]
+        for r in (3, Fraction(-1, 4)):
+            assert dmt_via_lp(2, 2, 2, 2) == 0
+            with pytest.raises(ValueError):
+                dmt_via_lp(2, 2, 2, r)
 
 
 class TestReciprocalProgramMemo:

@@ -366,6 +366,103 @@ def test_random_lps_match_oracle(lp):
     assert_matches_oracle(lp)
 
 
+# One right-hand side moved: the cold solve along a path of values t of b's last entry,
+# the way the exponent LP's r moves.
+
+# min x + 2y  s.t. y <= 1, x <= 2, x + y >= -t: 0 for t >= 0, -t on [-2, 0], -2 - 2t on
+# [-3, -2], and no point below -3
+HAND_PATH = {3: 0, Fraction(-1, 2): Fraction(1, 2), 0: 0, -1: 1, Fraction(-7, 3): Fraction(8, 3),
+             -3: 4, -4: "Infeasible"}
+
+
+@pytest.mark.parametrize("t, want", HAND_PATH.items(), ids=map(str, HAND_PATH))
+def test_hand_lp_along_its_last_rhs(t, want):
+    # each t solved cold, every pivot checked, x feasible with c.x the value, as the oracle
+    lp = (1, 2), ((0, 1), (1, 0), (-1, -1)), [1, 2, t]
+    assert _solved(lp) == want == _oracle_outcome(lp)
+
+
+def test_rows_changed_in_place_are_seen():
+    # solve_min keeps nothing between calls: a list c, or a list row of a tuple a_ub, changed
+    # in place gives the changed LP's value.  min 2x + y  s.t. x + y >= 3, y <= 1: 5 at (2, 1);
+    # 6 at (3, 0) with cost 2x + 3y, and 11/2 at (5/2, 1/2) with 2y <= 1
+    for c, a_ub in (((2, 1), ([-1, -1], [0, 1])), ([2, 1], ((-1, -1), (0, 1)))):
+        assert _simplex.solve_min(c, a_ub, [-3, 1]) == 5
+        if type(c) is list:
+            c[1], want = 3, 6
+        else:
+            a_ub[1][1], want = 2, Fraction(11, 2)
+        lp = c, a_ub, [-3, 1]
+        assert _simplex.solve_min(*lp) == want == _oracle_outcome(lp)
+
+
+@pytest.mark.parametrize("form", ["c", "rows", "a_ub", "numpy"])
+def test_an_lp_in_lists_or_arrays_gives_its_tuples_value(form):
+    # the exponent LP of (4, 3, 5) at r = 1/2 with c a list, each row a list, a_ub a list,
+    # or c and a_ub numpy arrays: the value of its tuples, and the LP route's
+    c, a_ub, fixed = _exponent_lp(4, 3, 5)
+    b = [*fixed, Fraction(1, 2)]
+    want = _simplex.solve_min(c, a_ub, b)
+    c, a_ub = {"c": ([*c], a_ub), "rows": (c, (*map(list, a_ub),)), "a_ub": (c, [*a_ub]),
+               "numpy": (np.array(c), np.array(a_ub))}[form]
+    assert _simplex.solve_min(c, a_ub, b) == want == exponent_solver.dmt_via_lp(
+        4, 3, 5, Fraction(1, 2))
+
+
+@st.composite
+def lp_paths(draw):
+    """Small LPs with c >= 0, a row k and 2-10 distinct quarter-step values for b_k in
+    any order.  Most draws end in a floor on the sum of x and move that floor, so the
+    optimum varies with it; some turn infeasible."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    c = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    if draw(st.booleans()):  # row 0 as an equality
+        a.append([-v for v in a[0]])
+        b.append(-b[0])
+    if draw(st.integers(0, 4)):  # the floor, -sum x <= b_k, as row k
+        a.append([-1] * n)
+        b.append(None)
+    k = len(a) - 1 if b[-1] is None else draw(st.integers(0, len(a) - 1))
+    values = draw(st.lists(st.integers(-16, 4), min_size=2, max_size=10, unique=True))
+    return c, a, b, k, [Fraction(v, 4) for v in values]
+
+
+def _path_outcomes(lp):
+    """The path's values sorted, with row k moved last, and _solved's outcome at each."""
+    c, a, b, k, values = lp
+    a, b = (*a[:k], *a[k + 1 :], a[k]), [*b[:k], *b[k + 1 :]]
+    ts = sorted(values)
+    return ts, [_solved((c, a, [*b, t])) for t in ts]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(lp_paths())
+def test_no_point_at_the_top_of_a_span_means_none_in_it(lp):
+    # t only loosens the last row as it grows, so an LP with no point at the top of a span of
+    # t has none anywhere in it, one with a point at t has one at every larger t, and the
+    # value never rises with t
+    ts, outcomes = _path_outcomes(lp)
+    if outcomes[-1] == "Infeasible":
+        assert {*outcomes} == {"Infeasible"}, lp
+    values = [v for v in outcomes if v != "Infeasible"]
+    assert outcomes[len(outcomes) - len(values):] == values, lp
+    assert values == sorted(values, reverse=True), lp
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(lp_paths())
+def test_the_value_is_convex_in_the_last_rhs(lp):
+    # the premise of test_envelope's argument (c): where the LP has a point, its value g is
+    # convex in t, so g at a middle t is on or below the chord of g over any two t around it
+    ts, outcomes = _path_outcomes(lp)
+    points = [(t, v) for t, v in zip(ts, outcomes) if v != "Infeasible"]
+    for (t0, v0), (t1, v1), (t2, v2) in itertools.combinations(points, 3):
+        assert v1 * (t2 - t0) <= v0 * (t2 - t1) + v2 * (t1 - t0), (lp, t0, t1, t2)
+
+
 def _exponent_lp(m, n, l):
     """c, a_ub and the fixed entries of b of the exponent LP of (m, n, l)."""
     return exponent_solver._shape(max(m, n), min(m, n), l)._lp
@@ -404,6 +501,93 @@ def test_b_is_read_up_to_the_rows():
     want = _simplex.solve_min(c, a_ub, [*fixed, 1])
     assert _simplex.solve_min(c, a_ub, [*fixed, 1, "x"]) == want
     assert _simplex.solve_min(c, a_ub, np.array([*fixed, 1])) == want
+
+
+def test_solve_lp_outside_its_span_raises():
+    # solve_lp answers r in [0, alpha_dim] only, a cold solve's value there, and an r below or
+    # above it raises ValueError with dmt_via_lp's message.  The LP itself has no point below
+    # 0, where sum s_i <= r meets s >= 0, and is 0 from alpha_dim on, at x = 0 with every s_i = 1
+    for m, n, l in itertools.product(range(1, 5), repeat=3):
+        if n > m:
+            continue
+        top, (c, a_ub, fixed) = min(n, l), _exponent_lp(m, n, l)
+        for r in (Fraction(-1, 4), Fraction(top, 2), top + Fraction(1, 3), top + 2, -1, top):
+            p, b = exponent_solver.build_program(m, n, l, r), [*fixed, r]
+            if 0 <= r <= top:
+                assert exponent_solver.solve_lp(p) == _simplex.solve_min(c, a_ub, b)
+                continue
+            with pytest.raises(ValueError, match=rf"^r must lie in \[0, {top}\], got {r}$"):
+                exponent_solver.solve_lp(p)
+            if r < 0:
+                with pytest.raises(_simplex.Infeasible):
+                    _simplex.solve_min(c, a_ub, b)
+            else:
+                assert _simplex.solve_min(c, a_ub, b) == 0
+
+
+@pytest.mark.parametrize("t", [Fraction(-1, 10**9), 3 + Fraction(1, 10**9), -1, np.int64(4),
+                               Fraction(np.int64(13), np.int64(4)), -0.5, Decimal("3.01")],
+                         ids=["below", "above", "int", "numpy-int", "Fraction-of-numpy-ints",
+                              "float", "Decimal"])
+def test_an_r_just_past_either_end_is_named_by_every_route(t):
+    # (5, 3, 4) has alpha_dim 3: an r past 0 or 3, of any type, raises one ValueError from
+    # solve_lp, dmt_via_lp and the greedy route, naming [0, 3] and r as its exact Fraction;
+    # a cold solve of the LP has no point below 0 and is 0 above 3
+    messages = set()
+    for route in (lambda r: exponent_solver.solve_lp(exponent_solver.build_program(5, 3, 4, r)),
+                  lambda r: exponent_solver.dmt_via_lp(5, 3, 4, r),
+                  lambda r: exponent_solver.dmt_via_greedy(5, 3, 4, r)):
+        with pytest.raises(ValueError) as named:
+            route(t)
+        messages.add(str(named.value))
+    assert messages == {f"r must lie in [0, 3], got {Fraction(t)}"}
+    c, a_ub, fixed = _exponent_lp(5, 3, 4)
+    if t < 0:
+        with pytest.raises(_simplex.Infeasible):
+            _simplex.solve_min(c, a_ub, [*fixed, t])
+    else:
+        assert _simplex.solve_min(c, a_ub, [*fixed, t]) == 0
+
+
+def test_exponent_lps_match_cold_solves_with_r_rising_and_falling():
+    # every crosscheck case with dims <= 5 and quarter-step r (1025), the shape memo cleared
+    # first, each triple's r rising and then falling: the LP route gives a cold solve's value
+    exponent_solver._shape.cache_clear()
+    cold = {}
+    for t in itertools.product(range(1, 6), repeat=3):
+        c, a_ub, fixed = lp = _exponent_lp(*t)
+        rs = [Fraction(k, 4) for k in range(4 * min(t) + 1)]
+        want = [cold[lp, r] if (lp, r) in cold else cold.setdefault(
+            (lp, r), _simplex.solve_min(c, a_ub, [*fixed, r])) for r in rs]
+        for order in (1, -1):
+            assert [exponent_solver.dmt_via_lp(*t, r) for r in rs[::order]] == want[::order], t
+    # one cold solve per LP and r: 4 alpha_dim + 1 for each of the 55 LPs
+    assert len(cold) == sum(4 * fixed.count(-1) + 1 for (_, _, fixed), _ in _exponent_lps(5)) == 475
+
+
+def test_crosscheck_pivot_count(monkeypatch):
+    # the LP route reads each case off its shape's hull: a crosscheck run calls no simplex,
+    # starts no tableau and makes no pivot
+    calls = []
+    for name in ("solve_min", "_dual_start", "_pivot"):
+        monkeypatch.setattr(_simplex, name, lambda *a, name=name, f=getattr(_simplex, name): (
+            calls.append(name), f(*a))[1])
+    report = cli.run_crosscheck(5, True)
+    assert report["cases"] == 1025 and not report["mismatches"]
+    assert calls == []
+
+
+def test_each_shape_computes_its_hull_once(monkeypatch):
+    # with the shape memo cleared, a crosscheck run computes F once per shape (m >= n, 75 to
+    # dims 5), and each case reads its hull off the copy build_program makes; a second run
+    # computes nothing.  The 75 shapes pose 55 LPs, which the manifest counts
+    exponent_solver._shape.cache_clear()
+    made, step_costs = [], exponent_solver._step_costs
+    monkeypatch.setattr(exponent_solver, "_step_costs",
+                        lambda a, b: made.append((a, b)) or step_costs(a, b))
+    report = cli.run_crosscheck(5, True)
+    assert len(made) == 75 and len({*made}) == report["lp"]["lps"] == 55
+    assert cli.run_crosscheck(5, True) == report and len(made) == 75
 
 
 def test_an_exponent_lp_at_r_alpha_dim_takes_alpha_dim_pivots(monkeypatch):
